@@ -2,6 +2,9 @@
 spaces, plus a circle-rotation cocycle harness for falsifying candidate
 invariant projection fields."""
 
+# Defined before the submodule imports: ``documents`` reads it for reports.
+__version__ = "0.1.0"
+
 from .circle import (
     EquidistributionStats,
     FirstReturn,
@@ -93,5 +96,3 @@ from .spaces import (
     multiplication_operator,
     multiplicity_match,
 )
-
-__version__ = "0.1.0"

@@ -55,7 +55,9 @@ from .generate import build_instance
 from .numerics import TolerancePolicy, matrix_from_json, matrix_to_json
 from .spaces import algebra_basis, masa_check, multiplicity_match
 
-_SCHEMA_ERRORS = (SchemaError, InconsistentSpec, ValueError)
+# OSError: an input file that is missing or unreadable, or an output path
+# that cannot be written, is a flag error.
+_SCHEMA_ERRORS = (SchemaError, InconsistentSpec, ValueError, OSError)
 _PRECONDITION_ERRORS = (
     NotInvariant,
     NotUnitary,

@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .cocycle import PiecewiseMatrixField, validate_projection_field
 from .errors import SchemaError
 from .numerics import (
@@ -44,9 +45,6 @@ __all__ = [
     "write_json",
     "file_digest",
 ]
-
-TOOL_VERSION = "0.1.0"
-
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -80,9 +78,11 @@ class Instance:
             if key not in obj:
                 raise SchemaError(f"instance document is missing '{key}'")
         try:
-            n = int(obj["dimension"])
+            n = _integer(obj["dimension"], "dimension")
             space = DiscreteSpace(tuple(float(w) for w in obj["weights"]))
-            partition = BlockPartition(tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
+            partition = BlockPartition(
+                tuple(tuple(_integer(i, "block entry") for i in b) for b in obj["blocks"])
+            )
             unitary = matrix_from_json(obj["unitary"])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed instance document: {exc}") from exc
@@ -95,6 +95,13 @@ class Instance:
         if not is_unitary(unitary, tol):
             raise SchemaError("the 'unitary' field is not unitary at load tolerance")
         return cls(space=space, partition=partition, unitary=unitary)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; bools and floats are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def load_instance(path, tol: TolerancePolicy = DEFAULT_TOL) -> Instance:
@@ -156,7 +163,7 @@ def make_report(
     """Assemble a run report; deterministic apart from the timestamp field."""
     report: dict = {
         "operation": operation,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "inputs": inputs or {},
         "seed": seed,
         "residuals": residuals or {},

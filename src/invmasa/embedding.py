@@ -13,9 +13,10 @@ Pipeline, for a block algebra A and a unitary U with U* A U = A:
 4. jointly diagonalise that compression through its Hermitian and skew
    parts, then push the eigenbasis around the cycle with powers of U*.
 
-The rank-one projections onto all propagated eigenvectors span a maximal
-abelian self-adjoint algebra that contains the block algebra and is mapped
-onto itself by conjugation; a certificate records every verification
+The propagated eigenvectors form a unitary frame Q, and the rank-one
+projections onto its columns span a maximal abelian self-adjoint algebra
+that contains the block algebra and is mapped onto itself by conjugation.
+The certificate is computed from Q alone and records every verification
 residual.
 """
 
@@ -44,7 +45,7 @@ from .numerics import (
     span_residual,
     span_rows,
 )
-from .spaces import BlockAlgebra, DiscreteSpace, algebra_basis, masa_check
+from .spaces import BlockAlgebra, DiscreteSpace, algebra_basis
 
 __all__ = [
     "WeightedCompositionOperator",
@@ -315,11 +316,15 @@ def factor_unitary(
     )
 
 
-def unitary_eigenbasis(
-    c,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    max_sweeps: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_clusters(values: np.ndarray, tol: TolerancePolicy) -> list[slice]:
+    """Runs of nondecreasing eigenvalues whose neighbours lie closer than
+    the cluster gap ``max(eps_rank, 1e-12)``."""
+    cuts = np.flatnonzero(np.diff(values) >= max(tol.eps_rank, 1e-12)) + 1
+    edges = [0, *cuts.tolist(), len(values)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def unitary_eigenbasis(c, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenbasis of a unitary matrix via its Hermitian parts.
 
     The Hermitian part H = (C + C*)/2 and skew part K = (C - C*)/(2i)
@@ -328,24 +333,17 @@ def unitary_eigenbasis(
     ``(eigenvalues_of_c, q)`` with columns of ``q`` the eigenvectors.
     """
     c = as_matrix(c)
-    n = c.shape[0]
     if not is_unitary(c, tol):
         raise NotUnitary("eigenbasis construction expects a unitary matrix")
     h = (c + c.conj().T) / 2.0
     k = (c - c.conj().T) / 2.0j
-    vals, q = hermitian_eig(h, tol, max_sweeps)
-    cluster_gap = max(tol.eps_rank, 1e-12)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and vals[stop] - vals[stop - 1] < cluster_gap:
-            continue
-        if stop - start > 1:
-            qc = q[:, start:stop]
+    vals, q = hermitian_eig(h, tol)
+    for cluster in _eigen_clusters(vals, tol):
+        if cluster.stop - cluster.start > 1:
+            qc = q[:, cluster]
             kc = qc.conj().T @ k @ qc
-            kc = (kc + kc.conj().T) / 2.0
-            _, refine = hermitian_eig(kc, tol, max_sweeps)
-            q[:, start:stop] = qc @ refine
-        start = stop
+            _, refine = hermitian_eig((kc + kc.conj().T) / 2.0, tol)
+            q[:, cluster] = qc @ refine
     diag = q.conj().T @ c @ q
     if _offdiag(diag) > 10.0 * tol.eps_eq:
         raise NoConvergence("joint diagonalisation left significant off-diagonal mass")
@@ -400,41 +398,72 @@ class MasaCertificate:
 
 @dataclass(frozen=True, eq=False)
 class MasaResult:
-    """Rank-one projection basis of the constructed masa plus certificate."""
+    """Unitary frame of the constructed masa plus certificate.
 
-    basis: list
+    ``frame`` is read-only; its columns are grouped by block label, block 0
+    first, and the masa is spanned by the rank-one projections onto them.
+    """
+
+    frame: np.ndarray
     certificate: MasaCertificate
     factorization: UnitaryFactorization
 
+    @property
+    def basis(self) -> list[np.ndarray]:
+        """Rank-one projections onto the frame columns, in column order."""
+        return [np.outer(q, q.conj()) for q in self.frame.T]
 
-def _certify(algebra: BlockAlgebra, u: np.ndarray, basis, tol: TolerancePolicy) -> MasaCertificate:
+
+def _certify(
+    algebra: BlockAlgebra,
+    u: np.ndarray,
+    frame: np.ndarray,
+    pi: tuple[int, ...],
+    tol: TolerancePolicy,
+) -> MasaCertificate:
+    """Certificate of the masa spanned by the columns of ``frame``.
+
+    Each column must be a unit vector supported in the block it was built
+    for (columns are grouped by block label), the columns must be
+    orthonormal, and conjugation by U must permute their projections.  The
+    last holds when M = Q*UQ is monomial: row i carries one unimodular
+    entry, at the column that U* sends column i to.  When that map is not
+    a bijection following ``pi`` on block labels, the set residual is 1.
+    Everything is O(n^3).
+    """
     n = algebra.n
-    eye = np.eye(n, dtype=complex)
-    proj_res = 0.0
-    orth_res = 0.0
-    for i, p in enumerate(basis):
-        proj_res = max(proj_res, max_norm(p @ p - p), max_norm(p - p.conj().T))
-        for q in basis[i + 1 :]:
-            orth_res = max(orth_res, max_norm(p @ q))
-    sum_res = max_norm(sum(basis) - eye)
-    check = masa_check(basis, n, tol)
-    rows = span_rows(basis, tol)
-    contain = max(span_residual(p, rows) for p in algebra_basis(algebra))
-    span_res = 0.0
-    set_res = 0.0
-    for p in basis:
-        conj = u.conj().T @ p @ u
-        span_res = max(span_res, span_residual(conj, rows))
-        set_res = max(set_res, min(max_norm(conj - q) for q in basis))
+    blocks = algebra.partition.blocks
+    labels = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    point_label = np.empty(n, dtype=int)
+    for j, b in enumerate(blocks):
+        point_label[list(b)] = j
+    gram = frame.conj().T @ frame
+    outside = point_label[:, None] != labels[None, :]
+    m = np.abs(frame.conj().T @ u @ frame)
+    rows = np.arange(n)
+    target = m.argmax(axis=1)
+    set_res = max_norm(1.0 - m[rows, target])
+    permutes = np.array_equal(np.sort(target), rows) and np.array_equal(
+        labels[target], np.asarray(pi)[labels]
+    )
+    if not permutes:
+        set_res = 1.0
+    m[rows, target] = 0.0
+    # The generic element sum_i (i/n) q_i q_i* generates the algebra; its
+    # commutant has dimension sum m_c^2 over its eigenvalue clusters.
+    generic = (frame * (np.arange(1, n + 1) / n)) @ frame.conj().T
+    values = np.linalg.eigvalsh(generic)
+    commutant_dim = sum((c.stop - c.start) ** 2 for c in _eigen_clusters(values, tol))
     return MasaCertificate(
         dimension=n,
-        commutant_dimension=check.commutant_dimension,
-        masa_ok=check.ok,
-        projection_residual=proj_res,
-        orthogonality_residual=orth_res,
-        sum_residual=sum_res,
-        containment_residual=contain,
-        invariance_span_residual=span_res,
+        commutant_dimension=commutant_dim,
+        # the Gram matrix of the columns of Q is Q*Q
+        masa_ok=commutant_dim == numerical_rank(frame.T, tol),
+        projection_residual=max_norm(gram.diagonal() - 1.0),
+        orthogonality_residual=_offdiag(gram),
+        sum_residual=max_norm(frame @ frame.conj().T - np.eye(n)),
+        containment_residual=max_norm(frame[outside]),
+        invariance_span_residual=max_norm(m),
         invariance_set_residual=set_res,
         threshold=10.0 * tol.eps_eq,
     )
@@ -459,30 +488,21 @@ def embed_invariant_masa(
     fact = factor_unitary(algebra, u, tol)
     n = algebra.n
     blocks = algebra.partition.blocks
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
     ustar = u.conj().T
-    vectors_by_block: dict[int, list[np.ndarray]] = {}
+    frame = np.zeros((n, n), dtype=complex)
     for cyc in fact.cycles:
         base_idx = list(blocks[cyc.base])
         power = np.linalg.matrix_power(u, cyc.length)
-        compression = power[np.ix_(base_idx, base_idx)]
-        _, q = unitary_eigenbasis(compression, tol)
-        vecs = []
-        for m in range(len(base_idx)):
-            v = np.zeros(n, dtype=complex)
-            v[base_idx] = q[:, m]
-            vecs.append(v)
-        vectors_by_block[cyc.base] = vecs
-        for r in range(1, cyc.length):
-            vecs = [ustar @ v for v in vecs]
-            vectors_by_block[cyc.labels[r]] = vecs
-    basis = []
-    for label in range(len(blocks)):
-        for v in vectors_by_block[label]:
-            proj = np.outer(v, v.conj())
-            proj.setflags(write=False)
-            basis.append(proj)
-    certificate = _certify(algebra, u, basis, tol)
-    return MasaResult(basis=basis, certificate=certificate, factorization=fact)
+        _, q = unitary_eigenbasis(power[np.ix_(base_idx, base_idx)], tol)
+        vecs = np.zeros((n, len(base_idx)), dtype=complex)
+        vecs[base_idx] = q
+        for label in cyc.labels:
+            frame[:, offsets[label] : offsets[label + 1]] = vecs
+            vecs = ustar @ vecs
+    frame.setflags(write=False)
+    certificate = _certify(algebra, u, frame, fact.pi, tol)
+    return MasaResult(frame=frame, certificate=certificate, factorization=fact)
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,7 +44,9 @@ class BlockSizeMismatch(InvmasaError):
 
 
 class NoConvergence(InvmasaError):
-    """An iterative eigenvalue scheme exceeded its sweep budget."""
+    """A numerical computation broke down: LAPACK's eigensolver did not
+    converge, a joint diagonalisation left off-diagonal mass above
+    tolerance, or a generated instance failed its own invariance check."""
 
 
 class IterationBudgetExceeded(InvmasaError):

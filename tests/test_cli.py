@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import invmasa
 from invmasa.cli import main_cex, main_masa
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
@@ -131,6 +132,27 @@ class TestMasaPipeline:
         write_json(tmp_path / "bad.json", {"dimension": 2})
         assert main_masa(["embed", "--input", str(tmp_path / "bad.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dimension", True), ("dimension", 1.0), ("dimension", "1"), ("blocks", [[False]])],
+    )
+    def test_non_integer_dimension_or_block_exits_two(self, tmp_path, capsys, field, value):
+        # one point, so that true/false would otherwise read as 1/0
+        doc = {"dimension": 1, "weights": [1.0], "blocks": [[0]], "unitary": {"re": [[1.0]], "im": [[0.0]]}}
+        doc[field] = value
+        write_json(tmp_path / "bad.json", doc)
+        assert main_masa(["embed", "--input", str(tmp_path / "bad.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_input_file_exits_two(self, tmp_path, capsys):
+        assert main_masa(["embed", "--input", str(tmp_path / "missing.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_report_version_is_package_version(self, tmp_path, instance_file):
+        out = tmp_path / "factor.json"
+        assert main_masa(["factor", "--input", str(instance_file), "--output", str(out)]) == 0
+        assert read_json(out)["version"] == invmasa.__version__
+
     def test_truncated_shift_fails_unitarity_at_load(self, tmp_path):
         # one-sided truncation of a two-sided coordinate shift loses a
         # basis vector and is not unitary, so the document is rejected
@@ -250,6 +272,11 @@ class TestCexCommands:
         )
         assert code == 0
         assert read_json(out)["residuals"]["max_defect"] <= 1e-12
+
+    def test_defect_missing_candidate_exits_two(self, tmp_path, capsys):
+        code = main_cex(["defect", "--a", A_STR, "--candidate", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_defect_rejects_invalid_candidate(self, tmp_path):
         cand = tmp_path / "cand.json"

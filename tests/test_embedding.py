@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from invmasa import (
+    DEFAULT_TOL,
     BlockAlgebra,
     BlockPartition,
     DiscreteSpace,
+    MasaCertificate,
     WeightedCompositionOperator,
+    algebra_basis,
     build_instance,
     check_invariance,
     commutant_basis,
@@ -16,11 +19,15 @@ from invmasa import (
     embed_invariant_masa,
     factor_unitary,
     is_unitary,
+    masa_check,
     max_norm,
     radon_nikodym_weights,
     random_instance,
+    span_residual,
+    span_rows,
     unitary_eigenbasis,
 )
+from invmasa.embedding import _certify
 from invmasa.errors import InconsistentSpec, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
 
@@ -31,6 +38,56 @@ def block_algebra(weights, blocks):
 
 def diagonal_masa(n):
     return block_algebra([1.0] * n, [[i] for i in range(n)])
+
+
+def dense_certificate(algebra, u, basis, tol=DEFAULT_TOL):
+    """Oracle for the frame certificate: the same residuals computed from
+    the n dense projections, maximality from the Kronecker commutant
+    (``masa_check``), containment and invariance as distances to the span
+    of the projection family.  O(n^7), so only for small n."""
+    n = algebra.n
+    proj_res = 0.0
+    orth_res = 0.0
+    for i, p in enumerate(basis):
+        proj_res = max(proj_res, max_norm(p @ p - p), max_norm(p - p.conj().T))
+        for q in basis[i + 1 :]:
+            orth_res = max(orth_res, max_norm(p @ q))
+    check = masa_check(basis, n, tol)
+    rows = span_rows(basis, tol)
+    span_res = 0.0
+    set_res = 0.0
+    for p in basis:
+        conj = u.conj().T @ p @ u
+        span_res = max(span_res, span_residual(conj, rows))
+        set_res = max(set_res, min(max_norm(conj - q) for q in basis))
+    return MasaCertificate(
+        dimension=n,
+        commutant_dimension=check.commutant_dimension,
+        masa_ok=check.ok,
+        projection_residual=proj_res,
+        orthogonality_residual=orth_res,
+        sum_residual=max_norm(sum(basis) - np.eye(n)),
+        containment_residual=max(span_residual(p, rows) for p in algebra_basis(algebra)),
+        invariance_span_residual=span_res,
+        invariance_set_residual=set_res,
+        threshold=10.0 * tol.eps_eq,
+    )
+
+
+def cycle_instance(c):
+    """Two blocks of size len(c) swapped by U = [[0, I], [c, 0]]; the
+    compression of U^2 to block 0 is exactly c."""
+    b = c.shape[0]
+    u = np.zeros((2 * b, 2 * b), dtype=complex)
+    u[:b, b:] = np.eye(b)
+    u[b:, :b] = c
+    return block_algebra([1.0] * (2 * b), [range(b), range(b, 2 * b)]), u
+
+
+def conjugated_spectrum(phases, seed):
+    """W diag(exp(i phases)) W* for a Haar-random W."""
+    w = haar_unitary(len(phases), np.random.default_rng(seed))
+    return w @ np.diag(np.exp(1j * np.asarray(phases))) @ w.conj().T
 
 
 class TestRadonNikodym:
@@ -172,6 +229,24 @@ class TestUnitaryEigenbasis:
             assert max_norm(c @ q - q @ np.diag(vals)) <= 1e-10
             assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # V0 = I: the compression is the identity, fully degenerate
+            np.eye(3, dtype=complex),
+            # e^{+-i theta} pairs: degenerate in H, separated only by K
+            conjugated_spectrum([0.7, -0.7, 2.1, -2.1], seed=31),
+            # eigen-gaps on both sides of the 1e-8 cluster gap
+            *(conjugated_spectrum(0.9 + gap * np.arange(4), seed=37) for gap in (1e-12, 1e-10, 1e-8, 1e-6)),
+        ],
+        ids=["identity", "conjugate-pairs", "gap1e-12", "gap1e-10", "gap1e-8", "gap1e-6"],
+    )
+    def test_adversarial_spectra(self, c):
+        vals, q = unitary_eigenbasis(c)
+        assert max_norm(c @ q - q @ np.diag(vals)) <= 1e-10
+        algebra, u = cycle_instance(c)
+        assert embed_invariant_masa(algebra, u).certificate.passed
+
     def test_handles_conjugate_pair_spectrum(self):
         # rotation matrix: Hermitian part is scalar, so the skew refinement
         # has to do all the work
@@ -253,6 +328,58 @@ class TestEmbedInvariantMasa:
             for p in base:
                 conj = power.conj().T @ p @ power
                 assert min(max_norm(conj - q) for q in base) <= 1e-9
+
+    def test_frame_certificate_matches_dense_oracle(self):
+        # criterion-1 seeds, every fourth: the O(n^7) oracle is slow
+        for seed in range(0, 200, 4):
+            inst = random_instance(seed).instance
+            result = embed_invariant_masa(inst.algebra, inst.unitary)
+            cert = result.certificate
+            oracle = dense_certificate(inst.algebra, inst.unitary, result.basis)
+            assert cert.masa_ok == oracle.masa_ok, seed
+            assert cert.commutant_dimension == oracle.commutant_dimension == inst.n, seed
+            assert cert.passed and oracle.passed, seed
+
+    @pytest.mark.parametrize("defect", ["duplicate", "leak", "not-permuted"])
+    def test_bad_frames_fail_certificate_and_oracle(self, defect):
+        # two swapped blocks of size 2: columns 0-1 live on block 0,
+        # columns 2-3 on block 1
+        gen = build_instance([1.0] * 4, [[0, 1], [2, 3]], [(0, 1)], seed=3)
+        inst = gen.instance
+        good = embed_invariant_masa(inst.algebra, inst.unitary)
+        frame = good.frame.copy()
+        cs, sn = np.cos(0.3), np.sin(0.3)
+        if defect == "duplicate":
+            frame[:, 1] = frame[:, 0]
+        else:
+            # a rotation across blocks leaks a column out of its block; one
+            # inside block 0 keeps containment but breaks the U*-push
+            i, j = (1, 2) if defect == "leak" else (0, 1)
+            frame[:, [i, j]] = frame[:, [i, j]] @ np.array([[cs, -sn], [sn, cs]])
+        cert = _certify(inst.algebra, inst.unitary, frame, good.factorization.pi, DEFAULT_TOL)
+        basis = [np.outer(q, q.conj()) for q in frame.T]
+        oracle = dense_certificate(inst.algebra, inst.unitary, basis)
+        assert not cert.passed
+        assert not oracle.passed
+        if defect == "duplicate":
+            assert not cert.masa_ok and not oracle.masa_ok
+            # weights 1/4 + 2/4 on the doubled column collide with 3/4 on
+            # column 2: one cluster of two, so 2^2 + 1 + 1, counted not assumed
+            assert cert.commutant_dimension == 6
+        if defect == "leak":
+            assert cert.containment_residual > 0.1 and oracle.containment_residual > 0.1
+        if defect == "not-permuted":
+            assert cert.containment_residual <= 1e-12
+            assert cert.invariance_span_residual > 0.1 and oracle.invariance_span_residual > 0.1
+
+    def test_certificate_checks_the_block_permutation(self):
+        gen = build_instance([1.0] * 4, [[0, 1], [2, 3]], [(0, 1)], seed=3)
+        inst = gen.instance
+        good = embed_invariant_masa(inst.algebra, inst.unitary)
+        assert good.factorization.pi == (1, 0)
+        cert = _certify(inst.algebra, inst.unitary, good.frame, (0, 1), DEFAULT_TOL)
+        assert cert.invariance_set_residual == 1.0
+        assert not cert.passed
 
     def test_random_instances_certify(self):
         for seed in (0, 1, 2, 5, 8, 13):
