@@ -61,6 +61,7 @@ from .numerics import (
     TolerancePolicy,
     as_matrix,
     commutant_basis,
+    commutant_dimension,
     hermitian_eig,
     is_unitary,
     matrix_from_json,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotInBaseInterval
+from .errors import NoConvergence, NotInBaseInterval
 
 __all__ = [
     "RotationConfig",
@@ -165,7 +165,8 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
     followed by zero or more 3s: starting below a, the next three points
     sweep [a,4a) in steps of a, and the remaining steps cross [4a,1) until
     the wrap.  The landing point equals ``return_closed_form(t, config)``
-    up to accumulated ulps.
+    up to accumulated ulps.  An orbit still outside [0,a) after
+    int(1/a) + 3 steps raises ``NoConvergence``.
     """
     a = config.a
     if not (0.0 <= t < a):
@@ -181,7 +182,7 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
         if cur < a:
             return FirstReturn(t_return=cur, steps=steps, word=tuple(word))
         if steps > limit:
-            raise RuntimeError("first return exceeded its step bound")
+            raise NoConvergence(f"first return from t = {t!r} exceeded its bound of {limit} steps")
 
 
 def return_closed_form(t: float, config: RotationConfig) -> float:

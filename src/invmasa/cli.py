@@ -212,8 +212,8 @@ def _cmd_verify(args) -> int:
                     obj = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise SchemaError(f"{args.algebra}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "basis" not in obj:
-                raise SchemaError("algebra document needs a 'basis' field")
+            if not isinstance(obj, dict) or not isinstance(obj.get("basis"), list):
+                raise SchemaError("algebra document needs a 'basis' list of matrices")
             basis = [matrix_from_json(m) for m in obj["basis"]]
             inputs["algebra"] = file_digest(args.algebra)
         else:

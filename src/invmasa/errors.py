@@ -46,7 +46,8 @@ class BlockSizeMismatch(InvmasaError):
 class NoConvergence(InvmasaError):
     """A numerical computation broke down: LAPACK's eigensolver did not
     converge, a joint diagonalisation left off-diagonal mass above
-    tolerance, or a generated instance failed its own invariance check."""
+    tolerance, a generated instance failed its own invariance check, or an
+    iterated first return exceeded its step bound."""
 
 
 class IterationBudgetExceeded(InvmasaError):

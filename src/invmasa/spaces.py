@@ -19,7 +19,7 @@ from .numerics import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
-    commutant_basis,
+    commutant_dimension,
     max_norm,
     numerical_rank,
     span_residual,
@@ -190,10 +190,9 @@ def masa_check(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
     for i, x in enumerate(mats):
         for y in mats[i + 1 :]:
             abelian = max(abelian, max_norm(x @ y - y @ x))
-    commutant_dim = len(commutant_basis(mats, n, tol))
     return MasaCheck(
         rank=numerical_rank(mats, tol),
-        commutant_dimension=commutant_dim,
+        commutant_dimension=commutant_dimension(mats, n, tol),
         unital_residual=unital,
         selfadjoint_residual=selfadj,
         abelian_residual=abelian,

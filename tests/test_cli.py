@@ -148,6 +148,37 @@ class TestMasaPipeline:
         assert main_masa(["embed", "--input", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", [5, None, [5, "x"]], ids=["int", "null", "non-objects"])
+    def test_malformed_algebra_basis_exits_two(self, tmp_path, capsys, instance_file, basis):
+        write_json(tmp_path / "algebra.json", {"basis": basis})
+        code = main_masa(
+            ["verify", "--input", str(instance_file), "--algebra", str(tmp_path / "algebra.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_verify_algebra_takes_the_joint_eigenbasis_path(self, tmp_path, monkeypatch):
+        # one block of 24 points: the embedded masa is a dense frame, whose
+        # Kronecker commutant system would be 13824 x 576
+        instance = tmp_path / "full.json"
+        result = tmp_path / "result.json"
+        report = tmp_path / "verify.json"
+        assert main_masa(["gen", "--blocks", "24", "--cycles", "0", "--seed", "3",
+                          "--output", str(instance)]) == 0
+        assert main_masa(["embed", "--input", str(instance), "--output", str(result)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Kronecker commutant system built")
+
+        monkeypatch.setattr(invmasa.numerics, "commutant_basis", refuse)
+        code = main_masa(["verify", "--input", str(instance), "--algebra", str(result),
+                          "--mode", "masa", "--output", str(report)])
+        assert code == 0
+        details = read_json(report)["details"]["masa"]
+        assert details["ok"] is True
+        assert details["rank"] == details["commutant_dimension"] == 24
+
     def test_report_version_is_package_version(self, tmp_path, instance_file):
         out = tmp_path / "factor.json"
         assert main_masa(["factor", "--input", str(instance_file), "--output", str(out)]) == 0
@@ -226,6 +257,13 @@ class TestCexCommands:
         )
         assert code == 0
         assert len(read_json(out)["warnings"]) > 0
+
+    def test_stalled_first_return_exits_four(self, monkeypatch, capsys):
+        # an orbit that never re-enters [0, a) hits the step bound
+        monkeypatch.setattr(invmasa.circle, "shift", lambda t, config: config.a)
+        assert main_cex(["return-map", "--a", A_STR, "--samples", "3"]) == 4
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_angle_out_of_range_exits_two(self):
         assert main_cex(["return-map", "--a", "0.5"]) == 2

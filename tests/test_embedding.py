@@ -1,5 +1,7 @@
 """Tests for the factorisation and invariant-masa embedding pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,11 @@ def diagonal_masa(n):
 
 def dense_certificate(algebra, u, basis, tol=DEFAULT_TOL):
     """Oracle for the frame certificate: the same residuals computed from
-    the n dense projections, maximality from the Kronecker commutant
-    (``masa_check``), containment and invariance as distances to the span
-    of the projection family.  O(n^7), so only for small n."""
+    the n dense projections, maximality from ``masa_check`` with its
+    commutant dimension taken from the Kronecker null space
+    (``commutant_basis``, not the joint-eigenbasis count), containment and
+    invariance as distances to the span of the projection family.  O(n^7),
+    so only for small n."""
     n = algebra.n
     proj_res = 0.0
     orth_res = 0.0
@@ -52,7 +56,9 @@ def dense_certificate(algebra, u, basis, tol=DEFAULT_TOL):
         proj_res = max(proj_res, max_norm(p @ p - p), max_norm(p - p.conj().T))
         for q in basis[i + 1 :]:
             orth_res = max(orth_res, max_norm(p @ q))
-    check = masa_check(basis, n, tol)
+    check = dataclasses.replace(
+        masa_check(basis, n, tol), commutant_dimension=len(commutant_basis(basis, n, tol))
+    )
     rows = span_rows(basis, tol)
     span_res = 0.0
     set_res = 0.0

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmasa import (
     DEFAULT_TOL,
     TolerancePolicy,
+    algebra_basis,
     as_matrix,
     commutant_basis,
+    commutant_dimension,
+    embed_invariant_masa,
     hermitian_eig,
     is_unitary,
     matrix_from_json,
@@ -17,8 +22,9 @@ from invmasa import (
     span_residual,
     span_rows,
 )
+from invmasa import numerics
 from invmasa.errors import DimensionMismatch, NoConvergence, NotSelfAdjoint
-from invmasa.generate import haar_unitary
+from invmasa.generate import haar_unitary, random_instance
 
 
 def random_hermitian(n, rng):
@@ -219,6 +225,101 @@ class TestCommutant:
                 assert len(first) == len(gens)
                 for x in first:
                     assert span_residual(x, rows_gens) <= 1e-8
+
+
+def _kronecker_refused(*args, **kwargs):
+    raise AssertionError("commutant_dimension fell back to the Kronecker system")
+
+
+@pytest.fixture()
+def kronecker_calls(monkeypatch):
+    """Count the Kronecker fallbacks taken inside commutant_dimension."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return commutant_basis(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "commutant_basis", spy)
+    return calls
+
+
+# cutoff of diag(1, 2, 2 + delta): delta^2 <= eps_rank * (1 + delta)^2
+CUTOFF_DELTA = 1e-4 / (1.0 - 1e-4)
+
+
+class TestCommutantDimension:
+    """The joint-eigenbasis count against the Kronecker null space."""
+
+    def test_criterion_1_frames_and_block_algebras(self, monkeypatch):
+        for seed in range(200):
+            inst = random_instance(seed).instance
+            frame_basis = embed_invariant_masa(inst.algebra, inst.unitary).basis
+            for family in (frame_basis, algebra_basis(inst.algebra)):
+                expected = len(commutant_basis(family, inst.n))
+                with monkeypatch.context() as m:
+                    m.setattr(numerics, "commutant_basis", _kronecker_refused)
+                    assert commutant_dimension(family, inst.n) == expected, seed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_commuting_normal_families(self, n, k, seed, data):
+        # joint spectra drawn from a few values, so repeats are common, and
+        # nudged by offsets from exact ties to far above the cutoff
+        values = st.sampled_from([0.0, 1.0, -1.0, 1j, 2.0 - 1j])
+        nudges = st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1e-3])
+        w = haar_unitary(n, np.random.default_rng(seed))
+        family = []
+        for _ in range(k):
+            spectrum = [data.draw(values) + data.draw(nudges) for _ in range(n)]
+            family.append(w @ np.diag(spectrum) @ w.conj().T)
+        assert commutant_dimension(family, n) == len(commutant_basis(family, n))
+
+    @pytest.mark.parametrize(
+        "delta, expected",
+        [(CUTOFF_DELTA * (1 - 1e-8), 5), (CUTOFF_DELTA * (1 + 1e-8), 3)],
+    )
+    def test_cutoff_edge(self, delta, expected, kronecker_calls):
+        family = [np.diag([1.0, 2.0, 2.0 + delta]).astype(complex)]
+        assert commutant_dimension(family, 3) == expected
+        assert len(commutant_basis(family, 3)) == expected
+        assert not kronecker_calls
+
+    @pytest.mark.parametrize(
+        "family, n, expected",
+        [
+            ([], 3, 9),
+            ([np.eye(3, dtype=complex)], 3, 9),
+            ([np.diag([1.0, 1j])], 2, 2),
+        ],
+        ids=["empty", "identity", "diag-1-i"],
+    )
+    def test_small_families_take_the_fast_path(self, family, n, expected, kronecker_calls):
+        assert commutant_dimension(family, n) == expected
+        assert len(commutant_basis(family, n)) == expected
+        assert not kronecker_calls
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            ([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)], 2),
+            ([np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), np.diag([1.0, -1.0])], 1),
+        ],
+        ids=["jordan-block", "non-abelian-pair"],
+    )
+    def test_non_normal_or_non_commuting_falls_back(self, family, expected, kronecker_calls):
+        assert commutant_dimension(family, 2) == expected
+        assert len(commutant_basis(family, 2)) == expected
+        assert len(kronecker_calls) == 1
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            commutant_dimension([np.eye(2, dtype=complex)], 3)
 
 
 class TestSpanHelpers:
