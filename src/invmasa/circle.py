@@ -25,10 +25,12 @@ __all__ = [
     "RotationConfig",
     "RationalWitness",
     "shift",
+    "shift_array",
     "interval_index",
     "interval_indices",
     "FirstReturn",
     "first_return",
+    "first_returns",
     "return_closed_form",
     "orbit",
     "orbit_anchor",
@@ -137,6 +139,12 @@ def shift(t: float, config: RotationConfig) -> float:
     return s
 
 
+def shift_array(ts, config: RotationConfig) -> np.ndarray:
+    """:func:`shift` of every entry of an array, by the same IEEE operations."""
+    s = np.asarray(ts, dtype=float) + config.a
+    return np.where(s >= 1.0, s - 1.0, s)
+
+
 def interval_index(t: float, config: RotationConfig) -> int:
     """Index of the half-open interval containing t: 1, 2 or 3."""
     if t < config.a:
@@ -185,25 +193,51 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
             raise NoConvergence(f"first return from t = {t!r} exceeded its bound of {limit} steps")
 
 
-def return_closed_form(t: float, config: RotationConfig) -> float:
-    """Closed form of the first-return map: (t - b) mod a with b = 1 - 4a.
+def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`first_return` of a 1-D array of starts in [0,a): landing
+    points, step counts, and whether each itinerary was 1 2 2 2 3...3.
+    Unreturned orbits step together through :func:`shift_array`, so all
+    three match the scalar results bit for bit, as does the step bound."""
+    a = config.a
+    cur = np.array(ts, dtype=float)
+    if not np.all((0.0 <= cur) & (cur < a)):
+        raise NotInBaseInterval(f"a start is not in [0, {a!r})")
+    steps = np.zeros(cur.shape, dtype=int)
+    words_ok = np.ones(cur.shape, dtype=bool)
+    live = np.arange(cur.size)
+    limit = int(1.0 / a) + 3
+    for n in range(1, limit + 2):
+        words_ok[live] &= interval_indices(cur[live], config) == (1 if n == 1 else 2 if n <= 4 else 3)
+        cur[live] = shift_array(cur[live], config)
+        back = cur[live] < a
+        steps[live[back]] = n
+        live = live[~back]
+        if not live.size:
+            return cur, steps, words_ok & (steps >= 4)
+    raise NoConvergence(f"first return from t = {float(ts[live[0]])!r} exceeded its bound of {limit} steps")
+
+
+def return_closed_form(t, config: RotationConfig):
+    """Closed form of the first-return map: (t - b) mod a with b = 1 - 4a,
+    of a float or of every entry of an array.
 
     A returning segment wraps past 1 exactly once, so the landing point is
     t + n*a - 1 for some n, which is congruent to t - 1 and hence to t - b
     modulo a.
     """
-    r = math.fmod(t - config.b, config.a)
-    if r < 0.0:
-        r += config.a
-    return r
+    r = np.fmod(np.asarray(t, dtype=float) - config.b, config.a)
+    r = np.where(r < 0.0, r + config.a, r)
+    return r if r.ndim else float(r)
 
 
 def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
     """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a], each entry mod 1."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    out = np.empty(steps, dtype=float)
     cur = float(t0)
+    if not math.isfinite(cur):
+        raise ValueError(f"orbit start must be finite, got {t0!r}")
+    out = np.empty(steps, dtype=float)
     if not (0.0 <= cur < 1.0):
         cur = cur % 1.0
     for k in range(steps):

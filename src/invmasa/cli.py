@@ -363,12 +363,6 @@ def combinatorics_document() -> dict:
         for j in (1, 2, 3)
     }
 
-    def table_power(j: int, k: int) -> dict:
-        out = {c: c for c in classes}
-        for _ in range(k):
-            out = {c: signs.INTERVAL_ACTIONS[j][v] for c, v in out.items()}
-        return out
-
     word_1222 = signs.word_action([1, 2, 2, 2])
     doc = {
         "classes": [list(c) for c in classes],
@@ -378,8 +372,8 @@ def combinatorics_document() -> dict:
         },
         "strata_sizes": {str(k): len(signs.STRATA[k]) for k in (0, 1, 2, 3)},
         "interval_actions": tables,
-        "action1_order4": table_power(1, 4) == {c: c for c in classes},
-        "action2_order3": table_power(2, 3) == {c: c for c in classes},
+        "action1_order4": signs.word_action([1] * 4) == {c: c for c in classes},
+        "action2_order3": signs.word_action([2] * 3) == {c: c for c in classes},
         "action3_identity": all(signs.INTERVAL_ACTIONS[3][c] == c for c in classes),
         "one_zero_partition": {
             str(label): [_class_index(c) for c in signs.ONE_ZERO_CLASSES[label]]
@@ -417,26 +411,13 @@ def _cmd_combinatorics(args) -> int:
     return 0
 
 
-def _word_ok(word) -> bool:
-    return (
-        len(word) >= 4
-        and word[0] == 1
-        and tuple(word[1:4]) == (2, 2, 2)
-        and all(x == 3 for x in word[4:])
-    )
-
-
 def _cmd_return_map(args) -> int:
     config = _config(args)
     rng = np.random.default_rng(args.seed)
     ts = rng.uniform(0.0, config.a, size=args.samples)
-    max_dev = 0.0
-    words_ok = True
-    for t in ts:
-        ret = circle.first_return(float(t), config)
-        closed = circle.return_closed_form(float(t), config)
-        max_dev = max(max_dev, abs(ret.t_return - closed))
-        words_ok = words_ok and _word_ok(ret.word)
+    t_return, _, words = circle.first_returns(ts, config)
+    max_dev = float(np.max(np.abs(t_return - circle.return_closed_form(ts, config)), initial=0.0))
+    words_ok = bool(np.all(words))
     report = make_report(
         "return-map",
         passed=bool(words_ok and max_dev <= 1e-11),
@@ -510,7 +491,7 @@ def _cmd_propagate(args) -> int:
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
     result = cocycle.propagate_constraint(params, args.t0, config, field, args.steps)
-    final = result.parameters[-1]
+    final = cocycle.ReflectionParams.from_bloch(result.vectors[-1])
     doc = make_report(
         "propagate",
         passed=result.agreement,

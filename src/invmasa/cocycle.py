@@ -11,14 +11,16 @@ projection field violates the transport constraint
 
     S(t + a) = +/- V(t)* S(t) V(t)
 
-along an orbit.  A nonzero defect falsifies the candidate; the harness is
+along an orbit, on Bloch vectors: S = [[d, conj(w)], [w, -d]] is the real
+3-vector x = (d, Re w, Im w), and conjugation by a twist piece V rotates
+it.  A nonzero defect falsifies the candidate; the harness is
 a falsifier for concrete candidates, not a nonexistence proof (see the
 project README).
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +29,7 @@ import numpy as np
 from .circle import RotationConfig, interval_indices, orbit
 from .errors import InvalidCandidate, MissingSample
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
-from .signs import SignClass, interval_action, sign_profile
+from .signs import SUBSTITUTION_MATRICES, SignClass, canonicalize, sign_profile
 
 __all__ = [
     "SIGN_ZERO_TOL",
@@ -43,6 +45,8 @@ __all__ = [
     "conjugate_step",
     "resolve_sign",
     "matrix_sign_profile",
+    "bloch_vectors",
+    "bloch_rotations",
     "DiagonalizerResult",
     "diagonalizer",
     "DefectReport",
@@ -60,6 +64,19 @@ PROJECTION_TOL = 1e-10
 # Off-diagonal magnitude below which a parameterised matrix counts as
 # sitting on the diagonal boundary.
 DIAGONAL_BOUNDARY_TOL = 1e-12
+# Entrywise distance from a signed permutation within which a twist
+# piece's Bloch rotation is snapped to it (the standard twist's are an
+# ulp off the automaton's substitutions), making transport exact.
+ROTATION_SNAP_TOL = 1e-12
+# Steps per chunk of the propagation prefix product: doubling costs
+# log2(chunk) 3x3 products per step, and each chunk a few numpy calls.
+PROPAGATE_CHUNK = 512
+# Orbit points per chunk of invariance_defect; at ~250 bytes of
+# temporaries per point this bounds them to ~8 MB for any step count.
+DEFECT_CHUNK = 1 << 15
+
+# sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
+_PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,21 +116,16 @@ class PiecewiseMatrixField:
     def pieces(self) -> int:
         return len(self.breakpoints)
 
-    def piece_index(self, t: float) -> int:
-        i = bisect.bisect_right(self.breakpoints, t) - 1
-        if i < 0:
-            i = len(self.breakpoints) - 1
-        return i
+    def piece_index(self, t):
+        """Index of the piece containing t, or of each entry of an array."""
+        return (np.searchsorted(self.breakpoints, t, side="right") - 1) % len(self.breakpoints)
 
     def value_at(self, t: float) -> np.ndarray:
         return self.values[self.piece_index(t)]
 
     def values_at(self, points) -> np.ndarray:
         """Stacked values at an array of points, shape (len(points), 2, 2)."""
-        ts = np.asarray(points, dtype=float)
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        idx[idx < 0] = len(self.breakpoints) - 1
-        return np.stack(self.values)[idx]
+        return np.stack(self.values)[self.piece_index(points)]
 
 
 def standard_twist(config: RotationConfig) -> PiecewiseMatrixField:
@@ -187,23 +199,12 @@ class ReflectionParams:
             raise ValueError("parameters must be finite")
         if self.e < 0.0:
             raise ValueError("e must be nonnegative")
-        if abs(abs(self.theta) - 1.0) > 1e-12:
+        if not abs(abs(self.theta) - 1.0) <= 1e-12:
             raise ValueError("theta must be unimodular")
-
-    @property
-    def c(self) -> float:
-        return self.theta.real
-
-    @property
-    def s(self) -> float:
-        return self.theta.imag
 
     def matrix(self) -> np.ndarray:
         off = self.theta * self.e
         return np.array([[self.d, np.conj(off)], [off, -self.d]], dtype=complex)
-
-    def sign_class(self, zero_tol: float = 0.0) -> SignClass:
-        return sign_profile(self.d, self.c * self.e, self.s * self.e, zero_tol)
 
     @classmethod
     def from_matrix(cls, m, hermitian_tol: float = 1e-9) -> "ReflectionParams":
@@ -214,11 +215,16 @@ class ReflectionParams:
             raise ValueError("matrix is not self-adjoint")
         if abs(np.trace(m)) > hermitian_tol:
             raise ValueError("matrix is not traceless")
-        d = float(m[0, 0].real)
-        off = complex(m[1, 0])
+        return cls.from_bloch((m[0, 0].real, m[1, 0].real, m[1, 0].imag))
+
+    @classmethod
+    def from_bloch(cls, x, zero_tol: float = DIAGONAL_BOUNDARY_TOL) -> "ReflectionParams":
+        """Parameters of the matrix with Bloch vector x = (d, Re w, Im w);
+        theta is 1 when e is at most ``zero_tol``."""
+        d, re, im = (float(c) for c in x)
+        off = complex(re, im)
         e = abs(off)
-        theta = off / e if e > DIAGONAL_BOUNDARY_TOL else 1.0 + 0.0j
-        return cls(d=d, e=e, theta=theta)
+        return cls(d=d, e=e, theta=off / e if e > zero_tol else 1.0 + 0.0j)
 
 
 def matrix_sign_profile(m, zero_tol: float = SIGN_ZERO_TOL) -> SignClass:
@@ -229,6 +235,26 @@ def matrix_sign_profile(m, zero_tol: float = SIGN_ZERO_TOL) -> SignClass:
     """
     m = np.asarray(m, dtype=complex)
     return sign_profile(m[0, 0].real, m[1, 0].real, m[1, 0].imag, zero_tol)
+
+
+def bloch_vectors(m) -> np.ndarray:
+    """Bloch vectors x = (d, Re w, Im w) of stacked traceless self-adjoint
+    [[d, conj(w)], [w, -d]], shape (..., 3): x_i = Re tr(sigma_i m) / 2, so
+    the Frobenius norm of m is sqrt(2) |x|."""
+    return 0.5 * np.einsum("ijk,...kj->...i", _PAULI, np.asarray(m, dtype=complex)).real
+
+
+def bloch_rotations(field: PiecewiseMatrixField) -> np.ndarray:
+    """Rotation R_V of each piece V of a unitary twist, shape (pieces, 3, 3):
+    V* S V has Bloch vector R_V x when S has x.  A rotation within
+    ``ROTATION_SNAP_TOL`` of a signed permutation is snapped to it."""
+    v = np.stack(field.values)
+    rot = 0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real
+    for r in rot:
+        snapped = np.rint(r)
+        if np.array_equal(snapped @ snapped.T, np.eye(3)) and np.max(np.abs(r - snapped)) <= ROTATION_SNAP_TOL:
+            r[...] = snapped
+    return rot
 
 
 def apply_twisted_shift(samples, orbit_points, config: RotationConfig, field: PiecewiseMatrixField) -> np.ndarray:
@@ -268,16 +294,9 @@ def resolve_sign(m, zero_tol: float = DIAGONAL_BOUNDARY_TOL) -> tuple[int, Refle
     the sign making d nonnegative is chosen instead.
     """
     m = np.asarray(m, dtype=complex)
-    d = float(m[0, 0].real)
-    off = complex(m[1, 0])
-    e = abs(off)
-    if e > zero_tol:
-        sign = 1
-        theta = off / e
-    else:
-        sign = 1 if d >= 0.0 else -1
-        theta = 1.0 + 0.0j
-    return sign, ReflectionParams(d=sign * d, e=e, theta=sign * theta if e > zero_tol else 1.0 + 0.0j)
+    x = np.array([m[0, 0].real, m[1, 0].real, m[1, 0].imag])
+    sign = 1 if abs(complex(m[1, 0])) > zero_tol or x[0] >= 0.0 else -1
+    return sign, ReflectionParams.from_bloch(sign * x, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -352,39 +371,36 @@ def invariance_defect(
 
     At each orbit point t the candidate's S = 2P - I must satisfy
     S(t + a) = +/- V(t)* S(t) V(t); the defect is the smaller Frobenius
-    distance over the two signs.  Zero defect along the orbit means the
-    candidate survives the necessary commutation condition there; any
-    sizable defect falsifies it.
+    distance over the two signs, sqrt(2) min |x(t + a) -/+ R_V x(t)| in
+    Bloch vectors.  Zero defect along the orbit means the candidate
+    survives the necessary commutation condition there; any sizable defect
+    falsifies it.  The orbit is swept in chunks of ``DEFECT_CHUNK`` points,
+    so only the orbit itself grows with ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     validate_projection_field(candidate)
     pts = orbit(t0, config, steps + 1)
-    eye = np.eye(2, dtype=complex)
-    s_all = 2.0 * candidate.values_at(pts) - eye
-    v = field.values_at(pts[:-1])
-    transported = np.einsum("kji,kjl,klm->kim", v.conj(), s_all[:-1], v)
-    diff_plus = s_all[1:] - transported
-    diff_minus = s_all[1:] + transported
-    def frob(arr):
-        return np.sqrt(np.sum(np.abs(arr) ** 2, axis=(1, 2)))
-    defects = np.minimum(frob(diff_plus), frob(diff_minus))
-    idx = interval_indices(pts[:-1], config)
-    per_interval = {}
-    for j in (1, 2, 3):
-        mask = idx == j
-        if np.any(mask):
-            sel = defects[mask]
-            per_interval[j] = IntervalDefect(
-                count=int(mask.sum()),
-                max_defect=float(sel.max()),
-                mean_defect=float(sel.mean()),
-            )
-        else:
-            per_interval[j] = IntervalDefect(count=0, max_defect=0.0, mean_defect=0.0)
+    x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
+    rot = bloch_rotations(field)
+    count, total, peak = np.zeros(4, dtype=int), np.zeros(4), np.zeros(4)
+    for lo in range(0, steps, DEFECT_CHUNK):
+        ts = pts[lo : lo + DEFECT_CHUNK + 1]
+        x = x_pieces[candidate.piece_index(ts)]
+        moved = np.einsum("kij,kj->ki", rot[field.piece_index(ts[:-1])], x[:-1])
+        sq = np.minimum(np.sum((x[1:] - moved) ** 2, axis=1), np.sum((x[1:] + moved) ** 2, axis=1))
+        defects = np.sqrt(2.0 * sq)
+        idx = interval_indices(ts[:-1], config)
+        count += np.bincount(idx, minlength=4)
+        total[1:] += [defects[idx == j].sum() for j in (1, 2, 3)]
+        np.maximum.at(peak, idx, defects)
+    per_interval = {
+        j: IntervalDefect(int(count[j]), float(peak[j]), float(total[j] / max(count[j], 1)))
+        for j in (1, 2, 3)
+    }
     return DefectReport(
-        max_defect=float(defects.max()),
-        mean_defect=float(defects.mean()),
+        max_defect=float(peak.max()),
+        mean_defect=float(total.sum() / steps),
         steps=steps,
         per_interval=per_interval,
     )
@@ -392,19 +408,42 @@ def invariance_defect(
 
 @dataclass(frozen=True, eq=False)
 class PropagationResult:
-    """Forced parameter trajectory along an orbit, with its sign classes
+    """Forced Bloch-vector trajectory along an orbit, with its sign classes
     and the classes predicted by the interval automaton."""
 
     points: np.ndarray
-    parameters: tuple[ReflectionParams, ...]
+    vectors: np.ndarray
     classes: tuple[SignClass, ...]
     expected_classes: tuple[SignClass, ...]
     mismatches: tuple[int, ...]
     boundary_steps: tuple[int, ...]
 
     @property
+    def parameters(self) -> tuple[ReflectionParams, ...]:
+        return tuple(ReflectionParams.from_bloch(x) for x in self.vectors)
+
+    @property
     def agreement(self) -> bool:
         return not self.mismatches
+
+
+def _prefix_images(mats: np.ndarray, index: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows P_k v, k = 0..len(index), for P_0 = I, P_{k+1} = mats[index[k]] P_k,
+    by log-depth doubling within chunks of ``PROPAGATE_CHUNK`` steps and a
+    running product across them; exact when mats are signed permutations."""
+    out = np.empty((index.size + 1, v.size), dtype=np.result_type(mats, v))
+    out[0] = v
+    carry = np.eye(v.size, dtype=mats.dtype)
+    for lo in range(0, index.size, PROPAGATE_CHUNK):
+        p = mats[index[lo : lo + PROPAGATE_CHUNK]]
+        span = 1
+        while span < len(p):
+            p[span:] = p[span:] @ p[:-span]
+            span *= 2
+        p = p @ carry
+        out[lo + 1 : lo + 1 + len(p)] = p @ v
+        carry = p[-1]
+    return out
 
 
 def propagate_constraint(
@@ -416,41 +455,37 @@ def propagate_constraint(
 ) -> PropagationResult:
     """Propagate the forced values of S forward along the orbit of t0.
 
-    Each step conjugates by the twist at the current point and resolves
-    the free global sign deterministically.  The emitted sign classes are
-    compared against the interval automaton acting on the initial class;
-    steps where the trajectory lands on the diagonal boundary (e below
-    tolerance) are logged, not treated as errors.
+    Step k rotates the Bloch vector by R_V of the twist piece at t_k.  The
+    free global sign flips only on the diagonal boundary (e at most
+    ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are
+    logged, not treated as errors.  The sign classes are compared with the
+    interval automaton acting on the initial class.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pts = orbit(t0, config, steps + 1)
-    s = start.matrix()
-    params = [start]
-    classes = [matrix_sign_profile(s)]
-    expected = [classes[0]]
-    mismatches = []
-    boundary = []
-    for k in range(steps):
-        t = pts[k]
-        j = 1 if t < config.a else (2 if t < 4.0 * config.a else 3)
-        v = field.value_at(t)
-        m = v.conj().T @ s @ v
-        sign, p = resolve_sign(m)
-        s = sign * m
-        params.append(p)
-        cls = matrix_sign_profile(s)
-        classes.append(cls)
-        expected.append(interval_action(j, expected[-1]))
-        if cls != expected[-1]:
-            mismatches.append(k + 1)
-        if p.e <= DIAGONAL_BOUNDARY_TOL:
-            boundary.append(k + 1)
+    y = _prefix_images(
+        bloch_rotations(field), field.piece_index(pts[:-1]), bloch_vectors(start.matrix())
+    )
+    boundary = np.flatnonzero(np.hypot(y[1:, 1], y[1:, 2]) <= DIAGONAL_BOUNDARY_TOL) + 1
+    sign = np.zeros(steps + 1)
+    sign[0] = 1.0
+    flips = boundary[y[boundary, 0] != 0.0]
+    sign[flips] = np.sign(y[flips, 0])
+    # forward fill: every step keeps the sign set at the last flip before it
+    sign = sign[np.maximum.accumulate(np.where(sign != 0.0, np.arange(steps + 1), 0))]
+    # sign triples are coded 9 p + 3 q + r + 13; code -> canonical class
+    table = [canonicalize(t) for t in itertools.product((-1, 0, 1), repeat=3)]
+    canonical = np.array([np.dot(c, (9, 3, 1)) + 13 for c in table])
+    codes = canonical[np.dot(np.where(np.abs(y) <= SIGN_ZERO_TOL, 0, np.where(y > 0.0, 1, -1)), (9, 3, 1)) + 13]
+    substitutions = np.array([SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)])
+    moved = _prefix_images(substitutions, interval_indices(pts[:-1], config) - 1, np.array(table[codes[0]]))
+    expected = canonical[np.dot(moved, (9, 3, 1)) + 13]
     return PropagationResult(
         points=pts,
-        parameters=tuple(params),
-        classes=tuple(classes),
-        expected_classes=tuple(expected),
-        mismatches=tuple(mismatches),
-        boundary_steps=tuple(boundary),
+        vectors=sign[:, None] * y,
+        classes=tuple(map(table.__getitem__, codes.tolist())),
+        expected_classes=tuple(map(table.__getitem__, expected.tolist())),
+        mismatches=tuple(np.flatnonzero(codes != expected).tolist()),
+        boundary_steps=tuple(boundary.tolist()),
     )

@@ -25,6 +25,7 @@ __all__ = [
     "ALL_CLASSES",
     "interval_action",
     "INTERVAL_ACTIONS",
+    "SUBSTITUTION_MATRICES",
     "zero_count",
     "STRATA",
     "one_zero_label",
@@ -55,15 +56,18 @@ def canonicalize(triple) -> SignClass:
     return t
 
 
+# Rows of the integer matrix M_j of each substitution: M_j (p, q, r).
+SUBSTITUTION_MATRICES: dict[int, tuple[SignClass, SignClass, SignClass]] = {
+    1: ((0, 1, 0), (-1, 0, 0), (0, 0, 1)),
+    2: ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
 def _substitute(j: int, t: SignClass) -> SignClass:
-    p, q, r = t
-    if j == 1:
-        return (q, -p, r)
-    if j == 2:
-        return (r, p, q)
-    if j == 3:
-        return (p, q, r)
-    raise ValueError(f"interval index must be 1, 2 or 3, got {j}")
+    if j not in SUBSTITUTION_MATRICES:
+        raise ValueError(f"interval index must be 1, 2 or 3, got {j}")
+    return tuple(sum(m * x for m, x in zip(row, t)) for row in SUBSTITUTION_MATRICES[j])  # type: ignore[return-value]
 
 
 ALL_CLASSES: tuple[SignClass, ...] = tuple(

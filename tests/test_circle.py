@@ -16,7 +16,8 @@ from invmasa import (
     return_closed_form,
     shift,
 )
-from invmasa.errors import NotInBaseInterval
+from invmasa.circle import first_returns, shift_array
+from invmasa.errors import NoConvergence, NotInBaseInterval
 
 SQRT2_OVER_8 = math.sqrt(2.0) / 8.0
 BATTERY = (SQRT2_OVER_8, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012)
@@ -120,6 +121,49 @@ class TestFirstReturn:
             assert abs(cur - expected) <= 1e-11
 
 
+class TestFirstReturns:
+    @pytest.mark.parametrize("a", BATTERY)
+    def test_array_equals_scalar_bit_for_bit(self, a):
+        cfg = RotationConfig(a)
+        ts = np.random.default_rng(3).uniform(0.0, cfg.a, size=10_000)
+        t_return, steps, words_ok = first_returns(ts, cfg)
+        scalar = [first_return(float(t), cfg) for t in ts]
+        assert t_return.tobytes() == np.array([r.t_return for r in scalar]).tobytes()
+        assert steps.tolist() == [r.steps for r in scalar]
+        assert words_ok.tolist() == [
+            len(r.word) >= 4 and r.word[:4] == (1, 2, 2, 2) and set(r.word[4:]) <= {3} for r in scalar
+        ]
+        assert words_ok.all()
+        closed = return_closed_form(ts, cfg)
+        assert closed.tobytes() == np.array([return_closed_form(float(t), cfg) for t in ts]).tobytes()
+
+    def test_shift_array_matches_shift(self):
+        cfg = RotationConfig(SQRT2_OVER_8)
+        ts = np.concatenate([np.random.default_rng(4).uniform(0.0, 1.0, 1000), [0.0, 1.0 - cfg.a, np.nextafter(1.0, 0.0)]])
+        assert shift_array(ts, cfg).tobytes() == np.array([shift(float(t), cfg) for t in ts]).tobytes()
+
+    def test_rejects_starts_outside_base(self):
+        cfg = RotationConfig(SQRT2_OVER_8)
+        for bad in (cfg.a, -0.0 - 1e-300, math.nan):
+            with pytest.raises(NotInBaseInterval):
+                first_returns([0.0, bad], cfg)
+        t_return, steps, words_ok = first_returns([], cfg)
+        assert t_return.size == steps.size == words_ok.size == 0
+
+    def test_wrong_itinerary_is_flagged(self, monkeypatch):
+        cfg = RotationConfig(SQRT2_OVER_8)
+        monkeypatch.setattr(
+            "invmasa.circle.interval_indices", lambda ts, config: np.full(np.shape(ts), 3)
+        )
+        assert not first_returns([0.01, 0.1], cfg)[2].any()
+
+    def test_stalled_orbit_hits_the_scalar_bound(self, monkeypatch):
+        cfg = RotationConfig(SQRT2_OVER_8)
+        monkeypatch.setattr("invmasa.circle.shift_array", lambda ts, config: np.full(np.shape(ts), config.a))
+        with pytest.raises(NoConvergence, match=f"bound of {int(1.0 / cfg.a) + 3} steps"):
+            first_returns([0.0, 0.1], cfg)
+
+
 class TestReturnWordsFeedTheAutomaton:
     @pytest.mark.parametrize("a", BATTERY)
     def test_sampled_return_words_reduce_to_interval_one(self, a):
@@ -148,6 +192,11 @@ class TestOrbit:
         gaps = np.diff(pts)
         wrap = 1.0 - pts[-1] + pts[0]
         assert min(gaps.min(), wrap) > 1e-12
+
+    @pytest.mark.parametrize("t0", (math.nan, math.inf, -math.inf))
+    def test_non_finite_start_is_rejected(self, t0):
+        with pytest.raises(ValueError, match="finite"):
+            orbit(t0, RotationConfig(SQRT2_OVER_8), 10)
 
     def test_anchor_drift_bound(self):
         cfg = RotationConfig(SQRT2_OVER_8)

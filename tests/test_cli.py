@@ -260,10 +260,35 @@ class TestCexCommands:
 
     def test_stalled_first_return_exits_four(self, monkeypatch, capsys):
         # an orbit that never re-enters [0, a) hits the step bound
-        monkeypatch.setattr(invmasa.circle, "shift", lambda t, config: config.a)
+        monkeypatch.setattr(invmasa.circle, "shift_array", lambda ts, config: np.full(np.shape(ts), config.a))
         assert main_cex(["return-map", "--a", A_STR, "--samples", "3"]) == 4
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("t0", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("command", ("orbit", "defect", "propagate"))
+    def test_non_finite_t0_exits_two(self, tmp_path, capsys, command, t0):
+        # diag(1, 0) under the standard twist has max defect 2.0, which a
+        # NaN orbit would hide as 0.0
+        cand = tmp_path / "cand.json"
+        write_json(
+            cand,
+            {
+                "breakpoints": [0.0],
+                "projections": [{"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
+            },
+        )
+        extra = {
+            "orbit": [],
+            "defect": ["--candidate", str(cand)],
+            "propagate": ["--d", "0.3", "--e", "0.7"],
+        }[command]
+        out = tmp_path / "out.json"
+        code = main_cex([command, "--a", A_STR, f"--t0={t0}", "--output", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_angle_out_of_range_exits_two(self):
         assert main_cex(["return-map", "--a", "0.5"]) == 2

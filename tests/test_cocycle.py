@@ -2,10 +2,12 @@
 invariance-defect harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invmasa import cocycle
 from invmasa import (
     PiecewiseMatrixField,
     ReflectionParams,
@@ -29,7 +31,16 @@ from invmasa import (
     resolve_sign,
     validate_projection_field,
 )
+from invmasa.circle import interval_indices
+from invmasa.cocycle import (
+    DIAGONAL_BOUNDARY_TOL,
+    ROTATION_SNAP_TOL,
+    SIGN_ZERO_TOL,
+    bloch_rotations,
+    bloch_vectors,
+)
 from invmasa.errors import InvalidCandidate, MissingSample
+from invmasa.signs import SUBSTITUTION_MATRICES
 
 A = math.sqrt(2.0) / 8.0
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -315,3 +326,274 @@ class TestPropagation:
         assert result.agreement
         assert result.boundary_steps == ()
         assert all(p.e >= 0.0 for p in result.parameters)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the per-step 2x2 transport that the Bloch-vector
+# harness replaced.
+
+
+def loop_propagate(start, t0, config, field, steps):
+    """Per-step 2x2 propagation: conjugate, resolve the sign, classify."""
+    pts = orbit(t0, config, steps + 1)
+    s = start.matrix()
+    params = [start]
+    classes = [matrix_sign_profile(s)]
+    expected = [classes[0]]
+    mismatches = []
+    boundary = []
+    for k in range(steps):
+        t = pts[k]
+        j = 1 if t < config.a else (2 if t < 4.0 * config.a else 3)
+        v = field.value_at(t)
+        m = v.conj().T @ s @ v
+        sign, p = resolve_sign(m)
+        s = sign * m
+        params.append(p)
+        cls = matrix_sign_profile(s)
+        classes.append(cls)
+        expected.append(interval_action(j, expected[-1]))
+        if cls != expected[-1]:
+            mismatches.append(k + 1)
+        if p.e <= DIAGONAL_BOUNDARY_TOL:
+            boundary.append(k + 1)
+    return params, tuple(classes), tuple(expected), tuple(mismatches), tuple(boundary)
+
+
+def einsum_defect(candidate, config, field, t0, steps):
+    """Defect over (steps, 2, 2) complex arrays: (max, mean, per-interval
+    (count, max, mean))."""
+    pts = orbit(t0, config, steps + 1)
+    s_all = 2.0 * candidate.values_at(pts) - np.eye(2, dtype=complex)
+    v = field.values_at(pts[:-1])
+    transported = np.einsum("kji,kjl,klm->kim", v.conj(), s_all[:-1], v)
+
+    def frob(arr):
+        return np.sqrt(np.sum(np.abs(arr) ** 2, axis=(1, 2)))
+
+    defects = np.minimum(frob(s_all[1:] - transported), frob(s_all[1:] + transported))
+    idx = interval_indices(pts[:-1], config)
+    per_interval = {}
+    for j in (1, 2, 3):
+        sel = defects[idx == j]
+        per_interval[j] = (sel.size, float(sel.max()) if sel.size else 0.0, float(sel.mean()) if sel.size else 0.0)
+    return float(defects.max()), float(defects.mean()), per_interval
+
+
+def haar_su2(rng):
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    z /= np.linalg.norm(z)
+    return np.array([[z[0], -np.conj(z[1])], [z[1], np.conj(z[0])]])
+
+
+def random_twist(seed):
+    rng = np.random.default_rng(seed)
+    bps = (0.0,) + tuple(np.sort(rng.uniform(0.05, 0.95, size=2)))
+    return PiecewiseMatrixField(breakpoints=bps, values=tuple(haar_su2(rng) for _ in bps))
+
+
+def param_bloch(p):
+    off = p.theta * p.e
+    return np.array([p.d, off.real, off.imag])
+
+
+def is_signed_permutation_image(x, x0):
+    """x_i = +/- x0_{perm(i)} exactly, for some permutation."""
+    used = set()
+    for xi in x:
+        hits = [j for j in range(3) if j not in used and (xi == x0[j] or xi == -x0[j])]
+        if not hits:
+            return False
+        used.add(hits[0])
+    return True
+
+
+TWISTS = {
+    "standard": lambda cfg: standard(cfg),
+    "identity": lambda cfg: identity_twist(),
+}
+
+
+class TestBlochRepresentation:
+    def test_bloch_vector_reads_the_sign_profile_triple(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = random_reflection(rng)
+            x = bloch_vectors(p.matrix())
+            off = p.theta * p.e
+            assert np.array_equal(x, [p.d, off.real, off.imag])
+            assert abs(math.sqrt(2.0) * np.linalg.norm(x) - np.linalg.norm(p.matrix())) <= 1e-14
+
+    @pytest.mark.parametrize("a", (A, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012))
+    def test_standard_rotations_are_the_substitutions(self, a):
+        rot = bloch_rotations(standard(RotationConfig(a)))
+        subs = np.array([SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)], dtype=float)
+        assert np.array_equal(rot, subs)
+
+    def test_rotation_transports_like_conjugation(self):
+        rng = np.random.default_rng(12)
+        field = random_twist(3)
+        rot = bloch_rotations(field)
+        for _ in range(100):
+            p = random_reflection(rng)
+            for k, v in enumerate(field.values):
+                moved = v.conj().T @ p.matrix() @ v
+                assert np.max(np.abs(bloch_vectors(moved) - rot[k] @ bloch_vectors(p.matrix()))) <= 1e-14
+
+    def test_snap_tolerance_separates_near_permutations(self):
+        # a rotation by eps about the third Bloch axis is diag(e^{-i eps/2}, e^{i eps/2})
+        def twist(eps):
+            v = np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
+            return PiecewiseMatrixField(breakpoints=(0.0,), values=(v,))
+
+        snapped = bloch_rotations(twist(0.1 * ROTATION_SNAP_TOL))[0]
+        assert np.array_equal(snapped, np.eye(3))
+        kept = bloch_rotations(twist(100.0 * ROTATION_SNAP_TOL))[0]
+        assert not np.array_equal(kept, np.eye(3))
+        assert np.max(np.abs(kept - np.eye(3))) <= 1e3 * ROTATION_SNAP_TOL
+
+    def test_reflection_params_round_trip_through_bloch(self):
+        p = ReflectionParams(d=-0.2, e=0.9, theta=complex(math.cos(2.0), math.sin(2.0)))
+        back = ReflectionParams.from_bloch(param_bloch(p))
+        assert abs(back.d - p.d) == 0.0 and abs(back.e - p.e) <= 1e-15
+        assert abs(back.theta - p.theta) <= 1e-15
+        assert ReflectionParams.from_bloch((1.0, 0.0, 0.0)).theta == 1.0
+
+    def test_non_finite_phase_is_rejected(self):
+        with pytest.raises(ValueError):
+            ReflectionParams(d=0.1, e=1.0, theta=complex(math.nan, math.nan))
+
+
+class TestPropagationOracle:
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    def test_matches_loop_on_random_starts(self, twist):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            start = random_reflection(rng)
+            t0 = float(rng.uniform(0.0, 1.0))
+            got = propagate_constraint(start, t0, cfg, field, 1500)
+            params, classes, expected, mismatches, boundary = loop_propagate(start, t0, cfg, field, 1500)
+            assert got.classes == classes
+            assert got.expected_classes == expected
+            assert got.mismatches == mismatches
+            assert got.boundary_steps == boundary
+            want = np.array([param_bloch(p) for p in params])
+            assert np.max(np.abs(got.vectors - want)) <= 1e-10
+            final = got.parameters[-1]
+            assert abs(final.d - params[-1].d) <= 1e-10 and abs(final.e - params[-1].e) <= 1e-10
+            assert abs(final.theta - params[-1].theta) <= 1e-10
+
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    @pytest.mark.parametrize("d", (1.0, -1.0))
+    def test_matches_loop_on_diagonal_starts(self, twist, d):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        start = ReflectionParams(d=d, e=0.0, theta=1.0 + 0j)
+        got = propagate_constraint(start, 0.03, cfg, field, 2000)
+        params, classes, expected, mismatches, boundary = loop_propagate(start, 0.03, cfg, field, 2000)
+        assert got.boundary_steps == boundary and len(boundary) > 100
+        assert got.classes == classes
+        assert got.expected_classes == expected
+        assert got.mismatches == mismatches
+        # resolved signs agree: on the boundary d is made nonnegative
+        assert np.max(np.abs(got.vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
+        assert all(got.vectors[k, 0] >= 0.0 for k in boundary)
+
+    def test_matches_loop_on_a_generic_su2_twist(self):
+        # rotations far from any signed permutation: the float prefix product
+        cfg = RotationConfig(A)
+        rng = np.random.default_rng(22)
+        for seed in range(4):
+            field = random_twist(seed)
+            rot = bloch_rotations(field)
+            assert all(np.max(np.abs(r - np.rint(r))) > 1e-3 for r in rot)
+            start = random_reflection(rng, allow_zero=False)
+            got = propagate_constraint(start, 0.2, cfg, field, 3000)
+            params, classes, expected, _, boundary = loop_propagate(start, 0.2, cfg, field, 3000)
+            want = np.array([param_bloch(p) for p in params])
+            assert np.max(np.abs(got.vectors - want)) <= 1e-10
+            assert got.expected_classes == expected
+            assert got.boundary_steps == boundary
+            clear = np.all(np.abs(want) > 1e3 * SIGN_ZERO_TOL, axis=1)
+            assert clear.sum() > 2000
+            assert [c for c, ok in zip(got.classes, clear) if ok] == [c for c, ok in zip(classes, clear) if ok]
+
+    def test_chunks_carry_the_running_product(self, monkeypatch):
+        cfg = RotationConfig(A)
+        start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
+        for field in (standard(cfg), random_twist(5)):
+            whole = propagate_constraint(start, 0.1, cfg, field, 1000)
+            monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", 7)
+            chunked = propagate_constraint(start, 0.1, cfg, field, 1000)
+            monkeypatch.undo()
+            assert chunked.classes == whole.classes
+            assert chunked.expected_classes == whole.expected_classes
+            assert np.max(np.abs(chunked.vectors - whole.vectors)) <= 1e-12
+        assert cocycle.PROPAGATE_CHUNK < 1000
+
+    def test_standard_twist_propagation_is_exact(self):
+        cfg = RotationConfig(A)
+        start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
+        result = propagate_constraint(start, 0.1, cfg, standard(cfg), 100_000)
+        x0 = bloch_vectors(start.matrix())
+        assert len(set(np.abs(x0))) == 3
+        assert is_signed_permutation_image(result.vectors[-1], x0)
+        assert np.array_equal(np.sort(np.abs(result.vectors), axis=1), np.tile(np.sort(np.abs(x0)), (100_001, 1)))
+        assert result.agreement and result.boundary_steps == ()
+
+    def test_zero_steps(self):
+        cfg = RotationConfig(A)
+        start = ReflectionParams(d=0.3, e=0.7, theta=1j)
+        result = propagate_constraint(start, 0.1, cfg, standard(cfg), 0)
+        assert result.vectors.shape == (1, 3)
+        assert result.classes == result.expected_classes and result.mismatches == ()
+
+
+class TestDefectOracle:
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    def test_matches_einsum_on_random_candidates(self, twist):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        for seed in range(20):
+            candidate = random_projection_field(seed)
+            t0 = 0.37 * seed / 20.0
+            report = invariance_defect(candidate, cfg, field, t0, 5000)
+            max_d, mean_d, per_interval = einsum_defect(candidate, cfg, field, t0, 5000)
+            assert abs(report.max_defect - max_d) <= 1e-12
+            assert abs(report.mean_defect - mean_d) <= 1e-12
+            for j, (count, imax, imean) in per_interval.items():
+                got = report.per_interval[j]
+                assert got.count == count
+                assert abs(got.max_defect - imax) <= 1e-12
+                assert abs(got.mean_defect - imean) <= 1e-12
+
+    def test_chunks_carry_the_running_statistics(self, monkeypatch):
+        cfg = RotationConfig(A)
+        candidate = random_projection_field(3)
+        whole = invariance_defect(candidate, cfg, standard(cfg), 0.0, 1000)
+        monkeypatch.setattr(cocycle, "DEFECT_CHUNK", 7)
+        chunked = invariance_defect(candidate, cfg, standard(cfg), 0.0, 1000)
+        assert chunked.max_defect == whole.max_defect
+        assert abs(chunked.mean_defect - whole.mean_defect) <= 1e-14
+        for j in (1, 2, 3):
+            assert chunked.per_interval[j].count == whole.per_interval[j].count
+            assert chunked.per_interval[j].max_defect == whole.per_interval[j].max_defect
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        cfg = RotationConfig(A)
+        candidate = random_projection_field(0)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                invariance_defect(candidate, cfg, standard(cfg), 0.0, steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(1_000_000)
+        assert large < 50 * 2**20
+        # beyond one chunk, only the 8-byte orbit points grow with the steps
+        assert large - small <= 1.1 * 8 * 800_000
