@@ -34,6 +34,7 @@ from .embedding import (
     check_invariance,
     factor_unitary,
     embed_invariant_masa,
+    radon_nikodym_weights,
 )
 from .errors import (
     BlockSizeMismatch,
@@ -251,7 +252,7 @@ def _cmd_factor(args) -> int:
             "pi": list(fact.pi),
             "cycles": [list(c.labels) for c in fact.cycles],
             "bijection": list(fact.w.bijection),
-            "radon_nikodym": [float(x) for x in fact.w.h],
+            "radon_nikodym": radon_nikodym_weights(instance.space, fact.w.bijection).tolist(),
             "v": matrix_to_json(fact.v),
         },
     )
@@ -499,8 +500,8 @@ def _cmd_propagate(args) -> int:
             "a": config.a,
             "t0": args.t0,
             "steps": int(args.steps),
-            "classes": [list(c) for c in result.classes],
-            "expected_classes": [list(c) for c in result.expected_classes],
+            "classes": result.classes,
+            "expected_classes": result.expected_classes,
             "mismatch_steps": list(result.mismatches),
             "boundary_steps": list(result.boundary_steps),
             "final": {"d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag},

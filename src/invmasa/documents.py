@@ -7,9 +7,17 @@ Instances serialise as
 and candidate fields as
     {"breakpoints": [...], "projections": [matrix, ...]}.
 
-Serialisation uses the canonical json encoder with sorted keys; floats are
-written in their shortest round-trip form, so re-parsing an emitted
-document always reproduces the exact values.
+Every document is written in one canonical form, byte for byte the text of
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"``:
+sorted keys, two-space indent, non-ASCII escaped, one trailing newline.
+Floats are written in their shortest round-trip form, so re-parsing an
+emitted document always reproduces the exact values.  With ``indent`` set
+the stdlib encodes in pure Python, so :func:`canonical_json` renders a
+non-empty list of plain ``int``/``float`` values, or of equal-width
+non-empty lists of them (class triples, matrix rows), from one
+``%``-format template, formatting a row object that the list repeats only
+once, and leaves everything else (strings, bools, None, NaN and
+infinities, float subclasses, other keys) to the ``json`` module.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -178,7 +188,70 @@ def make_report(
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``,
+    byte for byte, with lists of plain numbers filled into one template."""
+    parts: list[str] = []
+    _encode(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_NUMBERS = {int, float}
+
+
+def _encode(obj, nl: str, out: list[str]) -> None:
+    """Append the canonical text of ``obj``, its lines indented by ``nl``."""
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        lead = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        body = _number_rows(obj, inner)
+        if body is not None:
+            out += ("[" + inner, body, nl + "]")
+            return
+        lead = "[" + inner
+        for value in obj:
+            out.append(lead)
+            _encode(value, inner, out)
+            lead = "," + inner
+        out.append(nl + "]")
+    else:
+        # Scalars, empty containers and dicts with other keys.  ensure_ascii
+        # escapes every newline inside strings, so each "\n" here is layout.
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _number_rows(items, inner: str) -> str | None:
+    """Body of a list of plain ints and floats, or of equal-width non-empty
+    lists of them, filled into one %-format template; None for any other
+    list.  When row objects repeat (class triples from a lookup table), each
+    distinct row is formatted once."""
+    kinds = set(map(type, items))
+    if kinds <= _NUMBERS:
+        text = ("," + inner).join(["%r"] * len(items)) % tuple(items)
+    elif kinds <= {list, tuple}:
+        rows = dict(zip(map(id, items), items))
+        widths = set(map(len, rows.values()))
+        values = tuple(chain.from_iterable(rows.values()))
+        if len(widths) != 1 or 0 in widths or not set(map(type, values)) <= _NUMBERS:
+            return None
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["%r"] * widths.pop()) + inner + "]"
+        if len(rows) == len(items):
+            text = ("," + inner).join([row] * len(items)) % values
+        else:
+            # No number's repr holds a NUL, so it splits the distinct rows apart.
+            texts = ("\0".join([row] * len(rows)) % values).split("\0")
+            text = ("," + inner).join(map(dict(zip(rows, texts)).__getitem__, map(id, items)))
+    else:
+        return None
+    # repr spells NaN and Infinity "nan" and "inf"; no finite number's repr has an "n".
+    return None if "n" in text else text
 
 
 def write_json(obj, path=None) -> str:

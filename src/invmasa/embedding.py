@@ -84,12 +84,22 @@ def radon_nikodym_weights(space: DiscreteSpace, bijection) -> np.ndarray:
 
     These are the densities of ``mu`` against the pushforward of ``mu``
     under ``phi``; they are exactly the weights that make the weighted
-    composition with ``phi`` unitary on the weighted space.
+    composition with ``phi`` unitary on the weighted space.  Raises
+    ``NoConvergence`` when a ratio over- or underflows a float.
     """
     phi = _as_permutation(bijection, space.n)
     inv = _invert(phi)
     mu = np.asarray(space.weights, dtype=float)
-    return mu / mu[list(inv)]
+    with np.errstate(over="ignore", under="ignore"):
+        h = mu / mu[list(inv)]
+    bad = np.flatnonzero(~np.isfinite(h) | (h == 0.0))
+    if bad.size:
+        x = int(bad[0])
+        raise NoConvergence(
+            f"radon_nikodym ratio h[{x}] = mu({x}) / mu({inv[x]}) = "
+            f"{float(mu[x])!r} / {float(mu[inv[x]])!r} is outside the float range"
+        )
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +128,14 @@ class WeightedCompositionOperator:
 
     @classmethod
     def from_space(cls, space: DiscreteSpace, bijection) -> "WeightedCompositionOperator":
-        h = radon_nikodym_weights(space, bijection)
-        return cls(tuple(int(i) for i in bijection), tuple(np.sqrt(h)))
+        inv = _invert(_as_permutation(bijection, space.n))
+        root = np.sqrt(np.asarray(space.weights, dtype=float))
+        # A ratio of roots stays finite where the ratio of masses may not.
+        return cls(tuple(int(i) for i in bijection), tuple(root / root[list(inv)]))
 
     @property
     def n(self) -> int:
         return len(self.bijection)
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.asarray(self.sqrt_h, dtype=float) ** 2
 
     def matrix(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)[list(self.bijection)]

@@ -9,7 +9,9 @@ The Hermitian eigensolver, rank and null-space questions (numerical rank
 of a family, commutant of a family) are all delegated to LAPACK via numpy.
 The commutant dimension of a commuting normal family is read off the
 family's joint eigenbasis in O(k n^3); the Kronecker null space of
-:func:`commutant_basis` (O(k n^6)) is its fallback for any other family.
+:func:`commutant_basis` (O(k n^6)) is its fallback for any other family;
+it refuses systems over ``COMMUTANT_SYSTEM_BUDGET`` bytes with
+``NoConvergence``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "hermitian_eig",
     "is_unitary",
     "numerical_rank",
+    "COMMUTANT_SYSTEM_BUDGET",
+    "ROUNDOFF_FLOOR",
     "commutant_basis",
     "commutant_dimension",
     "span_rows",
@@ -165,6 +169,24 @@ def _square_family(generators, n: int) -> list[np.ndarray]:
     return gens
 
 
+# Largest Kronecker system, in bytes, that commutant_basis will build:
+# max(k, 1) * n^4 complex128 entries for k generators.  The SVD needs about
+# three times as much again.  n = k = 24 (127 MB) fits; n = k = 32 (537 MB)
+# is refused with NoConvergence rather than left to fail with MemoryError.
+COMMUTANT_SYSTEM_BUDGET = 2**27
+
+# Singular values and joint-eigenvalue gaps no larger than this times the
+# family's max norm are roundoff: the Gram cutoff relative to the largest
+# one alone would count the noise of a (near-)scalar family as structure.
+ROUNDOFF_FLOOR = 1e-12
+
+
+def _zero_cutoff(top_sq: float, gens: list[np.ndarray], tol: TolerancePolicy) -> float:
+    """Squared size at or below which a commutant singular value is zero."""
+    scale = max(max_norm(g) for g in gens)
+    return max(tol.eps_rank * top_sq, (ROUNDOFF_FLOOR * scale) ** 2)
+
+
 def commutant_basis(
     generators,
     n: int,
@@ -174,9 +196,17 @@ def commutant_basis(
 
     The commutation constraints are assembled as one linear system on the
     column-major vectorisation of ``x`` and solved by SVD; singular values
-    are cut off with the Gram convention of :func:`numerical_rank`.
+    are cut off with the Gram convention of :func:`numerical_rank`, and at
+    ``ROUNDOFF_FLOOR`` times the family's max norm.  Raises ``NoConvergence``
+    when the system would exceed ``COMMUTANT_SYSTEM_BUDGET`` bytes.
     """
     gens = _square_family(generators, n)
+    system_bytes = max(len(gens), 1) * n**4 * 16
+    if system_bytes > COMMUTANT_SYSTEM_BUDGET:
+        raise NoConvergence(
+            f"the commutant system of {len(gens)} generators at n = {n} needs "
+            f"{system_bytes} bytes, over the budget of {COMMUTANT_SYSTEM_BUDGET}"
+        )
     if not gens:
         return [_unit_matrix(n, i, j) for i in range(n) for j in range(n)]
     eye = np.eye(n)
@@ -185,10 +215,7 @@ def commutant_basis(
         pad = np.zeros((system.shape[1] - system.shape[0], system.shape[1]), dtype=complex)
         system = np.vstack([system, pad])
     _, sing, vh = np.linalg.svd(system, full_matrices=False)
-    if sing.size == 0 or sing[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum((sing * sing) > tol.eps_rank * (sing[0] * sing[0])))
+    rank = int(np.sum(sing * sing > _zero_cutoff(float(sing.max(initial=0.0)) ** 2, gens, tol)))
     null = vh[rank:]
     return [vec.reshape(n, n, order="F") for vec in null.conj()]
 
@@ -212,9 +239,11 @@ def commutant_dimension(
     system of :func:`commutant_basis` is diagonal, with singular value
     d_ij = ||(lambda_i(g) - lambda_j(g))_g||_2 on the unit matrix E_ij, so
     the same Gram cutoff counts the pairs with d_ij^2 <= eps_rank * max d^2
-    in O(k n^3) time and O(k n^2) memory.  A family that Q does not
-    diagonalise within ``eps_eq`` times its max norm (a non-normal or
-    non-commuting one) is counted through :func:`commutant_basis`.
+    in O(k n^3) time and O(k n^2) memory.  Both paths also count sizes up
+    to ``ROUNDOFF_FLOOR`` times the family's max norm as zero.  A family
+    that Q does not diagonalise within ``eps_eq`` times its max norm (a
+    non-normal or non-commuting one) is counted through
+    :func:`commutant_basis`.
     """
     gens = _square_family(generators, n)
     if not gens:
@@ -229,10 +258,7 @@ def commutant_dimension(
         return len(commutant_basis(gens, n, tol))
     values = np.diagonal(rotated, axis1=1, axis2=2)
     gaps = np.sum(np.abs(values[:, :, None] - values[:, None, :]) ** 2, axis=0)
-    top = float(gaps.max())
-    if top <= 0.0:
-        return n * n
-    return int(np.sum(gaps <= tol.eps_rank * top))
+    return int(np.sum(gaps <= _zero_cutoff(float(gaps.max()), gens, tol)))
 
 
 def _unit_matrix(n: int, i: int, j: int) -> np.ndarray:

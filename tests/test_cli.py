@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,68 @@ class TestMasaPipeline:
         write_json(tmp_path / "g2.json", {"re": [1.0, 2.0, 2.0], "im": [0.0, 0.0, 0.0]})
         code = main_masa(["match", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g2.json")])
         assert code == 3
+
+
+EXTREME_SWAP = {
+    "dimension": 2,
+    "weights": [1e-300, 1e300],
+    "blocks": [[0], [1]],
+    "unitary": {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeWeights:
+    """Masses 1e-300 and 1e300: the mass ratios over- and underflow, their
+    square roots (1e300 and 1e-300) do not, and the matrices never see them."""
+
+    def test_embed_succeeds(self, tmp_path, capsys):
+        write_json(tmp_path / "swap.json", EXTREME_SWAP)
+        out = tmp_path / "result.json"
+        assert main_masa(["embed", "--input", str(tmp_path / "swap.json"), "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text)
+        assert doc["pass"] is True
+        assert doc["pi"] == [1, 0]
+        assert capsys.readouterr().err == ""
+
+    def test_factor_exits_four_naming_the_ratio(self, tmp_path, capsys):
+        write_json(tmp_path / "swap.json", EXTREME_SWAP)
+        out = tmp_path / "factor.json"
+        assert main_masa(["factor", "--input", str(tmp_path / "swap.json"), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "radon_nikodym ratio h[0] = mu(0) / mu(1)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestKroneckerBudget:
+    def test_over_budget_fallback_exits_four(self, tmp_path, capsys):
+        # 12 non-commuting Hermitian generators at n = 32 reach the Kronecker
+        # fallback, whose 201 MB system is over COMMUTANT_SYSTEM_BUDGET
+        n = 32
+        instance = tmp_path / "instance.json"
+        assert main_masa(["gen", "--blocks", str(n), "--cycles", "0", "--output", str(instance)]) == 0
+        rng = np.random.default_rng(5)
+        basis = []
+        for _ in range(12):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (z + z.conj().T) / 2
+            basis.append({"re": h.real.tolist(), "im": h.imag.tolist()})
+        write_json(tmp_path / "algebra.json", {"basis": basis})
+        capsys.readouterr()
+        argv = ["verify", "--input", str(instance), "--mode", "masa", "--algebra", str(tmp_path / "algebra.json")]
+        tracemalloc.start()
+        try:
+            code = main_masa(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "over the budget" in err and "Traceback" not in err
+        assert peak < 16 * 2**20
 
 
 class TestCexCommands:

@@ -187,7 +187,7 @@ class TestFactorUnitary:
         fact = factor_unitary(diagonal_masa(2), u)
         assert fact.pi == (1, 0)
         assert np.allclose(fact.v, np.eye(2))
-        assert np.allclose(fact.w.h, 1.0)
+        assert np.allclose(fact.w.sqrt_h, 1.0)
         assert fact.factor_residual <= 1e-15
 
     def test_block_diagonal_unitary(self):

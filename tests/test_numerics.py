@@ -1,5 +1,7 @@
 """Tests for the dense linear algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,52 @@ class TestCommutantDimension:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             commutant_dimension([np.eye(2, dtype=complex)], 3)
+
+    def test_rotated_scalar_families_have_the_full_commutant(self):
+        # w (c I) w* is c I up to roundoff; without ROUNDOFF_FLOOR both
+        # counts were read off that noise and disagreed in ~40% of draws
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            w = haar_unitary(n, rng)
+            cs = rng.choice([0.0, 1.0, -1.0, 1j, 2.0 - 1j], size=k)
+            family = [w @ (c * np.eye(n)) @ w.conj().T for c in cs]
+            assert commutant_dimension(family, n) == n * n
+            assert len(commutant_basis(family, n)) == n * n
+
+    @pytest.mark.parametrize("gap, expected", [(0.5, 9), (2.0, 5)])
+    def test_roundoff_floor_role(self, gap, expected):
+        # diag(1, 1, 1 + gap * floor): a gap below the floor is roundoff
+        family = [np.diag([1.0, 1.0, 1.0 + gap * numerics.ROUNDOFF_FLOOR]).astype(complex)]
+        assert commutant_dimension(family, 3) == expected
+        assert len(commutant_basis(family, 3)) == expected
+
+
+class TestCommutantBudget:
+    def test_budget_role(self, monkeypatch):
+        # two non-commuting 3x3 generators: a 2 * 3^4 * 16 = 2592-byte system
+        family = [np.diag([1.0, 2.0, 3.0]).astype(complex), np.ones((3, 3), dtype=complex)]
+        monkeypatch.setattr(numerics, "COMMUTANT_SYSTEM_BUDGET", 2592)
+        assert len(commutant_basis(family, 3)) == 1
+        monkeypatch.setattr(numerics, "COMMUTANT_SYSTEM_BUDGET", 2591)
+        with pytest.raises(NoConvergence, match="2592 bytes"):
+            commutant_basis(family, 3)
+        with pytest.raises(NoConvergence):
+            commutant_dimension(family, 3)
+
+    def test_over_budget_refuses_before_allocating(self):
+        # 12 non-commuting generators at n = 32 would need a 201 MB system
+        # (and about three times that for its SVD)
+        rng = np.random.default_rng(3)
+        family = [random_hermitian(32, rng) for _ in range(12)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence, match="budget"):
+                commutant_dimension(family, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSpanHelpers:
