@@ -268,8 +268,11 @@ def _load_values(path) -> np.ndarray:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise SchemaError("value document needs 're' and 'im' arrays")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except TypeError as exc:
+        raise SchemaError(f"value entries must be numbers: {exc}") from exc
     if re.shape != im.shape or re.ndim != 1:
         raise SchemaError("'re' and 'im' must be equal-length flat arrays")
     return re + 1j * im

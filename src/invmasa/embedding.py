@@ -198,6 +198,34 @@ class InvarianceReport:
     residual: float
 
 
+def _block_conjugates(
+    algebra: BlockAlgebra, u, tol: TolerancePolicy
+) -> tuple[InvarianceReport, np.ndarray, np.ndarray, np.ndarray]:
+    """The conjugated block projections U* P_b U = U[b,:]* U[b,:] in block
+    form, in O(n^3): the invariance report, ``diag`` (k x n, row b the
+    diagonal of U* P_b U), ``off`` (its largest off-diagonal modulus, per b)
+    and ``table`` (k x k, the coefficient of P_c in the orthogonal projection
+    of U* P_b U onto the algebra: the mean of ``diag[b]`` over block c).
+    The span residual is the max-norm distance max(off, |diag - means|).
+    """
+    u = as_matrix(u)
+    if u.shape != (algebra.n, algebra.n):
+        raise DimensionMismatch(f"unitary has shape {u.shape}, space has {algebra.n} points")
+    if not is_unitary(u, tol):
+        raise NotUnitary("conjugating matrix is not unitary within eps_eq")
+    labels = algebra.partition.labels
+    member = labels[:, None] == np.arange(algebra.partition.block_count)
+    diag = member.T @ np.abs(u) ** 2
+    table = diag @ member / member.sum(axis=0)
+    rows = [u[list(b)] for b in algebra.partition.blocks]
+    off = np.array([_offdiag(r.conj().T @ r) for r in rows])
+    residual = float(max(off.max(), np.abs(diag - table[:, labels]).max()))
+    subset = residual <= tol.eps_eq
+    equal = subset and numerical_rank(table, tol) == len(rows)
+    report = InvarianceReport(invariant_subset=subset, invariant_equal=equal, residual=residual)
+    return report, diag, off, table
+
+
 def check_invariance(
     algebra: BlockAlgebra,
     u,
@@ -210,26 +238,7 @@ def check_invariance(
     family to span the whole algebra.  In finite dimension the two can only
     differ through numerical noise, since conjugation is injective.
     """
-    u = as_matrix(u)
-    if u.shape != (algebra.n, algebra.n):
-        raise DimensionMismatch(f"unitary has shape {u.shape}, space has {algebra.n} points")
-    if not is_unitary(u, tol):
-        raise NotUnitary("conjugating matrix is not unitary within eps_eq")
-    projections = algebra_basis(algebra)
-    sizes = [len(b) for b in algebra.partition.blocks]
-    rows = span_rows(projections, tol)
-    residual = 0.0
-    coeff_vectors = []
-    for p in projections:
-        conj = u.conj().T @ p @ u
-        residual = max(residual, span_residual(conj, rows))
-        coeffs = np.array(
-            [np.trace(q.conj().T @ conj) / s for q, s in zip(projections, sizes)]
-        )
-        coeff_vectors.append(coeffs)
-    subset = residual <= tol.eps_eq
-    equal = subset and numerical_rank(coeff_vectors, tol) == len(projections)
-    return InvarianceReport(invariant_subset=subset, invariant_equal=equal, residual=residual)
+    return _block_conjugates(algebra, u, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,58 +266,42 @@ def factor_unitary(
     """Split a block-preserving unitary into block-diagonal and
     permutation parts.
 
-    The label permutation is read off by matching each conjugated block
-    projection U* P_j U against the block projections in max norm; a
-    *-automorphism of the block algebra permutes those projections exactly,
-    so anything further than ``eps_eq`` from every candidate is an input
-    error.  The point bijection maps each block onto its image in ascending
-    index order; any other choice would only change V.
+    The label permutation sends j to the block c carrying the largest
+    coefficient of U* P_j U, which must then lie within ``eps_eq`` of P_c
+    in max norm; a *-automorphism of the block algebra permutes those
+    projections exactly, so anything further is an input error.  The point
+    bijection maps each block onto its image in ascending index order; any
+    other choice would only change V.
     """
     u = as_matrix(u)
-    report = check_invariance(algebra, u, tol)
+    report, diag, off, table = _block_conjugates(algebra, u, tol)
     if not report.invariant_equal:
         raise NotInvariant(
             f"conjugation does not map the block algebra onto itself "
             f"(residual {report.residual:.3e})"
         )
     blocks = algebra.partition.blocks
-    projections = algebra_basis(algebra)
-    pi = []
-    for j, p in enumerate(projections):
-        conj = u.conj().T @ p @ u
-        target = None
-        for k, q in enumerate(projections):
-            if max_norm(conj - q) <= tol.eps_eq:
-                target = k
-                break
-        if target is None:
+    labels = algebra.partition.labels
+    pi = table.argmax(axis=1).tolist()
+    for j, k in enumerate(pi):
+        if max(off[j], max_norm(diag[j] - (labels == k))) > tol.eps_eq:
             raise NotInvariant(
                 f"conjugate of block {j} is not a block projection within eps_eq"
             )
-        pi.append(target)
     if sorted(pi) != list(range(len(blocks))):
         raise NotInvariant("conjugation does not permute the blocks bijectively")
+    phi = np.empty(algebra.n, dtype=int)
     for j, k in enumerate(pi):
         if len(blocks[j]) != len(blocks[k]):
             raise BlockSizeMismatch(
                 f"blocks {j} and {k} are conjugate but have sizes "
                 f"{len(blocks[j])} != {len(blocks[k])}"
             )
-    n = algebra.n
-    phi = np.empty(n, dtype=int)
-    for j, k in enumerate(pi):
-        for src, dst in zip(blocks[j], blocks[k]):
-            phi[src] = dst
+        phi[list(blocks[j])] = blocks[k]
     w = WeightedCompositionOperator.from_space(algebra.space, phi)
     wm = w.matrix()
     v = u @ wm.conj().T
-    block_residual = 0.0
-    label = np.empty(n, dtype=int)
-    for j, b in enumerate(blocks):
-        label[list(b)] = j
-    off = label[:, None] != label[None, :]
-    if np.any(off):
-        block_residual = float(np.abs(v[off]).max())
+    block_residual = max_norm(v[labels[:, None] != labels[None, :]])
     if block_residual > tol.eps_eq:
         raise NotInvariant(
             f"recovered V is not block diagonal (residual {block_residual:.3e})"
@@ -440,13 +433,9 @@ def _certify(
     Everything is O(n^3).
     """
     n = algebra.n
-    blocks = algebra.partition.blocks
-    labels = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-    point_label = np.empty(n, dtype=int)
-    for j, b in enumerate(blocks):
-        point_label[list(b)] = j
+    labels = np.sort(algebra.partition.labels)
     gram = frame.conj().T @ frame
-    outside = point_label[:, None] != labels[None, :]
+    outside = algebra.partition.labels[:, None] != labels[None, :]
     m = np.abs(frame.conj().T @ u @ frame)
     rows = np.arange(n)
     target = m.argmax(axis=1)

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small operator problems.
 
 Everything in this package runs on dense ``complex128`` square matrices of
-modest size (a few dozen rows at most), so the solvers here favour
-robustness and predictable tolerances over speed.  All comparisons are
-governed by a single :class:`TolerancePolicy` threaded through call sites.
+a few hundred rows at most, so the solvers here favour robustness and
+predictable tolerances over speed.  All comparisons are governed by a
+single :class:`TolerancePolicy` threaded through call sites.
 
 The Hermitian eigensolver, rank and null-space questions (numerical rank
 of a family, commutant of a family) are all delegated to LAPACK via numpy.
@@ -54,8 +54,8 @@ class TolerancePolicy:
     eps_rank: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.eps_eq > 0.0 and self.eps_rank > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.eps_eq < np.inf and 0.0 < self.eps_rank < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -274,11 +274,14 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; raises ``ValueError`` on bad shape."""
+    """Inverse of :func:`matrix_to_json`; raises ``ValueError`` on bad input."""
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError("matrix document must have 're' and 'im' fields")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be numbers: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("'re' and 'im' must be equal-shape nested arrays")
     return re + 1j * im

@@ -11,6 +11,7 @@ multiplication operators plain diagonals regardless of the point masses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class BlockPartition:
     """Disjoint nonempty index blocks covering 0..n-1.
 
     Block labels are positions in the ``blocks`` tuple; indices inside a
-    block are kept in ascending order.
+    block are kept in ascending order.  ``labels`` is the read-only point
+    label vector: ``labels[x]`` is the label of the block holding point x.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -95,11 +97,13 @@ class BlockPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def label_of(self, point: int) -> int:
+    @cached_property
+    def labels(self) -> np.ndarray:
+        labels = np.empty(self.n, dtype=int)
         for j, b in enumerate(self.blocks):
-            if point in b:
-                return j
-        raise IndexError(f"point {point} not covered")
+            labels[list(b)] = j
+        labels.setflags(write=False)
+        return labels
 
     @classmethod
     def singletons(cls, n: int) -> "BlockPartition":

@@ -149,7 +149,11 @@ class TestMasaPipeline:
         assert main_masa(["embed", "--input", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("basis", [5, None, [5, "x"]], ids=["int", "null", "non-objects"])
+    @pytest.mark.parametrize(
+        "basis",
+        [5, None, [5, "x"], [{"re": [[{}]], "im": [[0]]}]],
+        ids=["int", "null", "non-objects", "non-numeric-entry"],
+    )
     def test_malformed_algebra_basis_exits_two(self, tmp_path, capsys, instance_file, basis):
         write_json(tmp_path / "algebra.json", {"basis": basis})
         code = main_masa(
@@ -158,6 +162,22 @@ class TestMasaPipeline:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_non_numeric_match_value_exits_two(self, tmp_path, capsys):
+        write_json(tmp_path / "f.json", {"re": [{}], "im": [0]})
+        write_json(tmp_path / "g.json", {"re": [1.0], "im": [0.0]})
+        assert main_masa(["match", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["embed", "--tol", "inf"], ["verify", "--rank-tol", "inf"]],
+        ids=["embed-tol", "verify-rank-tol"],
+    )
+    def test_infinite_tolerance_exits_two(self, capsys, instance_file, argv):
+        assert main_masa(argv + ["--input", str(instance_file)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_verify_algebra_takes_the_joint_eigenbasis_path(self, tmp_path, monkeypatch):
         # one block of 24 points: the embedded masa is a dense frame, whose

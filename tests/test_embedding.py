@@ -11,6 +11,7 @@ from invmasa import (
     BlockPartition,
     DiscreteSpace,
     MasaCertificate,
+    TolerancePolicy,
     WeightedCompositionOperator,
     algebra_basis,
     build_instance,
@@ -23,6 +24,7 @@ from invmasa import (
     is_unitary,
     masa_check,
     max_norm,
+    numerical_rank,
     radon_nikodym_weights,
     random_instance,
     span_residual,
@@ -30,7 +32,7 @@ from invmasa import (
     unitary_eigenbasis,
 )
 from invmasa.embedding import _certify
-from invmasa.errors import InconsistentSpec, NotInvariant, NotUnitary
+from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
 
 
@@ -78,6 +80,96 @@ def dense_certificate(algebra, u, basis, tol=DEFAULT_TOL):
         invariance_set_residual=set_res,
         threshold=10.0 * tol.eps_eq,
     )
+
+
+def dense_invariance(algebra, u, tol=DEFAULT_TOL):
+    """Oracle for ``check_invariance``: the k dense conjugates U* P_b U,
+    their distance to the span of the block projections through an SVD row
+    basis, and the rank of their trace coefficients tr(P_c* U* P_b U)/|c|.
+    Returns ``(invariant_subset, invariant_equal, residual)``."""
+    projections = algebra_basis(algebra)
+    sizes = [len(b) for b in algebra.partition.blocks]
+    rows = span_rows(projections, tol)
+    residual = 0.0
+    coeff_vectors = []
+    for p in projections:
+        conj = u.conj().T @ p @ u
+        residual = max(residual, span_residual(conj, rows))
+        coeff_vectors.append([np.vdot(q, conj) / s for q, s in zip(projections, sizes)])
+    subset = residual <= tol.eps_eq
+    equal = subset and numerical_rank(coeff_vectors, tol) == len(projections)
+    return subset, equal, residual
+
+
+def dense_factor_pi(algebra, u, tol=DEFAULT_TOL):
+    """Oracle for ``factor_unitary``'s block permutation: each dense
+    conjugate U* P_j U is matched to the first block projection within
+    ``eps_eq`` in max norm; then V = U W* must be block diagonal.  Raises
+    what ``factor_unitary`` raises."""
+    _, equal, residual = dense_invariance(algebra, u, tol)
+    if not equal:
+        raise NotInvariant(f"not onto (residual {residual:.3e})")
+    blocks = algebra.partition.blocks
+    projections = algebra_basis(algebra)
+    pi = []
+    for p in projections:
+        conj = u.conj().T @ p @ u
+        targets = [k for k, q in enumerate(projections) if max_norm(conj - q) <= tol.eps_eq]
+        if not targets:
+            raise NotInvariant("conjugate is not a block projection within eps_eq")
+        pi.append(targets[0])
+    if sorted(pi) != list(range(len(blocks))):
+        raise NotInvariant("conjugation does not permute the blocks bijectively")
+    if any(len(blocks[j]) != len(blocks[k]) for j, k in enumerate(pi)):
+        raise BlockSizeMismatch("conjugate blocks of unequal sizes")
+    n = algebra.n
+    phi = np.empty(n, dtype=int)
+    label = np.empty(n, dtype=int)
+    for j, k in enumerate(pi):
+        for src, dst in zip(blocks[j], blocks[k]):
+            phi[src] = dst
+        label[list(blocks[j])] = j
+    v = u @ WeightedCompositionOperator.from_space(algebra.space, phi).matrix().conj().T
+    if max_norm(v[label[:, None] != label[None, :]]) > tol.eps_eq:
+        raise NotInvariant("recovered V is not block diagonal")
+    return tuple(pi)
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except (NotInvariant, BlockSizeMismatch) as exc:
+        return type(exc)
+
+
+def unitary_noise(n, scale, seed):
+    """exp(i t H) for a random Hermitian H with t ||H||_2 = ``scale``.  It
+    moves U* P U by a seed-dependent fraction of up to about twice
+    ``scale`` in max norm, so the residuals spread out instead of piling up
+    on the eps_eq gate, where last-bit differences could decide."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vals, vecs = np.linalg.eigh(z + z.conj().T)
+    t = scale / np.abs(vals).max()
+    return (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
+
+
+# The block structures of the benchmark's factor workload (n = 48..96).
+FACTOR_SHAPES = (
+    ([1] * 48, [tuple(range(i, i + 8)) for i in range(0, 48, 8)]),
+    ([1] * 64, [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]),
+    ([3] * 24, [tuple(range(i, i + 6)) for i in range(0, 24, 6)]),
+    ([2] * 48, [tuple(range(48))]),
+    ([16, 16, 8, 8, 8, 8], [(0, 1), (2, 3, 4, 5)]),
+    ([32, 32, 32], [(0, 1, 2)]),
+)
+
+
+def shaped_instance(sizes, cycles, seed):
+    edges = np.cumsum([0, *sizes])
+    blocks = [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=edges[-1])
+    return build_instance(weights, blocks, cycles, seed=seed)
 
 
 def cycle_instance(c):
@@ -164,6 +256,55 @@ class TestCheckInvariance:
     def test_rejects_nonunitary(self):
         with pytest.raises(NotUnitary):
             check_invariance(diagonal_masa(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_coarse_rank_cutoff_keeps_small_blocks(self):
+        # the indicators of blocks of sizes 1 and 4 have Gram eigenvalues 1
+        # and 4; a relative rank cutoff of 0.5 must still leave both in the
+        # span that the residual is measured against
+        gen = build_instance([1.0] * 5, [[0], [1, 2, 3, 4]], [(0,), (1,)], seed=1)
+        report = check_invariance(gen.instance.algebra, gen.instance.unitary, TolerancePolicy(eps_rank=0.5))
+        assert report.invariant_equal and report.residual <= 1e-14
+
+
+class TestBlockFormAgainstDenseOracle:
+    """The block-form invariance check and permutation readout against the
+    dense conjugation path they replaced."""
+
+    def assert_agree(self, algebra, u):
+        report = check_invariance(algebra, u)
+        subset, equal, residual = dense_invariance(algebra, u)
+        assert (report.invariant_subset, report.invariant_equal) == (subset, equal)
+        assert abs(report.residual - residual) <= 1e-15
+        new = outcome(lambda: factor_unitary(algebra, u).pi)
+        assert new == outcome(dense_factor_pi, algebra, u)
+        return new
+
+    def test_criterion_1_instances(self):
+        for seed in range(200):
+            gen = random_instance(seed)
+            assert self.assert_agree(gen.instance.algebra, gen.instance.unitary) == gen.pi, seed
+
+    @pytest.mark.parametrize("sizes, cycles", FACTOR_SHAPES)
+    def test_benchmark_factor_shapes(self, sizes, cycles):
+        gen = shaped_instance(sizes, cycles, seed=101)
+        assert self.assert_agree(gen.instance.algebra, gen.instance.unitary) == gen.pi
+
+    def test_unitary_noise_around_eps_eq(self):
+        outcomes = set()
+        for seed in range(200):
+            inst = random_instance(seed).instance
+            for factor in (0.5, 1.0, 2.0):
+                noise = unitary_noise(inst.n, factor * DEFAULT_TOL.eps_eq, seed)
+                result = self.assert_agree(inst.algebra, inst.unitary @ noise)
+                outcomes.add((factor, result if isinstance(result, type) else "pi"))
+        # 0.5x always passes; at 2x the residual crosses the gate for some seeds
+        assert (0.5, NotInvariant) not in outcomes
+        assert {(2.0, "pi"), (2.0, NotInvariant)} <= outcomes
+
+    def test_hadamard(self):
+        s = 1 / np.sqrt(2)
+        u = s * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        assert self.assert_agree(diagonal_masa(2), u) is NotInvariant
 
 
 class TestCycleDecomposition:
@@ -386,6 +527,21 @@ class TestEmbedInvariantMasa:
         cert = _certify(inst.algebra, inst.unitary, good.frame, (0, 1), DEFAULT_TOL)
         assert cert.invariance_set_residual == 1.0
         assert not cert.passed
+
+    @pytest.mark.parametrize(
+        "blocks, cycles",
+        [
+            ([[i] for i in range(128)], [tuple(range(128))]),
+            ([range(4 * i, 4 * i + 4) for i in range(32)], [tuple(range(0, 32, 2)), tuple(range(1, 32, 2))]),
+            ([range(128)], [(0,)]),
+        ],
+        ids=["singletons-one-cycle", "32-blocks-of-4", "one-full-block"],
+    )
+    def test_dimension_128(self, blocks, cycles):
+        gen = build_instance([1.0] * 128, blocks, cycles, seed=5)
+        result = embed_invariant_masa(gen.instance.algebra, gen.instance.unitary)
+        assert result.certificate.passed
+        assert result.factorization.pi == gen.pi
 
     def test_random_instances_certify(self):
         for seed in (0, 1, 2, 5, 8, 13):

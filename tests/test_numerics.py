@@ -62,6 +62,13 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError):
             TolerancePolicy(eps_rank=-1e-9)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            TolerancePolicy(eps_eq=value)
+        with pytest.raises(ValueError, match="finite"):
+            TolerancePolicy(eps_rank=value)
+
 
 class TestAsMatrix:
     def test_rejects_nonsquare(self):
@@ -390,3 +397,7 @@ class TestMatrixJson:
     def test_rejects_mismatched(self):
         with pytest.raises(ValueError):
             matrix_from_json({"re": [[1.0]], "im": [[0.0, 0.0]]})
+
+    def test_rejects_non_numeric_entry(self):
+        with pytest.raises(ValueError, match="numbers"):
+            matrix_from_json({"re": [[{}]], "im": [[0]]})

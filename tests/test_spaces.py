@@ -38,7 +38,7 @@ class TestTypes:
     def test_partition_sorts_blocks_internally(self):
         p = BlockPartition(((2, 0), (1,)))
         assert p.blocks == ((0, 2), (1,))
-        assert p.label_of(2) == 0
+        assert p.labels.tolist() == [0, 1, 0]
 
 
 class TestMultiplicationOperator:
