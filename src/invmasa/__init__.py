@@ -25,7 +25,6 @@ from .cocycle import (
     PiecewiseMatrixField,
     PropagationResult,
     ReflectionParams,
-    apply_twisted_shift,
     conjugate_step,
     constant_projection_field,
     diagonalizer,
@@ -34,11 +33,17 @@ from .cocycle import (
     matrix_sign_profile,
     propagate_constraint,
     random_projection_field,
-    resolve_sign,
     standard_twist,
     validate_projection_field,
 )
-from .documents import Instance, dump_instance, load_instance, load_projection_field
+from .documents import (
+    Instance,
+    dump_instance,
+    load_instance,
+    load_projection_field,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .embedding import (
     ClosureResult,
     Cycle,
@@ -64,8 +69,6 @@ from .numerics import (
     commutant_dimension,
     hermitian_eig,
     is_unitary,
-    matrix_from_json,
-    matrix_to_json,
     max_norm,
     numerical_rank,
     span_residual,
@@ -92,7 +95,6 @@ from .spaces import (
     DiscreteSpace,
     MasaCheck,
     algebra_basis,
-    is_masa,
     masa_check,
     multiplication_operator,
     multiplicity_match,

@@ -7,16 +7,18 @@ Two commands are installed:
 ``cex`` drives the circle-dynamics harness
     (subcommands: combinatorics, return-map, orbit, defect, propagate).
 
-Exit codes: 0 success / checks passed, 2 schema or flag error, 3 violated
-mathematical precondition or failed verification, 4 numerical failure.
+Exit codes: 0 success / checks passed, 3 failed verification, 4 failed
+certificate; a raised error exits with the code its class carries (see
+:mod:`invmasa.errors`): 2 schema or flag error, 3 violated mathematical
+precondition, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,9 +26,12 @@ from . import circle, cocycle, signs
 from .documents import (
     dump_instance,
     file_digest,
+    load_algebra_basis,
     load_instance,
     load_projection_field,
+    load_values,
     make_report,
+    matrix_to_json,
     write_json,
 )
 from .embedding import (
@@ -36,55 +41,18 @@ from .embedding import (
     embed_invariant_masa,
     radon_nikodym_weights,
 )
-from .errors import (
-    BlockSizeMismatch,
-    DimensionMismatch,
-    InconsistentSpec,
-    InvalidCandidate,
-    IterationBudgetExceeded,
-    LengthMismatch,
-    MissingSample,
-    NoConvergence,
-    NotInBaseInterval,
-    NotInvariant,
-    NotSelfAdjoint,
-    NotUnitary,
-    SchemaError,
-    WrongStratum,
-)
+from .errors import REPORTED, NoConvergence, SchemaError, exit_code
 from .generate import build_instance
-from .numerics import TolerancePolicy, matrix_from_json, matrix_to_json
+from .numerics import DEFAULT_TOL, TolerancePolicy
 from .spaces import algebra_basis, masa_check, multiplicity_match
-
-# OSError: an input file that is missing or unreadable, or an output path
-# that cannot be written, is a flag error.
-_SCHEMA_ERRORS = (SchemaError, InconsistentSpec, ValueError, OSError)
-_PRECONDITION_ERRORS = (
-    NotInvariant,
-    NotUnitary,
-    NotSelfAdjoint,
-    NotInBaseInterval,
-    WrongStratum,
-    InvalidCandidate,
-    MissingSample,
-    LengthMismatch,
-    DimensionMismatch,
-)
-_NUMERICAL_ERRORS = (NoConvergence, BlockSizeMismatch, IterationBudgetExceeded)
 
 
 def _dispatch(func) -> int:
     try:
         return func()
-    except _SCHEMA_ERRORS as exc:
+    except REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exit_code(exc)
 
 
 def _tolerance(args) -> TolerancePolicy:
@@ -92,8 +60,8 @@ def _tolerance(args) -> TolerancePolicy:
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="entrywise equality tolerance")
-    parser.add_argument("--rank-tol", type=float, default=1e-8, help="numerical rank cutoff")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_eq, help="entrywise equality tolerance")
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")
 
 
 def _emit(report: dict, output) -> None:
@@ -103,20 +71,7 @@ def _emit(report: dict, output) -> None:
 
 
 def _certificate_json(result: MasaResult) -> dict:
-    cert = result.certificate
-    return {
-        "dimension": cert.dimension,
-        "commutant_dimension": cert.commutant_dimension,
-        "masa_ok": cert.masa_ok,
-        "projection_residual": cert.projection_residual,
-        "orthogonality_residual": cert.orthogonality_residual,
-        "sum_residual": cert.sum_residual,
-        "containment_residual": cert.containment_residual,
-        "invariance_span_residual": cert.invariance_span_residual,
-        "invariance_set_residual": cert.invariance_set_residual,
-        "threshold": cert.threshold,
-        "passed": cert.passed,
-    }
+    return {**asdict(result.certificate), "passed": result.certificate.passed}
 
 
 def _result_json(result: MasaResult) -> dict:
@@ -208,14 +163,7 @@ def _cmd_verify(args) -> int:
         overall = overall and report.invariant_equal
     if args.mode in ("masa", "both"):
         if args.algebra is not None:
-            with open(args.algebra, "r", encoding="utf-8") as fh:
-                try:
-                    obj = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{args.algebra}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("basis"), list):
-                raise SchemaError("algebra document needs a 'basis' list of matrices")
-            basis = [matrix_from_json(m) for m in obj["basis"]]
+            basis = load_algebra_basis(args.algebra)
             inputs["algebra"] = file_digest(args.algebra)
         else:
             basis = algebra_basis(instance.algebra)
@@ -260,27 +208,9 @@ def _cmd_factor(args) -> int:
     return 0
 
 
-def _load_values(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise SchemaError("value document needs 're' and 'im' arrays")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except TypeError as exc:
-        raise SchemaError(f"value entries must be numbers: {exc}") from exc
-    if re.shape != im.shape or re.ndim != 1:
-        raise SchemaError("'re' and 'im' must be equal-length flat arrays")
-    return re + 1j * im
-
-
 def _cmd_match(args) -> int:
-    f = _load_values(args.f)
-    g = _load_values(args.g)
+    f = load_values(args.f)
+    g = load_values(args.g)
     sigma = multiplicity_match(f, g, value_tol=args.value_tol)
     report = make_report(
         "match",
@@ -424,7 +354,7 @@ def _cmd_return_map(args) -> int:
     words_ok = bool(np.all(words))
     report = make_report(
         "return-map",
-        passed=bool(words_ok and max_dev <= 1e-11),
+        passed=bool(words_ok and max_dev <= circle.RETURN_MAP_TOL),
         seed=args.seed,
         residuals={"max_deviation": max_dev},
         details={"a": config.a, "samples": int(args.samples), "words_ok": words_ok},
@@ -473,14 +403,7 @@ def _cmd_defect(args) -> int:
             "t0": args.t0,
             "steps": report.steps,
             "twist": args.twist,
-            "per_interval": {
-                str(j): {
-                    "count": stats.count,
-                    "max_defect": stats.max_defect,
-                    "mean_defect": stats.mean_defect,
-                }
-                for j, stats in report.per_interval.items()
-            },
+            "per_interval": {str(j): asdict(stats) for j, stats in report.per_interval.items()},
         },
         warnings=config.warnings(),
     )

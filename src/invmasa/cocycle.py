@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import RotationConfig, interval_indices, orbit
-from .errors import InvalidCandidate, MissingSample
+from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
 from .signs import SUBSTITUTION_MATRICES, SignClass, canonicalize, sign_profile
 
@@ -41,9 +41,7 @@ __all__ = [
     "random_projection_field",
     "validate_projection_field",
     "ReflectionParams",
-    "apply_twisted_shift",
     "conjugate_step",
-    "resolve_sign",
     "matrix_sign_profile",
     "bloch_vectors",
     "bloch_rotations",
@@ -207,17 +205,6 @@ class ReflectionParams:
         return np.array([[self.d, np.conj(off)], [off, -self.d]], dtype=complex)
 
     @classmethod
-    def from_matrix(cls, m, hermitian_tol: float = 1e-9) -> "ReflectionParams":
-        m = as_matrix(m)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if max_norm(m - m.conj().T) > hermitian_tol:
-            raise ValueError("matrix is not self-adjoint")
-        if abs(np.trace(m)) > hermitian_tol:
-            raise ValueError("matrix is not traceless")
-        return cls.from_bloch((m[0, 0].real, m[1, 0].real, m[1, 0].imag))
-
-    @classmethod
     def from_bloch(cls, x, zero_tol: float = DIAGONAL_BOUNDARY_TOL) -> "ReflectionParams":
         """Parameters of the matrix with Bloch vector x = (d, Re w, Im w);
         theta is 1 when e is at most ``zero_tol``."""
@@ -257,46 +244,14 @@ def bloch_rotations(field: PiecewiseMatrixField) -> np.ndarray:
     return rot
 
 
-def apply_twisted_shift(samples, orbit_points, config: RotationConfig, field: PiecewiseMatrixField) -> np.ndarray:
-    """Twisted shift on orbit samples: out[k] = V(t_k) @ f(t_{k+1}).
-
-    ``samples[k]`` is the value of a C^2-valued function at orbit point
-    ``orbit_points[k]``; the result is defined at the first len - 1 orbit
-    points, because the shifted value at the last point was never sampled.
-    Pointwise the twist is unitary, so the transform preserves the length
-    of any sample vector supported away from the unsampled end.
-    """
-    pts = np.asarray(orbit_points, dtype=float)
-    f = np.asarray(samples, dtype=complex)
-    if f.shape != (pts.size, 2):
-        raise MissingSample(f"expected {pts.size} two-component samples, got shape {f.shape}")
-    if pts.size < 2:
-        raise MissingSample("need at least two orbit points to shift samples")
-    v = field.values_at(pts[:-1])
-    return np.einsum("kij,kj->ki", v, f[1:])
-
-
 def conjugate_step(params: ReflectionParams, t: float, config: RotationConfig, field: PiecewiseMatrixField) -> np.ndarray:
     """Forced value of S(t + a) up to a global sign: V(t)* S(t) V(t).
 
-    The caller resolves the sign; :func:`resolve_sign` applies the
-    deterministic convention used by the propagation harness.
+    The caller resolves the sign; :func:`propagate_constraint` keeps it
+    except on the diagonal boundary, where it makes d nonnegative.
     """
     v = field.value_at(t)
     return v.conj().T @ params.matrix() @ v
-
-
-def resolve_sign(m, zero_tol: float = DIAGONAL_BOUNDARY_TOL) -> tuple[int, ReflectionParams]:
-    """Deterministic sign resolution for a matrix defined up to +/-.
-
-    The off-diagonal modulus is sign-blind, so e >= 0 holds either way and
-    the + branch is kept; on the diagonal boundary (e below ``zero_tol``)
-    the sign making d nonnegative is chosen instead.
-    """
-    m = np.asarray(m, dtype=complex)
-    x = np.array([m[0, 0].real, m[1, 0].real, m[1, 0].imag])
-    sign = 1 if abs(complex(m[1, 0])) > zero_tol or x[0] >= 0.0 else -1
-    return sign, ReflectionParams.from_bloch(sign * x, zero_tol)
 
 
 @dataclass(frozen=True)

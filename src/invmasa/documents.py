@@ -1,11 +1,17 @@
-"""JSON document formats: problem instances, candidate projection fields,
-and run reports.
+"""JSON documents: the program's one input boundary, and its reports.
 
-Instances serialise as
+Every JSON document the program reads is decoded here.  Instances are
     {"dimension": n, "weights": [...], "blocks": [[...], ...],
-     "unitary": {"re": [[...]], "im": [[...]]}}
-and candidate fields as
-    {"breakpoints": [...], "projections": [matrix, ...]}.
+     "unitary": {"re": [[...]], "im": [[...]]}},
+candidate fields
+    {"breakpoints": [...], "projections": [matrix, ...]},
+algebra documents {"basis": [matrix, ...]} (a ``masa embed`` result is
+one), and point functions {"re": [...], "im": [...]}.  Every number read
+from them obeys one rule: a rectangular list of the declared depth whose
+leaves are plain JSON numbers (not true/false, strings, null or objects),
+finite and within the float range.  ``dimension`` and block entries must
+be JSON integers.  A file that breaks any of this, or is not JSON, raises
+``SchemaError`` (exit 2).
 
 Every document is written in one canonical form, byte for byte the text of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"``:
@@ -34,13 +40,7 @@ import numpy as np
 from . import __version__
 from .cocycle import PiecewiseMatrixField, validate_projection_field
 from .errors import SchemaError
-from .numerics import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    is_unitary,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .numerics import DEFAULT_TOL, TolerancePolicy, is_unitary
 from .spaces import BlockAlgebra, BlockPartition, DiscreteSpace
 
 __all__ = [
@@ -48,6 +48,10 @@ __all__ = [
     "load_instance",
     "dump_instance",
     "load_projection_field",
+    "load_algebra_basis",
+    "load_values",
+    "matrix_to_json",
+    "matrix_from_json",
     "projection_field_to_json",
     "projection_field_from_json",
     "make_report",
@@ -55,6 +59,11 @@ __all__ = [
     "write_json",
     "file_digest",
 ]
+
+# Plain JSON numbers: the only leaves the decoder accepts, and the values
+# the encoder fills into templates.  bool is a type of its own.
+_NUMBERS = {int, float}
+
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -89,11 +98,11 @@ class Instance:
                 raise SchemaError(f"instance document is missing '{key}'")
         try:
             n = _integer(obj["dimension"], "dimension")
-            space = DiscreteSpace(tuple(float(w) for w in obj["weights"]))
+            space = DiscreteSpace(tuple(_numbers(obj["weights"], 1, "weights").tolist()))
             partition = BlockPartition(
                 tuple(tuple(_integer(i, "block entry") for i in b) for b in obj["blocks"])
             )
-            unitary = matrix_from_json(obj["unitary"])
+            unitary = matrix_from_json(obj["unitary"], "unitary")
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed instance document: {exc}") from exc
         if space.n != n:
@@ -109,18 +118,87 @@ class Instance:
 
 def _integer(value, what: str) -> int:
     """A JSON integer; bools and floats are rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def load_instance(path, tol: TolerancePolicy = DEFAULT_TOL) -> Instance:
+def _numbers(value, depth: int, what: str) -> np.ndarray:
+    """``value`` as a float array: a rectangular list nested ``depth`` deep
+    whose leaves are plain JSON numbers, finite and within the float range."""
+    shape, items = [], [value]
+    for _ in range(depth):
+        if not set(map(type, items)) <= {list}:
+            raise SchemaError(f"{what} must be a rectangular list nested {depth} deep")
+        widths = set(map(len, items))
+        if len(widths) > 1:
+            raise SchemaError(f"{what} has rows of unequal length")
+        shape.append(widths.pop() if widths else 0)
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= _NUMBERS:
+        bad = next(x for x in items if type(x) not in _NUMBERS)
+        raise SchemaError(f"{what} entries must be JSON numbers, got {bad!r}")
+    try:
+        array = np.fromiter(items, dtype=float, count=len(items)).reshape(shape)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} has an integer outside the float range") from exc
+    if not np.isfinite(array).all():
+        raise SchemaError(f"{what} entries must be finite")
+    return array
+
+
+def _complex(obj, depth: int, what: str) -> np.ndarray:
+    """The complex array of {"re": ..., "im": ...}, both nested ``depth`` deep."""
+    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
+        raise SchemaError(f"{what} needs 're' and 'im' arrays")
+    re, im = (_numbers(obj[key], depth, f"{what} '{key}'") for key in ("re", "im"))
+    if re.shape != im.shape:
+        raise SchemaError(f"{what} 're' and 'im' have shapes {re.shape} and {im.shape}")
+    return re + 1j * im
+
+
+def matrix_to_json(m) -> dict:
+    """Serialise a complex matrix as separate real and imaginary grids."""
+    m = np.asarray(m, dtype=complex)
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`; raises ``SchemaError`` on bad input."""
+    return _complex(obj, 2, what)
+
+
+def _matrices(items, what: str) -> list[np.ndarray]:
+    if type(items) is not list:
+        raise SchemaError(f"{what} must be a list of matrices")
+    return [matrix_from_json(m, f"{what}[{i}]") for i, m in enumerate(items)]
+
+
+def _read_json(path):
+    """The document in the file at ``path``; text that is not JSON, or that
+    nests too deep to parse, raises ``SchemaError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return Instance.from_json(obj, tol)
+
+
+def load_instance(path, tol: TolerancePolicy = DEFAULT_TOL) -> Instance:
+    return Instance.from_json(_read_json(path), tol)
+
+
+def load_algebra_basis(path) -> list[np.ndarray]:
+    """The matrices of an algebra document's ``basis`` list."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or "basis" not in obj:
+        raise SchemaError("algebra document needs a 'basis' list of matrices")
+    return _matrices(obj["basis"], "basis")
+
+
+def load_values(path) -> np.ndarray:
+    """A function on the points, {"re": [...], "im": [...]}, as a complex vector."""
+    return _complex(_read_json(path), 1, "value document")
 
 
 def dump_instance(instance: Instance, path) -> None:
@@ -137,24 +215,16 @@ def projection_field_to_json(field: PiecewiseMatrixField) -> dict:
 def projection_field_from_json(obj) -> PiecewiseMatrixField:
     if not isinstance(obj, dict) or "breakpoints" not in obj or "projections" not in obj:
         raise SchemaError("candidate document needs 'breakpoints' and 'projections'")
+    breakpoints = _numbers(obj["breakpoints"], 1, "breakpoints")
+    values = _matrices(obj["projections"], "projections")
     try:
-        values = tuple(matrix_from_json(m) for m in obj["projections"])
-        field = PiecewiseMatrixField(
-            breakpoints=tuple(float(b) for b in obj["breakpoints"]),
-            values=values,
-        )
-    except (TypeError, ValueError) as exc:
+        return PiecewiseMatrixField(breakpoints=tuple(breakpoints.tolist()), values=tuple(values))
+    except ValueError as exc:
         raise SchemaError(f"malformed candidate document: {exc}") from exc
-    return field
 
 
 def load_projection_field(path) -> PiecewiseMatrixField:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    field = projection_field_from_json(obj)
+    field = projection_field_from_json(_read_json(path))
     validate_projection_field(field)
     return field
 
@@ -194,9 +264,6 @@ def canonical_json(obj) -> str:
     _encode(obj, "\n", parts)
     parts.append("\n")
     return "".join(parts)
-
-
-_NUMBERS = {int, float}
 
 
 def _encode(obj, nl: str, out: list[str]) -> None:

@@ -140,17 +140,6 @@ class WeightedCompositionOperator:
     def matrix(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)[list(self.bijection)]
 
-    def value_matrix(self) -> np.ndarray:
-        """Action on raw function values, entry sqrt_h[phi[x]] at (x, phi[x]).
-
-        Unitary on the weighted space (not in the plain matrix sense); used
-        to exercise the norm identity defining the weights.
-        """
-        m = np.zeros((self.n, self.n), dtype=complex)
-        for x, y in enumerate(self.bijection):
-            m[x, y] = self.sqrt_h[y]
-        return m
-
 
 @dataclass(frozen=True)
 class Cycle:

@@ -36,8 +36,6 @@ __all__ = [
     "commutant_dimension",
     "span_rows",
     "span_residual",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -265,23 +263,3 @@ def _unit_matrix(n: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
-
-
-def matrix_to_json(m) -> dict:
-    """Serialise a complex matrix as separate real and imaginary grids."""
-    m = np.asarray(m, dtype=complex)
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; raises ``ValueError`` on bad input."""
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ValueError("matrix document must have 're' and 'im' fields")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"matrix entries must be numbers: {exc}") from exc
-    if re.shape != im.shape or re.ndim != 2:
-        raise ValueError("'re' and 'im' must be equal-shape nested arrays")
-    return re + 1j * im

@@ -35,7 +35,6 @@ __all__ = [
     "algebra_basis",
     "MasaCheck",
     "masa_check",
-    "is_masa",
     "multiplicity_match",
 ]
 
@@ -202,10 +201,6 @@ def masa_check(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
         abelian_residual=abelian,
         eps_eq=tol.eps_eq,
     )
-
-
-def is_masa(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return masa_check(basis, n, tol).ok
 
 
 def _cluster_keys(values: np.ndarray, value_tol: float) -> list[int]:

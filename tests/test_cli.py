@@ -1,14 +1,21 @@
 """End-to-end tests of the two command-line tools."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invmasa
+from invmasa import errors
 from invmasa.cli import main_cex, main_masa
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
@@ -373,6 +380,19 @@ class TestCexCommands:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, passed", [(0.5, True), (2.0, False)])
+    def test_return_map_gate(self, tmp_path, monkeypatch, scale, passed):
+        # the closed form moved by a multiple of the gate decides the verdict
+        closed_form = invmasa.circle.return_closed_form
+        monkeypatch.setattr(
+            invmasa.circle,
+            "return_closed_form",
+            lambda t, config: closed_form(t, config) + scale * invmasa.circle.RETURN_MAP_TOL,
+        )
+        out = tmp_path / "rm.json"
+        assert main_cex(["return-map", "--a", A_STR, "--samples", "200", "--output", str(out)]) == 0
+        assert read_json(out)["pass"] is passed
+
     def test_angle_out_of_range_exits_two(self):
         assert main_cex(["return-map", "--a", "0.5"]) == 2
 
@@ -480,7 +500,34 @@ class TestExitCodeMapping:
         assert _dispatch(raising(NotInvariant("x"))) == 3
         assert _dispatch(raising(NoConvergence("x"))) == 4
         assert _dispatch(raising(IterationBudgetExceeded("x"))) == 4
+        assert _dispatch(raising(ValueError("x"))) == 2
+        assert _dispatch(raising(FileNotFoundError("x"))) == 2
+        assert _dispatch(raising(np.linalg.LinAlgError("x"))) == 4
         assert _dispatch(lambda: 0) == 0
+
+    def test_every_error_class_carries_its_exit_code(self):
+        classes = [
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.InvmasaError) and cls is not errors.InvmasaError
+        ]
+        assert len(classes) == 13
+        for cls in classes:
+            assert cls.exit_code in (2, 3, 4), cls
+
+    def test_lapack_failure_exits_four(self, tmp_path, capsys, instance_file, monkeypatch):
+        # LinAlgError is a ValueError, which on its own would exit 2
+        result = tmp_path / "result.json"
+        assert main_masa(["embed", "--input", str(instance_file), "--output", str(result)]) == 0
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(invmasa.numerics.np.linalg, "svd", fail)
+        argv = ["verify", "--input", str(instance_file), "--algebra", str(result), "--mode", "masa"]
+        assert main_masa(argv) == 4
+        err = capsys.readouterr().err
+        assert "SVD did not converge" in err and "Traceback" not in err
 
 
 class TestDeterminism:
@@ -510,3 +557,146 @@ class TestDeterminism:
                 == 0
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Malformed JSON input: every document the tools read, broken in one place.
+
+
+def _matrix(re):
+    return {"re": re, "im": [[0.0] * len(row) for row in re]}
+
+
+VALID_INPUTS = {
+    "instance": {
+        "dimension": 2,
+        "weights": [1.0, 2.0],
+        "blocks": [[0], [1]],
+        "unitary": _matrix([[0.0, 1.0], [1.0, 0.0]]),
+    },
+    "algebra": {"basis": [_matrix([[1.0, 0.0], [0.0, 0.0]]), _matrix([[0.0, 0.0], [0.0, 1.0]])]},
+    "candidate": {
+        "breakpoints": [0.0, 0.5],
+        "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]]), _matrix([[0.0, 0.0], [0.0, 1.0]])],
+    },
+    "values": {"re": [1.0, 2.0], "im": [0.0, 0.0]},
+}
+
+# argv of every command that reads each kind of document; BAD is the
+# document under test, the other paths hold valid documents
+COMMANDS = {
+    "instance": [
+        (main_masa, ["embed", "--input", "BAD"]),
+        (main_masa, ["verify", "--input", "BAD"]),
+        (main_masa, ["factor", "--input", "BAD"]),
+    ],
+    "algebra": [(main_masa, ["verify", "--input", "instance", "--algebra", "BAD", "--mode", "masa"])],
+    "candidate": [(main_cex, ["defect", "--a", A_STR, "--candidate", "BAD", "--steps", "10"])],
+    "values": [
+        (main_masa, ["match", "--f", "BAD", "--g", "values"]),
+        (main_masa, ["match", "--f", "values", "--g", "BAD"]),
+    ],
+}
+
+BAD_NUMBERS = (True, False, "1.0", None, {}, 10**400, float("nan"), float("inf"), -float("inf"))
+
+
+def number_paths(obj, path=()):
+    if type(obj) in (int, float):
+        yield path
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from number_paths(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from number_paths(value, path + (i,))
+
+
+def get_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replace_at(doc, path, value):
+    if not path:
+        return value
+    get_at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def run_command(main, argv, bad_doc):
+    """Exit code and stderr of one command with ``bad_doc`` as its BAD file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"BAD": bad_doc, "instance": VALID_INPUTS["instance"], "values": VALID_INPUTS["values"]}
+        for name, doc in files.items():
+            write_json(Path(tmp) / name, doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(Path(tmp) / a) if a in files else a for a in argv])
+    return code, err.getvalue()
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A command and a copy of its valid document with one number replaced
+    by a non-number, wrapped in a list, dropped, or standing in for its row,
+    or with the whole document replaced by a non-object."""
+    kind = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    main, argv = draw(st.sampled_from(COMMANDS[kind]))
+    doc = copy.deepcopy(VALID_INPUTS[kind])
+    how = draw(st.sampled_from(("replace", "wrap", "drop", "collapse", "root")))
+    path = draw(st.sampled_from(list(number_paths(doc))))
+    if how == "replace":
+        doc = replace_at(doc, path, draw(st.sampled_from(BAD_NUMBERS)))
+    elif how == "wrap":
+        doc = replace_at(doc, path, [get_at(doc, path)])
+    elif how == "drop":
+        get_at(doc, path[:-1]).pop(path[-1])
+    elif how == "collapse":
+        doc = replace_at(doc, path[:-1], get_at(doc, path))
+    else:
+        doc = draw(st.sampled_from(([doc], 1.0, "doc", None, True)))
+    return main, argv, doc
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+    def test_valid_documents_exit_zero(self, kind):
+        for main, argv in COMMANDS[kind]:
+            assert run_command(main, argv, VALID_INPUTS[kind]) == (0, "")
+
+    @pytest.mark.parametrize(
+        "bad", BAD_NUMBERS, ids=["true", "false", "string", "null", "object", "int-1e400", "nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "kind, path",
+        [
+            ("instance", ("weights", 1)),
+            ("instance", ("unitary", "re", 0, 1)),
+            ("algebra", ("basis", 1, "im", 1, 0)),
+            ("candidate", ("breakpoints", 1)),
+            ("candidate", ("projections", 0, "re", 0, 0)),
+            ("values", ("re", 0)),
+        ],
+        ids=["weights", "unitary", "basis", "breakpoints", "projections", "values"],
+    )
+    def test_non_number_exits_two(self, kind, path, bad):
+        doc = replace_at(copy.deepcopy(VALID_INPUTS[kind]), path, bad)
+        for main, argv in COMMANDS[kind]:
+            code, err = run_command(main, argv, doc)
+            assert code == 2 and "error:" in err and "Traceback" not in err, (argv, err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=malformed_inputs())
+    def test_one_break_exits_two(self, case):
+        main, argv, doc = case
+        code, err = run_command(main, argv, doc)
+        assert code == 2 and "error:" in err and "Traceback" not in err, (argv, doc, err)
+
+    def test_unparsable_documents_exit_two(self, tmp_path, capsys):
+        for name, text in (("truncated", '{"dimension": 2'), ("deep", "[" * 100000 + "]" * 100000)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            assert main_masa(["embed", "--input", str(tmp_path / name)]) == 2
+            err = capsys.readouterr().err
+            assert "not valid JSON" in err and "Traceback" not in err

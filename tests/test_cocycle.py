@@ -12,7 +12,6 @@ from invmasa import (
     PiecewiseMatrixField,
     ReflectionParams,
     RotationConfig,
-    apply_twisted_shift,
     conjugate_step,
     constant_projection_field,
     diagonalizer,
@@ -28,7 +27,6 @@ from invmasa import (
     orbit,
     propagate_constraint,
     random_projection_field,
-    resolve_sign,
     validate_projection_field,
 )
 from invmasa.circle import interval_indices
@@ -39,7 +37,7 @@ from invmasa.cocycle import (
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import InvalidCandidate, MissingSample
+from invmasa.errors import InvalidCandidate
 from invmasa.signs import SUBSTITUTION_MATRICES
 
 A = math.sqrt(2.0) / 8.0
@@ -109,48 +107,13 @@ class TestStandardTwist:
             assert is_unitary(v)
 
 
-class TestApplyTwistedShift:
-    def test_identity_twist_is_plain_shift(self):
-        cfg = RotationConfig(A)
-        pts = orbit(0.1, cfg, 6)
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        out = apply_twisted_shift(f, pts, cfg, identity_twist())
-        assert np.array_equal(out, f[1:])
-
-    def test_delta_moves_to_preimage(self):
-        cfg = RotationConfig(A)
-        pts = orbit(0.1, cfg, 5)
-        f = np.zeros((5, 2), dtype=complex)
-        f[3] = (1.0, 2.0)
-        out = apply_twisted_shift(f, pts, cfg, standard(cfg))
-        nonzero = [k for k in range(4) if np.any(out[k] != 0)]
-        assert nonzero == [2]
-
-    def test_norm_preserved_off_the_unsampled_end(self):
-        cfg = RotationConfig(A)
-        pts = orbit(0.37, cfg, 1000)
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
-        f[0] = 0.0  # the first point has no sampled preimage
-        out = apply_twisted_shift(f, pts, cfg, standard(cfg))
-        assert abs(np.linalg.norm(out) - np.linalg.norm(f)) <= 1e-10 * np.linalg.norm(f)
-
-    def test_missing_sample(self):
-        cfg = RotationConfig(A)
-        with pytest.raises(MissingSample):
-            apply_twisted_shift(np.zeros((1, 2)), [0.0], cfg, identity_twist())
-        with pytest.raises(MissingSample):
-            apply_twisted_shift(np.zeros((3, 2)), [0.0, 0.1], cfg, identity_twist())
-
-
 class TestReflectionParams:
     def test_matrix_shape_and_roundtrip(self):
         p = ReflectionParams(d=0.3, e=0.8, theta=complex(math.cos(1.1), math.sin(1.1)))
         m = p.matrix()
         assert max_norm(m - m.conj().T) == 0.0
         assert abs(np.trace(m)) == 0.0
-        back = ReflectionParams.from_matrix(m)
+        back = ReflectionParams.from_bloch(bloch_vectors(m))
         assert abs(back.d - p.d) <= 1e-15
         assert abs(back.e - p.e) <= 1e-15
         assert abs(back.theta - p.theta) <= 1e-15
@@ -331,6 +294,19 @@ class TestPropagation:
 # ---------------------------------------------------------------------------
 # Differential oracles: the per-step 2x2 transport that the Bloch-vector
 # harness replaced.
+
+
+def resolve_sign(m, zero_tol=DIAGONAL_BOUNDARY_TOL):
+    """Deterministic sign resolution for a matrix defined up to +/-.
+
+    The off-diagonal modulus is sign-blind, so e >= 0 holds either way and
+    the + branch is kept; on the diagonal boundary (e below ``zero_tol``)
+    the sign making d nonnegative is chosen instead.
+    """
+    m = np.asarray(m, dtype=complex)
+    x = np.array([m[0, 0].real, m[1, 0].real, m[1, 0].imag])
+    sign = 1 if abs(complex(m[1, 0])) > zero_tol or x[0] >= 0.0 else -1
+    return sign, ReflectionParams.from_bloch(sign * x, zero_tol)
 
 
 def loop_propagate(start, t0, config, field, steps):

@@ -198,10 +198,11 @@ class TestRadonNikodym:
         space = DiscreteSpace((1.0, 2.0))
         h = radon_nikodym_weights(space, [1, 0])
         assert np.allclose(h, [0.5, 2.0])
-        # oracle: the raw-value operator must preserve the weighted norm of
-        # every basis function
+        # oracle: the raw-value operator, entry sqrt_h[phi[x]] at
+        # (x, phi[x]), must preserve the weighted norm of every basis function
         w = WeightedCompositionOperator.from_space(space, [1, 0])
-        vm = w.value_matrix()
+        vm = np.zeros((2, 2), dtype=complex)
+        vm[np.arange(2), w.bijection] = np.asarray(w.sqrt_h)[list(w.bijection)]
         mu = np.array(space.weights)
         for y in range(2):
             e = np.zeros(2, dtype=complex)

@@ -25,7 +25,7 @@ from invmasa import (
     span_rows,
 )
 from invmasa import numerics
-from invmasa.errors import DimensionMismatch, NoConvergence, NotSelfAdjoint
+from invmasa.errors import DimensionMismatch, NoConvergence, NotSelfAdjoint, SchemaError
 from invmasa.generate import haar_unitary, random_instance
 
 
@@ -395,9 +395,14 @@ class TestMatrixJson:
         assert np.array_equal(back, m)
 
     def test_rejects_mismatched(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             matrix_from_json({"re": [[1.0]], "im": [[0.0, 0.0]]})
 
+    def test_rejects_ragged_rows(self):
+        # six entries fill a 3 x 2 grid, so only the row widths show the fault
+        with pytest.raises(SchemaError, match="unequal"):
+            matrix_from_json({"re": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], "im": [[0.0, 0.0]] * 3})
+
     def test_rejects_non_numeric_entry(self):
-        with pytest.raises(ValueError, match="numbers"):
+        with pytest.raises(SchemaError, match="numbers"):
             matrix_from_json({"re": [[{}]], "im": [[0]]})

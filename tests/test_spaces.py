@@ -10,7 +10,6 @@ from invmasa import (
     BlockPartition,
     DiscreteSpace,
     algebra_basis,
-    is_masa,
     masa_check,
     multiplication_operator,
     multiplicity_match,
@@ -98,7 +97,7 @@ class TestAlgebraBasis:
 class TestIsMasa:
     def test_diagonal_masa(self):
         basis = algebra_basis(block_algebra([1, 1, 1], [[0], [1], [2]]))
-        assert is_masa(basis, 3)
+        assert masa_check(basis, 3).ok
 
     def test_block_scalar_family_is_not(self):
         family = [np.eye(3, dtype=complex), np.diag([1.0, 1.0, 0.0]).astype(complex)]
@@ -108,7 +107,7 @@ class TestIsMasa:
         assert not check.ok
 
     def test_scalars_on_one_dimension(self):
-        assert is_masa([np.eye(1, dtype=complex)], 1)
+        assert masa_check([np.eye(1, dtype=complex)], 1).ok
 
 
 class TestMultiplicityMatch:
