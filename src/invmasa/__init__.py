@@ -94,7 +94,7 @@ from .spaces import (
     BlockPartition,
     DiscreteSpace,
     MasaCheck,
-    algebra_basis,
+    block_masa_check,
     masa_check,
     multiplication_operator,
     multiplicity_match,

@@ -44,7 +44,7 @@ from .embedding import (
 from .errors import REPORTED, NoConvergence, SchemaError, exit_code
 from .generate import build_instance
 from .numerics import DEFAULT_TOL, TolerancePolicy
-from .spaces import algebra_basis, masa_check, multiplicity_match
+from .spaces import block_masa_check, masa_check, multiplicity_match
 
 
 def _dispatch(func) -> int:
@@ -163,11 +163,10 @@ def _cmd_verify(args) -> int:
         overall = overall and report.invariant_equal
     if args.mode in ("masa", "both"):
         if args.algebra is not None:
-            basis = load_algebra_basis(args.algebra)
+            check = masa_check(load_algebra_basis(args.algebra), instance.n, tol)
             inputs["algebra"] = file_digest(args.algebra)
         else:
-            basis = algebra_basis(instance.algebra)
-        check = masa_check(basis, instance.n, tol)
+            check = block_masa_check(instance.algebra, tol)
         details["masa"] = {
             "ok": check.ok,
             "rank": check.rank,

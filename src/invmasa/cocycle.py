@@ -66,6 +66,11 @@ DIAGONAL_BOUNDARY_TOL = 1e-12
 # piece's Bloch rotation is snapped to it (the standard twist's are an
 # ulp off the automaton's substitutions), making transport exact.
 ROTATION_SNAP_TOL = 1e-12
+# Off-diagonal modulus of a traceless 2x2 matrix at or below which
+# diagonalizer takes it as diagonal and returns the identity frame: a few
+# ulps of a scale-1 entry, below which the phase xi = b[1,0] / |b[1,0]| is
+# roundoff.
+DIAGONALIZER_ZERO_TOL = 1e-14
 # Steps per chunk of the propagation prefix product: doubling costs
 # log2(chunk) 3x3 products per step, and each chunk a few numpy calls.
 PROPAGATE_CHUNK = 512
@@ -101,10 +106,10 @@ class PiecewiseMatrixField:
             raise ValueError("one matrix per piece required")
         vals = []
         for v in self.values:
-            m = as_matrix(v)
+            m = np.asarray(v, dtype=complex)
             if m.shape != (2, 2):
-                raise ValueError("field values must be 2x2")
-            m = m.copy()
+                raise ValueError(f"field values must be 2x2, got shape {m.shape}")
+            m = as_matrix(m).copy()
             m.setflags(write=False)
             vals.append(m)
         object.__setattr__(self, "breakpoints", bps)
@@ -283,7 +288,7 @@ def diagonalizer(b) -> DiagonalizerResult:
     traceless = b - (np.trace(b).real / 2.0) * np.eye(2)
     beta = abs(traceless[1, 0])
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    if beta <= 1e-14:
+    if beta <= DIAGONALIZER_ZERO_TOL:
         t = np.eye(2, dtype=complex)
         return DiagonalizerResult(t=t, p=e11.copy())
     alpha = float(traceless[0, 0].real)

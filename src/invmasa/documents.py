@@ -52,7 +52,6 @@ __all__ = [
     "load_values",
     "matrix_to_json",
     "matrix_from_json",
-    "projection_field_to_json",
     "projection_field_from_json",
     "make_report",
     "canonical_json",
@@ -203,13 +202,6 @@ def load_values(path) -> np.ndarray:
 
 def dump_instance(instance: Instance, path) -> None:
     write_json(instance.to_json(), path)
-
-
-def projection_field_to_json(field: PiecewiseMatrixField) -> dict:
-    return {
-        "breakpoints": list(field.breakpoints),
-        "projections": [matrix_to_json(v) for v in field.values],
-    }
 
 
 def projection_field_from_json(obj) -> PiecewiseMatrixField:

@@ -76,12 +76,6 @@ class NoConvergence(InvmasaError):
     exit_code = 4
 
 
-class IterationBudgetExceeded(InvmasaError):
-    """Span closure failed to stabilise; usually a tolerance misconfiguration."""
-
-    exit_code = 4
-
-
 class NotInBaseInterval(InvmasaError):
     """A first-return computation was started outside the base interval."""
 

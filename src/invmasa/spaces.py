@@ -32,9 +32,9 @@ __all__ = [
     "BlockPartition",
     "BlockAlgebra",
     "multiplication_operator",
-    "algebra_basis",
     "MasaCheck",
     "masa_check",
+    "block_masa_check",
     "multiplicity_match",
 ]
 
@@ -137,22 +137,6 @@ def multiplication_operator(values, space: DiscreteSpace) -> np.ndarray:
     return np.diag(f)
 
 
-def algebra_basis(algebra: BlockAlgebra) -> list[np.ndarray]:
-    """Block-indicator diagonal projections, one per block.
-
-    These are exact 0/1 matrices: mutually orthogonal idempotents that sum
-    to the identity.
-    """
-    n = algebra.n
-    basis = []
-    for block in algebra.partition.blocks:
-        p = np.zeros((n, n), dtype=complex)
-        for i in block:
-            p[i, i] = 1.0
-        basis.append(p)
-    return basis
-
-
 @dataclass(frozen=True)
 class MasaCheck:
     """Outcome of the maximal-abelian test for a spanned family."""
@@ -199,6 +183,24 @@ def masa_check(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
         unital_residual=unital,
         selfadjoint_residual=selfadj,
         abelian_residual=abelian,
+        eps_eq=tol.eps_eq,
+    )
+
+
+def block_masa_check(algebra: BlockAlgebra, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
+    """:func:`masa_check` of a block algebra, read off its partition.
+
+    The block indicators are exact 0/1 diagonals: they span a unital,
+    self-adjoint, abelian algebra of rank k (zero residuals), whose
+    commutant is the block-diagonal matrices, of dimension sum |b|^2.
+    """
+    blocks = algebra.partition.blocks
+    return MasaCheck(
+        rank=len(blocks),
+        commutant_dimension=sum(len(b) ** 2 for b in blocks),
+        unital_residual=0.0,
+        selfadjoint_residual=0.0,
+        abelian_residual=0.0,
         eps_eq=tol.eps_eq,
     )
 

@@ -5,6 +5,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -255,6 +258,45 @@ class TestMasaPipeline:
         assert code == 3
 
 
+class TestOwnAlgebraCheck:
+    """``masa verify`` without ``--algebra`` reads the check off the
+    partition and never runs the dense ``masa_check``."""
+
+    @pytest.fixture()
+    def no_dense_check(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise RuntimeError("dense masa_check called")
+
+        for module in (invmasa.spaces, invmasa.cli):
+            monkeypatch.setattr(module, "masa_check", refused)
+
+    def verify(self, tmp_path, blocks, cycles, *extra):
+        instance = tmp_path / "instance.json"
+        gen = ["gen", "--blocks", blocks, "--cycles", cycles, "--seed", "3", "--output", str(instance)]
+        assert main_masa(gen) == 0
+        out = tmp_path / "verify.json"
+        return main_masa(["verify", "--input", str(instance), "--output", str(out), *extra]), out
+
+    def test_singletons_96(self, tmp_path, no_dense_check):
+        n = 96
+        code, out = self.verify(tmp_path, ",".join(["1"] * n), ",".join(map(str, range(n))))
+        doc = read_json(out)
+        assert code == 0 and doc["pass"] is True
+        assert doc["details"]["masa"] == {"ok": True, "rank": n, "commutant_dimension": n}
+        assert doc["residuals"]["masa"] == 0.0
+
+    def test_non_singleton_block_exits_three(self, tmp_path, no_dense_check):
+        code, out = self.verify(tmp_path, "2,1", "0;1", "--mode", "masa")
+        assert code == 3
+        assert read_json(out)["details"]["masa"] == {"ok": False, "rank": 2, "commutant_dimension": 5}
+
+    def test_algebra_flag_still_runs_the_dense_check(self, tmp_path, no_dense_check):
+        algebra = tmp_path / "algebra.json"
+        write_json(algebra, VALID_INPUTS["algebra"])
+        with pytest.raises(RuntimeError, match="dense masa_check"):
+            self.verify(tmp_path, "1,1", "0,1", "--algebra", str(algebra))
+
+
 EXTREME_SWAP = {
     "dimension": 2,
     "weights": [1e-300, 1e300],
@@ -483,12 +525,7 @@ class TestCexCommands:
 class TestExitCodeMapping:
     def test_dispatch_classifies_error_families(self):
         from invmasa.cli import _dispatch
-        from invmasa.errors import (
-            IterationBudgetExceeded,
-            NoConvergence,
-            NotInvariant,
-            SchemaError,
-        )
+        from invmasa.errors import NoConvergence, NotInvariant, SchemaError
 
         def raising(exc):
             def f():
@@ -499,7 +536,6 @@ class TestExitCodeMapping:
         assert _dispatch(raising(SchemaError("x"))) == 2
         assert _dispatch(raising(NotInvariant("x"))) == 3
         assert _dispatch(raising(NoConvergence("x"))) == 4
-        assert _dispatch(raising(IterationBudgetExceeded("x"))) == 4
         assert _dispatch(raising(ValueError("x"))) == 2
         assert _dispatch(raising(FileNotFoundError("x"))) == 2
         assert _dispatch(raising(np.linalg.LinAlgError("x"))) == 4
@@ -511,7 +547,7 @@ class TestExitCodeMapping:
             for cls in vars(errors).values()
             if isinstance(cls, type) and issubclass(cls, errors.InvmasaError) and cls is not errors.InvmasaError
         ]
-        assert len(classes) == 13
+        assert len(classes) == 12
         for cls in classes:
             assert cls.exit_code in (2, 3, 4), cls
 
@@ -557,6 +593,29 @@ class TestDeterminism:
                 == 0
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestConsoleEntryPoints:
+    """The installed ``masa`` and ``cex`` scripts call ``masa_entry`` and
+    ``cex_entry``; run them as a fresh interpreter would."""
+
+    def run_entry(self, entry, *argv):
+        src = str(Path(invmasa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = f"from invmasa.cli import {entry}; {entry}()"
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+        )
+
+    def test_cex_combinatorics_prints_the_golden_file(self):
+        proc = self.run_entry("cex_entry", "combinatorics")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == GOLDEN.read_bytes()
+
+    def test_masa_missing_input_exits_two(self, tmp_path):
+        proc = self.run_entry("masa_entry", "verify", "--input", str(tmp_path / "missing.json"))
+        assert proc.returncode == 2
+        assert b"error:" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +752,13 @@ class TestMalformedInput:
         main, argv, doc = case
         code, err = run_command(main, argv, doc)
         assert code == 2 and "error:" in err and "Traceback" not in err, (argv, doc, err)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
+    def test_candidate_piece_not_2x2_exits_two(self, shape):
+        doc = {"breakpoints": [0.0], "projections": [_matrix(np.eye(*shape).tolist())]}
+        main, argv = COMMANDS["candidate"][0]
+        code, err = run_command(main, argv, doc)
+        assert code == 2 and "2x2" in err and "Traceback" not in err, err
 
     def test_unparsable_documents_exit_two(self, tmp_path, capsys):
         for name, text in (("truncated", '{"dimension": 2'), ("deep", "[" * 100000 + "]" * 100000)):

@@ -189,6 +189,16 @@ class TestDiagonalizer:
         assert np.array_equal(res.t, np.eye(2))
         assert np.array_equal(res.p, E11)
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_zero_tol_role(self, factor):
+        # an off-diagonal entry at or below DIAGONALIZER_ZERO_TOL is taken
+        # as diagonal; above it, the balanced frame of [[0, b], [b, 0]]
+        b = factor * cocycle.DIAGONALIZER_ZERO_TOL
+        res = diagonalizer(np.array([[0.0, b], [b, 0.0]], dtype=complex))
+        s = 1.0 / math.sqrt(2.0)
+        expected = np.eye(2) if factor < 1.0 else s * np.array([[1.0, 1.0], [-1.0, 1.0]])
+        assert max_norm(res.t - expected) <= 1e-15
+
     def test_random_selfadjoint_inputs(self):
         rng = np.random.default_rng(4)
         for _ in range(500):

@@ -1,6 +1,7 @@
 """Tests for the factorisation and invariant-masa embedding pipeline."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from invmasa import (
     MasaCertificate,
     TolerancePolicy,
     WeightedCompositionOperator,
-    algebra_basis,
     build_instance,
     check_invariance,
     commutant_basis,
@@ -31,9 +31,11 @@ from invmasa import (
     span_rows,
     unitary_eigenbasis,
 )
-from invmasa.embedding import _certify
+from invmasa.embedding import _certify, _eigen_clusters
 from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
+from invmasa.numerics import ROUNDOFF_FLOOR
+from oracles import FACTOR_SHAPES, algebra_basis, dense_closure, shaped_instance
 
 
 def block_algebra(weights, blocks):
@@ -152,24 +154,6 @@ def unitary_noise(n, scale, seed):
     vals, vecs = np.linalg.eigh(z + z.conj().T)
     t = scale / np.abs(vals).max()
     return (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-
-
-# The block structures of the benchmark's factor workload (n = 48..96).
-FACTOR_SHAPES = (
-    ([1] * 48, [tuple(range(i, i + 8)) for i in range(0, 48, 8)]),
-    ([1] * 64, [tuple(range(0, 64, 2)), tuple(range(1, 64, 2))]),
-    ([3] * 24, [tuple(range(i, i + 6)) for i in range(0, 24, 6)]),
-    ([2] * 48, [tuple(range(48))]),
-    ([16, 16, 8, 8, 8, 8], [(0, 1), (2, 3, 4, 5)]),
-    ([32, 32, 32], [(0, 1, 2)]),
-)
-
-
-def shaped_instance(sizes, cycles, seed):
-    edges = np.cumsum([0, *sizes])
-    blocks = [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=edges[-1])
-    return build_instance(weights, blocks, cycles, seed=seed)
 
 
 def cycle_instance(c):
@@ -583,6 +567,60 @@ class TestConjugationClosure:
         u = s * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         with pytest.raises(NotInvariant):
             conjugation_closure(diagonal_masa(2), u)
+
+
+class TestClosureAgainstDenseOracle:
+    """The closure from two block passes against the span closure loop it
+    replaced."""
+
+    def assert_agree(self, algebra, u):
+        new = outcome(conjugation_closure, algebra, u)
+        old = outcome(dense_closure, algebra, u, DEFAULT_TOL)
+        if isinstance(new, type) or isinstance(old, type):
+            assert new == old
+            return new
+        assert (new.iterations, new.rank) == old[:2] == (1, algebra.partition.block_count)
+        assert new.abelian_residual == new.selfadjoint_residual == 0.0
+        return new, old
+
+    def test_criterion_1_instances(self):
+        for seed in range(200):
+            inst = random_instance(seed).instance
+            new, old = self.assert_agree(inst.algebra, inst.unitary)
+            assert new.conjugation_residual <= 1e-14 and old[2] <= 1e-14, seed
+
+    def test_unitary_noise_around_eps_eq(self):
+        outcomes = set()
+        for seed in range(200):
+            inst = random_instance(seed).instance
+            for factor in (0.5, 1.0, 2.0):
+                noise = unitary_noise(inst.n, factor * DEFAULT_TOL.eps_eq, seed)
+                result = self.assert_agree(inst.algebra, inst.unitary @ noise)
+                outcomes.add((factor, result if isinstance(result, type) else "closed"))
+        assert (0.5, NotInvariant) not in outcomes
+        assert {(2.0, "closed"), (2.0, NotInvariant)} <= outcomes
+
+    def test_memory_at_96_singletons(self):
+        gen = build_instance([1.0] * 96, [[i] for i in range(96)], [tuple(range(96))], seed=0)
+        tracemalloc.start()
+        try:
+            result = conjugation_closure(gen.instance.algebra, gen.instance.unitary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rank == 96 and result.conjugation_residual <= 1e-14
+        assert peak < 16 * 2**20
+
+
+class TestEigenClusters:
+    """The cluster gap is max(eps_rank, ROUNDOFF_FLOOR): with eps_rank
+    below the floor, the floor alone decides whether two eigenvalues share
+    a cluster."""
+
+    @pytest.mark.parametrize("factor, clusters", [(0.5, 2), (2.0, 3)])
+    def test_roundoff_floor(self, factor, clusters):
+        values = np.array([0.5, 0.5 + factor * ROUNDOFF_FLOOR, 1.0])
+        assert len(_eigen_clusters(values, TolerancePolicy(eps_rank=1e-15))) == clusters
 
 
 class TestGenerator:

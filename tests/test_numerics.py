@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from invmasa import (
     DEFAULT_TOL,
     TolerancePolicy,
-    algebra_basis,
     as_matrix,
     commutant_basis,
     commutant_dimension,
@@ -27,6 +26,7 @@ from invmasa import (
 from invmasa import numerics
 from invmasa.errors import DimensionMismatch, NoConvergence, NotSelfAdjoint, SchemaError
 from invmasa.generate import haar_unitary, random_instance
+from oracles import algebra_basis
 
 
 def random_hermitian(n, rng):

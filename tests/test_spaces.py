@@ -9,12 +9,14 @@ from invmasa import (
     BlockAlgebra,
     BlockPartition,
     DiscreteSpace,
-    algebra_basis,
+    block_masa_check,
     masa_check,
     multiplication_operator,
     multiplicity_match,
 )
 from invmasa.errors import LengthMismatch
+from invmasa.generate import random_instance
+from oracles import FACTOR_SHAPES, algebra_basis, shaped_instance
 
 
 def block_algebra(weights, blocks):
@@ -108,6 +110,32 @@ class TestIsMasa:
 
     def test_scalars_on_one_dimension(self):
         assert masa_check([np.eye(1, dtype=complex)], 1).ok
+
+
+class TestBlockMasaCheck:
+    """The partition-read check against the dense ``masa_check`` of the
+    block indicators."""
+
+    def assert_agree(self, algebra):
+        new = block_masa_check(algebra)
+        old = masa_check(algebra_basis(algebra), algebra.n)
+        assert (new.rank, new.commutant_dimension, new.ok) == (old.rank, old.commutant_dimension, old.ok)
+        # the dense residuals are SVD roundoff, up to 5 ulps (blocks-64)
+        assert max(old.unital_residual, old.selfadjoint_residual, old.abelian_residual) <= 2e-15
+        assert new.unital_residual == new.selfadjoint_residual == new.abelian_residual == 0.0
+        return new
+
+    def test_criterion_1_instances(self):
+        verdicts = set()
+        for seed in range(200):
+            verdicts.add(self.assert_agree(random_instance(seed).instance.algebra).ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("sizes, cycles", FACTOR_SHAPES)
+    def test_benchmark_factor_shapes(self, sizes, cycles):
+        algebra = shaped_instance(sizes, cycles, seed=101).instance.algebra
+        check = self.assert_agree(algebra)
+        assert check.commutant_dimension == sum(s * s for s in sizes)
 
 
 class TestMultiplicityMatch:
