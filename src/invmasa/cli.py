@@ -19,6 +19,7 @@ import argparse
 import cmath
 import sys
 from dataclasses import asdict
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .documents import (
     write_json,
 )
 from .embedding import (
-    MasaResult,
     check_invariance,
     factor_unitary,
     embed_invariant_masa,
@@ -70,23 +70,6 @@ def _emit(report: dict, output) -> None:
         sys.stdout.write(text)
 
 
-def _certificate_json(result: MasaResult) -> dict:
-    return {**asdict(result.certificate), "passed": result.certificate.passed}
-
-
-def _result_json(result: MasaResult) -> dict:
-    fact = result.factorization
-    return {
-        "basis": [matrix_to_json(p) for p in result.basis],
-        "certificate": _certificate_json(result),
-        "pi": list(fact.pi),
-        "cycles": [list(c.labels) for c in fact.cycles],
-        "factor_residual": fact.factor_residual,
-        "block_residual": fact.block_residual,
-        "pass": result.certificate.passed,
-    }
-
-
 # ---------------------------------------------------------------------------
 # masa subcommands
 
@@ -95,8 +78,17 @@ def _cmd_embed(args) -> int:
     tol = _tolerance(args)
     instance = load_instance(args.input, tol)
     result = embed_invariant_masa(instance.algebra, instance.unitary, tol)
-    doc = _result_json(result)
-    doc["inputs"] = {"instance": file_digest(args.input)}
+    fact = result.factorization
+    doc = {
+        "certificate": {**asdict(result.certificate), "passed": result.certificate.passed},
+        "frame": matrix_to_json(result.frame),
+        "pi": list(fact.pi),
+        "cycles": [list(c.labels) for c in fact.cycles],
+        "factor_residual": fact.factor_residual,
+        "block_residual": fact.block_residual,
+        "pass": result.certificate.passed,
+        "inputs": {"instance": file_digest(args.input)},
+    }
     _emit(doc, args.output)
     return 0 if result.certificate.passed else 4
 
@@ -112,11 +104,8 @@ def _cmd_gen(args) -> int:
     sizes = _parse_int_list(args.blocks, "--blocks")
     if any(s < 1 for s in sizes):
         raise SchemaError("block sizes must be positive")
-    blocks = []
-    point = 0
-    for s in sizes:
-        blocks.append(tuple(range(point, point + s)))
-        point += s
+    point = sum(sizes)
+    blocks = [tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))]
     if args.dim is not None and args.dim != point:
         raise SchemaError(f"--dim {args.dim} does not match total block size {point}")
     cycles = [tuple(_parse_int_list(part, "--cycles")) for part in args.cycles.split(";")]
@@ -163,7 +152,7 @@ def _cmd_verify(args) -> int:
         overall = overall and report.invariant_equal
     if args.mode in ("masa", "both"):
         if args.algebra is not None:
-            check = masa_check(load_algebra_basis(args.algebra), instance.n, tol)
+            check = masa_check(load_algebra_basis(args.algebra, instance.n), instance.n, tol)
             inputs["algebra"] = file_digest(args.algebra)
         else:
             check = block_masa_check(instance.algebra, tol)
@@ -246,7 +235,7 @@ def main_masa(argv=None) -> int:
 
     p = sub.add_parser("verify", help="verify invariance and/or the masa property")
     p.add_argument("--input", required=True)
-    p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices")
+    p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")
     p.add_argument("--mode", choices=("masa", "invariance", "both"), default="both")
     p.add_argument("--output", default=None)
     _add_tolerance_flags(p)

@@ -59,6 +59,8 @@ __all__ = [
 SIGN_ZERO_TOL = 1e-10
 # Tolerance for the rank-one projection invariants of candidate fields.
 PROJECTION_TOL = 1e-10
+# Largest ||theta| - 1| at which ReflectionParams takes theta as unimodular.
+UNIMODULAR_TOL = 1e-12
 # Off-diagonal magnitude below which a parameterised matrix counts as
 # sitting on the diagonal boundary.
 DIAGONAL_BOUNDARY_TOL = 1e-12
@@ -202,7 +204,7 @@ class ReflectionParams:
             raise ValueError("parameters must be finite")
         if self.e < 0.0:
             raise ValueError("e must be nonnegative")
-        if not abs(abs(self.theta) - 1.0) <= 1e-12:
+        if not abs(abs(self.theta) - 1.0) <= UNIMODULAR_TOL:
             raise ValueError("theta must be unimodular")
 
     def matrix(self) -> np.ndarray:

@@ -5,13 +5,14 @@ Every JSON document the program reads is decoded here.  Instances are
      "unitary": {"re": [[...]], "im": [[...]]}},
 candidate fields
     {"breakpoints": [...], "projections": [matrix, ...]},
-algebra documents {"basis": [matrix, ...]} (a ``masa embed`` result is
-one), and point functions {"re": [...], "im": [...]}.  Every number read
-from them obeys one rule: a rectangular list of the declared depth whose
-leaves are plain JSON numbers (not true/false, strings, null or objects),
-finite and within the float range.  ``dimension`` and block entries must
-be JSON integers.  A file that breaks any of this, or is not JSON, raises
-``SchemaError`` (exit 2).
+algebra documents {"basis": [matrix, ...]} or {"frame": matrix} (a
+``masa embed`` result has a frame), and point functions
+{"re": [...], "im": [...]}.  Every number read from them obeys one rule:
+a rectangular list of the declared depth whose leaves are plain JSON
+numbers (not true/false, strings, null or objects), finite and within
+the float range.  ``dimension`` and block entries must be JSON integers,
+and instance and algebra matrices must be n x n.  A file that breaks any
+of this, or is not JSON, raises ``SchemaError`` (exit 2).
 
 Every document is written in one canonical form, byte for byte the text of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"``:
@@ -108,9 +109,7 @@ class Instance:
             raise SchemaError(f"dimension {n} does not match {space.n} weights")
         if partition.n != n:
             raise SchemaError(f"blocks cover {partition.n} points, dimension is {n}")
-        if unitary.shape != (n, n):
-            raise SchemaError(f"unitary has shape {unitary.shape}, expected ({n}, {n})")
-        if not is_unitary(unitary, tol):
+        if not is_unitary(_square(unitary, n, "unitary"), tol):
             raise SchemaError("the 'unitary' field is not unitary at load tolerance")
         return cls(space=space, partition=partition, unitary=unitary)
 
@@ -120,6 +119,12 @@ def _integer(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _square(m: np.ndarray, n: int, what: str) -> np.ndarray:
+    if m.shape != (n, n):
+        raise SchemaError(f"{what} has shape {m.shape}, expected ({n}, {n})")
+    return m
 
 
 def _numbers(value, depth: int, what: str) -> np.ndarray:
@@ -187,12 +192,19 @@ def load_instance(path, tol: TolerancePolicy = DEFAULT_TOL) -> Instance:
     return Instance.from_json(_read_json(path), tol)
 
 
-def load_algebra_basis(path) -> list[np.ndarray]:
-    """The matrices of an algebra document's ``basis`` list."""
+def load_algebra_basis(path, n: int) -> list[np.ndarray]:
+    """The n x n matrices of an algebra document: its ``basis`` list, or the
+    projections onto the columns of its ``frame`` (unitarity not checked)."""
     obj = _read_json(path)
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise SchemaError("algebra document needs a 'basis' list of matrices")
-    return _matrices(obj["basis"], "basis")
+    if not isinstance(obj, dict) or ("basis" in obj) == ("frame" in obj):
+        raise SchemaError("algebra document needs exactly one of a 'basis' list and a 'frame' matrix")
+    if "basis" in obj:
+        return [_square(m, n, f"basis[{i}]") for i, m in enumerate(_matrices(obj["basis"], "basis"))]
+    frame = _square(matrix_from_json(obj["frame"], "frame"), n, "frame")
+    # re + 1j * im can flip a zero's sign, so project onto the exact columns and
+    # read each projection as a basis list's: both forms load alike, bit for bit.
+    frame.real, frame.imag = obj["frame"]["re"], obj["frame"]["im"]
+    return [(p := np.outer(q, q.conj())).real + 1j * p.imag for q in frame.T]
 
 
 def load_values(path) -> np.ndarray:

@@ -397,11 +397,6 @@ class MasaResult:
     certificate: MasaCertificate
     factorization: UnitaryFactorization
 
-    @property
-    def basis(self) -> list[np.ndarray]:
-        """Rank-one projections onto the frame columns, in column order."""
-        return [np.outer(q, q.conj()) for q in self.frame.T]
-
 
 def _certify(
     algebra: BlockAlgebra,

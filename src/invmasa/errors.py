@@ -4,9 +4,10 @@ Every class carries the code a command exits with when it raises one:
 2 for a schema, input-shape or flag problem, 3 for a violated
 mathematical precondition, 4 for a numerical breakdown.  :func:`exit_code`
 also classifies the foreign errors that reach the CLI: numpy's
-``LinAlgError`` (a LAPACK routine failed) exits 4, and any other
-``ValueError`` (a bad flag value) or ``OSError`` (an input file that cannot
-be read, an output path that cannot be written) exits 2.
+``LinAlgError`` (a LAPACK routine failed) and ``MemoryError`` (an
+allocation failed) exit 4, and any other ``ValueError`` (a bad flag
+value) or ``OSError`` (an input file that cannot be read, an output path
+that cannot be written) exits 2.
 """
 
 from numpy.linalg import LinAlgError
@@ -97,7 +98,7 @@ class InvalidCandidate(InvmasaError):
 
 # The errors a command reports on stderr with an exit code; anything else
 # is a bug and keeps its traceback.
-REPORTED = (InvmasaError, ValueError, OSError)
+REPORTED = (InvmasaError, ValueError, OSError, MemoryError)
 
 
 def exit_code(exc: BaseException) -> int:
@@ -105,4 +106,4 @@ def exit_code(exc: BaseException) -> int:
     ``ValueError``, so it is tested first."""
     if isinstance(exc, InvmasaError):
         return exc.exit_code
-    return 4 if isinstance(exc, LinAlgError) else 2
+    return 4 if isinstance(exc, (LinAlgError, MemoryError)) else 2

@@ -48,6 +48,11 @@ def algebra_basis(algebra):
     return basis
 
 
+def frame_projections(frame):
+    """Rank-one projections onto the columns of a frame, in column order."""
+    return [np.outer(q, q.conj()) for q in frame.T]
+
+
 def dense_closure(algebra, u, tol):
     """The span closure loop: adjoin U b U*, adjoints and pairwise products
     to the span, reorthonormalise, and repeat until the numerical rank stops

@@ -35,6 +35,10 @@ def read_json(path):
         return json.load(fh)
 
 
+def _matrix(re):
+    return {"re": re, "im": [[0.0] * len(row) for row in re]}
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     path = tmp_path / "instance.json"
@@ -94,12 +98,12 @@ class TestMasaPipeline:
         assert main_masa(["embed", "--input", str(instance), "--output", str(result)]) == 0
         doc = read_json(result)
         assert doc["pass"] is True
+        assert "basis" not in doc
         # the embedded masa of a diagonal algebra is the algebra itself:
-        # every basis projection is a coordinate projection
-        for mat in doc["basis"]:
-            re = np.asarray(mat["re"])
-            im = np.asarray(mat["im"])
-            m = re + 1j * im
+        # the projection onto every frame column is a coordinate projection
+        frame = np.asarray(doc["frame"]["re"]) + 1j * np.asarray(doc["frame"]["im"])
+        for q in frame.T:
+            m = np.outer(q, q.conj())
             k = int(np.argmax(np.abs(np.diag(m))))
             e = np.zeros((3, 3))
             e[k, k] = 1.0
@@ -160,18 +164,65 @@ class TestMasaPipeline:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "basis",
-        [5, None, [5, "x"], [{"re": [[{}]], "im": [[0]]}]],
-        ids=["int", "null", "non-objects", "non-numeric-entry"],
+        "algebra",
+        [
+            {"basis": 5},
+            {"basis": None},
+            {"basis": [5, "x"]},
+            {"basis": [{"re": [[{}]], "im": [[0]]}]},
+            {"basis": [_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])]},
+            {"basis": [_matrix(np.eye(3).tolist())]},
+            {"frame": _matrix(np.eye(3).tolist())},
+            {"basis": [_matrix(np.eye(2).tolist())], "frame": _matrix(np.eye(2).tolist())},
+            {"projections": [_matrix(np.eye(2).tolist())]},
+        ],
+        ids=["int", "null", "non-objects", "non-numeric-entry", "2x3", "3x3", "frame-3x3", "both-keys", "neither-key"],
     )
-    def test_malformed_algebra_basis_exits_two(self, tmp_path, capsys, instance_file, basis):
-        write_json(tmp_path / "algebra.json", {"basis": basis})
+    def test_malformed_algebra_basis_exits_two(self, tmp_path, capsys, algebra):
+        # a two-point instance: every 3x3 matrix has the wrong size
+        write_json(tmp_path / "instance.json", VALID_INPUTS["instance"])
+        write_json(tmp_path / "algebra.json", algebra)
         code = main_masa(
-            ["verify", "--input", str(instance_file), "--algebra", str(tmp_path / "algebra.json")]
+            ["verify", "--input", str(tmp_path / "instance.json"), "--algebra", str(tmp_path / "algebra.json")]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_frame_and_basis_documents_load_alike(self, tmp_path, seed):
+        # an embed report's frame, and the basis list of the projections onto
+        # its exact columns (signed zeros kept), load to the same matrices bit
+        # for bit, and verify to the same report
+        instance = tmp_path / "instance.json"
+        invmasa.dump_instance(invmasa.random_instance(seed).instance, instance)
+        result = tmp_path / "result.json"
+        assert main_masa(["embed", "--input", str(instance), "--output", str(result)]) == 0
+        frame = read_json(result)["frame"]
+        q = np.array(frame["re"], dtype=complex)
+        q.imag = frame["im"]
+        basis = tmp_path / "basis.json"
+        write_json(basis, {"basis": [invmasa.matrix_to_json(np.outer(c, c.conj())) for c in q.T]})
+        loaded = [invmasa.documents.load_algebra_basis(path, len(q)) for path in (result, basis)]
+        assert [p.tobytes() for p in loaded[0]] == [p.tobytes() for p in loaded[1]]
+        reports = []
+        for algebra in (result, basis):
+            out = tmp_path / "verify.json"
+            argv = ["verify", "--input", str(instance), "--algebra", str(algebra), "--output", str(out)]
+            assert main_masa(argv) == 0
+            doc = read_json(out)
+            del doc["timestamp"], doc["inputs"]["algebra"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+    def test_non_unitary_frame_fails_the_masa_check(self, tmp_path, capsys):
+        # the loader does not check unitarity: two equal columns give one
+        # projection twice, which verify's masa check rejects
+        write_json(tmp_path / "instance.json", VALID_INPUTS["instance"])
+        write_json(tmp_path / "algebra.json", {"frame": _matrix([[1.0, 1.0], [0.0, 0.0]])})
+        argv = ["verify", "--input", str(tmp_path / "instance.json"), "--algebra", str(tmp_path / "algebra.json")]
+        assert main_masa([*argv, "--mode", "masa"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_non_numeric_match_value_exits_two(self, tmp_path, capsys):
         write_json(tmp_path / "f.json", {"re": [{}], "im": [0]})
@@ -539,6 +590,7 @@ class TestExitCodeMapping:
         assert _dispatch(raising(ValueError("x"))) == 2
         assert _dispatch(raising(FileNotFoundError("x"))) == 2
         assert _dispatch(raising(np.linalg.LinAlgError("x"))) == 4
+        assert _dispatch(raising(MemoryError("x"))) == 4
         assert _dispatch(lambda: 0) == 0
 
     def test_every_error_class_carries_its_exit_code(self):
@@ -564,6 +616,20 @@ class TestExitCodeMapping:
         assert main_masa(argv) == 4
         err = capsys.readouterr().err
         assert "SVD did not converge" in err and "Traceback" not in err
+
+    def test_allocation_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        # stands in for the orbit buffers of a huge --steps, which no test allocates
+        def fail(*args, **kwargs):
+            raise MemoryError("orbit buffers")
+
+        monkeypatch.setattr(invmasa.cocycle, "invariance_defect", fail)
+        write_json(tmp_path / "cand.json", VALID_INPUTS["candidate"])
+        out = tmp_path / "defect.json"
+        argv = ["defect", "--a", A_STR, "--candidate", str(tmp_path / "cand.json"), "--output", str(out)]
+        assert main_cex(argv) == 4
+        err = capsys.readouterr().err
+        assert "error: orbit buffers" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -622,10 +688,6 @@ class TestConsoleEntryPoints:
 # Malformed JSON input: every document the tools read, broken in one place.
 
 
-def _matrix(re):
-    return {"re": re, "im": [[0.0] * len(row) for row in re]}
-
-
 VALID_INPUTS = {
     "instance": {
         "dimension": 2,
@@ -634,6 +696,7 @@ VALID_INPUTS = {
         "unitary": _matrix([[0.0, 1.0], [1.0, 0.0]]),
     },
     "algebra": {"basis": [_matrix([[1.0, 0.0], [0.0, 0.0]]), _matrix([[0.0, 0.0], [0.0, 1.0]])]},
+    "frame": {"frame": _matrix([[0.0, 1.0], [1.0, 0.0]])},
     "candidate": {
         "breakpoints": [0.0, 0.5],
         "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]]), _matrix([[0.0, 0.0], [0.0, 1.0]])],
@@ -650,6 +713,7 @@ COMMANDS = {
         (main_masa, ["factor", "--input", "BAD"]),
     ],
     "algebra": [(main_masa, ["verify", "--input", "instance", "--algebra", "BAD", "--mode", "masa"])],
+    "frame": [(main_masa, ["verify", "--input", "instance", "--algebra", "BAD", "--mode", "masa"])],
     "candidate": [(main_cex, ["defect", "--a", A_STR, "--candidate", "BAD", "--steps", "10"])],
     "values": [
         (main_masa, ["match", "--f", "BAD", "--g", "values"]),
@@ -734,11 +798,12 @@ class TestMalformedInput:
             ("instance", ("weights", 1)),
             ("instance", ("unitary", "re", 0, 1)),
             ("algebra", ("basis", 1, "im", 1, 0)),
+            ("frame", ("frame", "re", 1, 0)),
             ("candidate", ("breakpoints", 1)),
             ("candidate", ("projections", 0, "re", 0, 0)),
             ("values", ("re", 0)),
         ],
-        ids=["weights", "unitary", "basis", "breakpoints", "projections", "values"],
+        ids=["weights", "unitary", "basis", "frame", "breakpoints", "projections", "values"],
     )
     def test_non_number_exits_two(self, kind, path, bad):
         doc = replace_at(copy.deepcopy(VALID_INPUTS[kind]), path, bad)

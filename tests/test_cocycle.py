@@ -124,6 +124,17 @@ class TestReflectionParams:
         with pytest.raises(ValueError):
             ReflectionParams(d=0.0, e=1.0, theta=2.0 + 0j)
 
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("arg", [0.0, 1.1])
+    def test_unimodular_gate(self, scale, accepted, arg):
+        # |theta| off 1 by a multiple of the gate decides acceptance
+        theta = (1.0 + scale * cocycle.UNIMODULAR_TOL) * complex(math.cos(arg), math.sin(arg))
+        if accepted:
+            assert ReflectionParams(d=0.0, e=1.0, theta=theta).theta == theta
+        else:
+            with pytest.raises(ValueError, match="unimodular"):
+                ReflectionParams(d=0.0, e=1.0, theta=theta)
+
 
 class TestConjugateStep:
     def test_identity_on_third_interval(self):

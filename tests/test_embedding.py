@@ -35,7 +35,7 @@ from invmasa.embedding import _certify, _eigen_clusters
 from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
 from invmasa.numerics import ROUNDOFF_FLOOR
-from oracles import FACTOR_SHAPES, algebra_basis, dense_closure, shaped_instance
+from oracles import FACTOR_SHAPES, algebra_basis, dense_closure, frame_projections, shaped_instance
 
 
 def block_algebra(weights, blocks):
@@ -399,7 +399,7 @@ class TestEmbedInvariantMasa:
         result = embed_invariant_masa(algebra, u)
         assert result.certificate.passed
         units = [np.diag([1.0 + 0j if i == k else 0.0 for i in range(3)]) for k in range(3)]
-        for p in result.basis:
+        for p in frame_projections(result.frame):
             assert min(max_norm(p - e) for e in units) <= 1e-12
 
     def test_scalar_algebra_yields_eigenbasis_masa(self):
@@ -411,9 +411,9 @@ class TestEmbedInvariantMasa:
         assert cert.passed
         # independent oracle: the commutant of the projection family has
         # dimension exactly 4
-        assert len(commutant_basis(result.basis, 4)) == 4
+        assert len(commutant_basis(frame_projections(result.frame), 4)) == 4
         # each projection commutes with U (it projects onto an eigenvector)
-        for p in result.basis:
+        for p in frame_projections(result.frame):
             assert max_norm(u @ p - p @ u) <= 1e-10
 
     def test_two_swapped_blocks(self):
@@ -433,7 +433,11 @@ class TestEmbedInvariantMasa:
         assert cert.commutant_dimension == 4
         # base-block projections diagonalise the compression of U^2
         c = np.linalg.matrix_power(u, 2)[np.ix_([0, 1], [0, 1])]
-        base = [p for p in result.basis if max_norm(p[2:, :]) < 1e-12 and max_norm(p[:, 2:]) < 1e-12]
+        base = [
+            p
+            for p in frame_projections(result.frame)
+            if max_norm(p[2:, :]) < 1e-12 and max_norm(p[:, 2:]) < 1e-12
+        ]
         assert len(base) == 2
         for p in base:
             pb = p[:2, :2]
@@ -449,7 +453,7 @@ class TestEmbedInvariantMasa:
             base_points = set(blocks[cyc.base])
             base = [
                 p
-                for p in result.basis
+                for p in frame_projections(result.frame)
                 if all(
                     max_norm(p[i, :]) < 1e-12
                     for i in range(inst.n)
@@ -467,7 +471,7 @@ class TestEmbedInvariantMasa:
             inst = random_instance(seed).instance
             result = embed_invariant_masa(inst.algebra, inst.unitary)
             cert = result.certificate
-            oracle = dense_certificate(inst.algebra, inst.unitary, result.basis)
+            oracle = dense_certificate(inst.algebra, inst.unitary, frame_projections(result.frame))
             assert cert.masa_ok == oracle.masa_ok, seed
             assert cert.commutant_dimension == oracle.commutant_dimension == inst.n, seed
             assert cert.passed and oracle.passed, seed
@@ -489,7 +493,7 @@ class TestEmbedInvariantMasa:
             i, j = (1, 2) if defect == "leak" else (0, 1)
             frame[:, [i, j]] = frame[:, [i, j]] @ np.array([[cs, -sn], [sn, cs]])
         cert = _certify(inst.algebra, inst.unitary, frame, good.factorization.pi, DEFAULT_TOL)
-        basis = [np.outer(q, q.conj()) for q in frame.T]
+        basis = frame_projections(frame)
         oracle = dense_certificate(inst.algebra, inst.unitary, basis)
         assert not cert.passed
         assert not oracle.passed

@@ -26,7 +26,7 @@ from invmasa import (
 from invmasa import numerics
 from invmasa.errors import DimensionMismatch, NoConvergence, NotSelfAdjoint, SchemaError
 from invmasa.generate import haar_unitary, random_instance
-from oracles import algebra_basis
+from oracles import algebra_basis, frame_projections
 
 
 def random_hermitian(n, rng):
@@ -263,7 +263,7 @@ class TestCommutantDimension:
     def test_criterion_1_frames_and_block_algebras(self, monkeypatch):
         for seed in range(200):
             inst = random_instance(seed).instance
-            frame_basis = embed_invariant_masa(inst.algebra, inst.unitary).basis
+            frame_basis = frame_projections(embed_invariant_masa(inst.algebra, inst.unitary).frame)
             for family in (frame_basis, algebra_basis(inst.algebra)):
                 expected = len(commutant_basis(family, inst.n))
                 with monkeypatch.context() as m:
