@@ -246,7 +246,8 @@ def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
         raise ValueError(f"orbit start must be finite, got {t0!r}")
     out = np.empty(steps, dtype=float)
     if not (0.0 <= cur < 1.0):
-        cur = cur % 1.0
+        # twice: -1e-300 % 1.0 rounds to 1.0, which is 0.0 (as in orbit_anchor)
+        cur = cur % 1.0 % 1.0
     for k in range(steps):
         out[k] = cur
         cur = shift(cur, config)

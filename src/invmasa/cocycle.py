@@ -73,6 +73,9 @@ ROTATION_SNAP_TOL = 1e-12
 # ulps of a scale-1 entry, below which the phase xi = b[1,0] / |b[1,0]| is
 # roundoff.
 DIAGONALIZER_ZERO_TOL = 1e-14
+# Smallest gap between neighbouring breakpoints of random_projection_field;
+# a closer draw is redrawn, so no piece is shorter than this.
+RANDOM_BREAKPOINT_GAP = 1e-12
 # Steps per chunk of the propagation prefix product: doubling costs
 # log2(chunk) 3x3 products per step, and each chunk a few numpy calls.
 PROPAGATE_CHUNK = 512
@@ -165,7 +168,7 @@ def random_projection_field(seed: int, max_pieces: int = 64) -> PiecewiseMatrixF
     pieces = int(rng.integers(1, max_pieces + 1))
     while True:
         bps = np.sort(rng.uniform(0.0, 1.0, size=pieces))
-        if pieces == 1 or np.min(np.diff(bps)) > 1e-12:
+        if pieces == 1 or np.min(np.diff(bps)) > RANDOM_BREAKPOINT_GAP:
             break
     values = []
     for _ in range(pieces):

@@ -12,7 +12,8 @@ a rectangular list of the declared depth whose leaves are plain JSON
 numbers (not true/false, strings, null or objects), finite and within
 the float range.  ``dimension`` and block entries must be JSON integers,
 and instance and algebra matrices must be n x n.  A file that breaks any
-of this, or is not JSON, raises ``SchemaError`` (exit 2).
+of this, or is not JSON, raises ``SchemaError`` (exit 2).  Complex arrays
+are filled part by part, keeping every sign bit as written.
 
 Every document is written in one canonical form, byte for byte the text of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"``:
@@ -152,13 +153,16 @@ def _numbers(value, depth: int, what: str) -> np.ndarray:
 
 
 def _complex(obj, depth: int, what: str) -> np.ndarray:
-    """The complex array of {"re": ..., "im": ...}, both nested ``depth`` deep."""
+    """The complex array of {"re": ..., "im": ...}, both nested ``depth`` deep,
+    filled part by part: re + 1j * im would drop the sign of some zeros."""
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise SchemaError(f"{what} needs 're' and 'im' arrays")
     re, im = (_numbers(obj[key], depth, f"{what} '{key}'") for key in ("re", "im"))
     if re.shape != im.shape:
         raise SchemaError(f"{what} 're' and 'im' have shapes {re.shape} and {im.shape}")
-    return re + 1j * im
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def matrix_to_json(m) -> dict:
@@ -192,19 +196,18 @@ def load_instance(path, tol: TolerancePolicy = DEFAULT_TOL) -> Instance:
     return Instance.from_json(_read_json(path), tol)
 
 
-def load_algebra_basis(path, n: int) -> list[np.ndarray]:
-    """The n x n matrices of an algebra document: its ``basis`` list, or the
-    projections onto the columns of its ``frame`` (unitarity not checked)."""
+def load_algebra_basis(path, n: int) -> np.ndarray:
+    """The n x n matrices of an algebra document as one (k, n, n) array: its
+    ``basis`` list, or the projections onto the columns of its ``frame``
+    (unitarity not checked)."""
     obj = _read_json(path)
     if not isinstance(obj, dict) or ("basis" in obj) == ("frame" in obj):
         raise SchemaError("algebra document needs exactly one of a 'basis' list and a 'frame' matrix")
-    if "basis" in obj:
-        return [_square(m, n, f"basis[{i}]") for i, m in enumerate(_matrices(obj["basis"], "basis"))]
-    frame = _square(matrix_from_json(obj["frame"], "frame"), n, "frame")
-    # re + 1j * im can flip a zero's sign, so project onto the exact columns and
-    # read each projection as a basis list's: both forms load alike, bit for bit.
-    frame.real, frame.imag = obj["frame"]["re"], obj["frame"]["im"]
-    return [(p := np.outer(q, q.conj())).real + 1j * p.imag for q in frame.T]
+    if "frame" in obj:
+        frame = _square(matrix_from_json(obj["frame"], "frame"), n, "frame")
+        return np.stack([np.outer(q, q.conj()) for q in frame.T])
+    basis = [_square(m, n, f"basis[{i}]") for i, m in enumerate(_matrices(obj["basis"], "basis"))]
+    return np.stack(basis) if basis else np.empty((0, n, n), dtype=complex)
 
 
 def load_values(path) -> np.ndarray:

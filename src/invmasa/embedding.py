@@ -334,7 +334,7 @@ def unitary_eigenbasis(c, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarra
             _, refine = hermitian_eig((kc + kc.conj().T) / 2.0, tol)
             q[:, cluster] = qc @ refine
     diag = q.conj().T @ c @ q
-    if _offdiag(diag) > 10.0 * tol.eps_eq:
+    if _offdiag(diag) > tol.eps_certificate:
         raise NoConvergence("joint diagonalisation left significant off-diagonal mass")
     return diag.diagonal().copy(), q
 
@@ -353,8 +353,7 @@ class MasaCertificate:
 
     ``passed`` requires the maximal-abelian check to hold, the commutant
     dimension to equal the space dimension, and every residual to stay
-    below ``threshold`` (ten times eps_eq by default, matching the
-    certified 1e-8 at the default policy).
+    below ``threshold``, the policy's ``eps_certificate``.
     """
 
     dimension: int
@@ -445,7 +444,7 @@ def _certify(
         containment_residual=max_norm(frame[outside]),
         invariance_span_residual=max_norm(m),
         invariance_set_residual=set_res,
-        threshold=10.0 * tol.eps_eq,
+        threshold=tol.eps_certificate,
     )
 
 

@@ -45,7 +45,7 @@ class TolerancePolicy:
 
     ``eps_eq`` bounds entrywise (max-norm) equality checks; ``eps_rank`` is
     the relative Gram-eigenvalue cutoff below which a direction counts as
-    numerically zero.
+    numerically zero.  ``eps_certificate`` is derived, not set.
     """
 
     eps_eq: float = 1e-9
@@ -54,6 +54,12 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_eq < np.inf and 0.0 < self.eps_rank < np.inf):
             raise ValueError("tolerances must be finite and strictly positive")
+
+    @property
+    def eps_certificate(self) -> float:
+        """Bound on a masa certificate's residuals and on the off-diagonal
+        mass its eigenbasis leaves: 10 eps_eq (the certified 1e-8 by default)."""
+        return 10.0 * self.eps_eq
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -107,13 +113,9 @@ def is_unitary(m, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 def _flatten_family(vectors) -> np.ndarray:
     mats = [np.asarray(v, dtype=complex) for v in vectors]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    shape = mats[0].shape
-    for v in mats:
-        if v.shape != shape:
-            raise DimensionMismatch("family members must share one shape")
-    return np.stack([v.ravel() for v in mats])
+    if len({v.shape for v in mats}) > 1:
+        raise DimensionMismatch("family members must share one shape")
+    return np.stack([v.ravel() for v in mats]) if mats else np.zeros((0, 0), dtype=complex)
 
 
 def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -123,11 +125,8 @@ def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     largest one count as zero.
     """
     flat = _flatten_family(vectors)
-    if flat.shape[0] == 0:
-        return 0
-    gram = flat @ flat.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    top = float(eigs[-1])
+    eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
+    top = float(eigs.max(initial=0.0))
     if top <= 0.0:
         return 0
     return int(np.sum(eigs > tol.eps_rank * top))
@@ -140,31 +139,32 @@ def span_rows(matrices, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     (singular values sigma with sigma^2 below eps_rank * sigma_max^2 are
     dropped).
     """
-    flat = _flatten_family(matrices)
-    if flat.shape[0] == 0:
-        return flat
-    _, sing, vh = np.linalg.svd(flat, full_matrices=False)
-    if sing.size == 0 or sing[0] <= 0.0:
-        return vh[:0]
-    keep = (sing * sing) > tol.eps_rank * (sing[0] * sing[0])
+    _, sing, vh = np.linalg.svd(_flatten_family(matrices), full_matrices=False)
+    keep = (sing * sing) > tol.eps_rank * sing.max(initial=0.0) ** 2
     return vh[: int(np.sum(keep))]
 
 
-def span_residual(matrix, rows: np.ndarray) -> float:
-    """Max-norm distance from ``matrix`` to the span given by ``rows``."""
-    x = np.asarray(matrix, dtype=complex).ravel()
+def span_residual(matrices, rows: np.ndarray) -> float:
+    """Largest max-norm distance from a matrix, or from each matrix of a
+    stack of them, to the span given by ``rows`` (0.0 for an empty stack)."""
+    x = np.asarray(matrices, dtype=complex)
     if rows.shape[0] == 0:
-        return float(np.abs(x).max()) if x.size else 0.0
-    coeffs = rows.conj() @ x
-    return float(np.abs(x - rows.T @ coeffs).max())
+        return max_norm(x)
+    x = x.reshape(-1, rows.shape[1])
+    d = (x @ rows.conj().T) @ rows
+    d -= x
+    return max_norm(d)
 
 
-def _square_family(generators, n: int) -> list[np.ndarray]:
+def _square_family(generators, n: int) -> np.ndarray:
+    """The family as one (k, n, n) complex array of finite entries (a stack is not copied)."""
     gens = [as_matrix(g) for g in generators]
     for g in gens:
         if g.shape != (n, n):
             raise DimensionMismatch(f"generator has shape {g.shape}, expected ({n}, {n})")
-    return gens
+    if isinstance(generators, np.ndarray) and generators.dtype == complex and generators.shape[1:] == (n, n):
+        return generators
+    return np.stack(gens) if gens else np.empty((0, n, n), dtype=complex)
 
 
 # Largest Kronecker system, in bytes, that commutant_basis will build:
@@ -179,10 +179,9 @@ COMMUTANT_SYSTEM_BUDGET = 2**27
 ROUNDOFF_FLOOR = 1e-12
 
 
-def _zero_cutoff(top_sq: float, gens: list[np.ndarray], tol: TolerancePolicy) -> float:
+def _zero_cutoff(top_sq: float, gens: np.ndarray, tol: TolerancePolicy) -> float:
     """Squared size at or below which a commutant singular value is zero."""
-    scale = max(max_norm(g) for g in gens)
-    return max(tol.eps_rank * top_sq, (ROUNDOFF_FLOOR * scale) ** 2)
+    return max(tol.eps_rank * top_sq, (ROUNDOFF_FLOOR * max_norm(gens)) ** 2)
 
 
 def commutant_basis(
@@ -205,7 +204,7 @@ def commutant_basis(
             f"the commutant system of {len(gens)} generators at n = {n} needs "
             f"{system_bytes} bytes, over the budget of {COMMUTANT_SYSTEM_BUDGET}"
         )
-    if not gens:
+    if len(gens) == 0:
         return [_unit_matrix(n, i, j) for i in range(n) for j in range(n)]
     eye = np.eye(n)
     system = np.vstack([np.kron(g.T, eye) - np.kron(eye, g) for g in gens])
@@ -243,20 +242,19 @@ def commutant_dimension(
     non-normal or non-commuting one) is counted through
     :func:`commutant_basis`.
     """
-    gens = _square_family(generators, n)
-    if not gens:
+    stack = _square_family(generators, n)
+    if len(stack) == 0:
         return n * n
-    stack = np.stack(gens)
     rng = np.random.default_rng(_GENERIC_SEED)
-    coeffs = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
+    coeffs = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
     m = np.tensordot(coeffs, stack, axes=1)
     _, q = hermitian_eig(m + m.conj().T, tol)
     rotated = q.conj().T @ stack @ q
     if max_norm(rotated[:, ~np.eye(n, dtype=bool)]) > tol.eps_eq * max_norm(stack):
-        return len(commutant_basis(gens, n, tol))
+        return len(commutant_basis(stack, n, tol))
     values = np.diagonal(rotated, axis1=1, axis2=2)
     gaps = np.sum(np.abs(values[:, :, None] - values[:, None, :]) ** 2, axis=0)
-    return int(np.sum(gaps <= _zero_cutoff(float(gaps.max()), gens, tol)))
+    return int(np.sum(gaps <= _zero_cutoff(float(gaps.max()), stack, tol)))
 
 
 def _unit_matrix(n: int, i: int, j: int) -> np.ndarray:

@@ -19,10 +19,9 @@ from .errors import DimensionMismatch, LengthMismatch
 from .numerics import (
     DEFAULT_TOL,
     TolerancePolicy,
-    as_matrix,
+    _square_family,
     commutant_dimension,
     max_norm,
-    numerical_rank,
     span_residual,
     span_rows,
 )
@@ -162,26 +161,23 @@ def masa_check(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
     """Test whether the span of ``basis`` is a maximal abelian self-adjoint
     algebra in the n-by-n matrices.
 
-    Maximality is the commutant criterion: the commutant of the family must
-    have the same linear dimension as the family's span (for a true masa
-    this shared dimension is ``n``).
+    ``basis`` (a list or a (k, n, n) stack) is validated once; the rows of
+    one SVD give the rank and the distances of the identity and of the
+    adjoints from the span.  Maximality is the commutant criterion: the
+    commutant of the family must have the same linear dimension as the
+    family's span (for a true masa this shared dimension is ``n``).
     """
-    mats = [as_matrix(b) for b in basis]
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"basis element has shape {m.shape}, expected ({n}, {n})")
-    rows = span_rows(mats, tol)
-    unital = span_residual(np.eye(n, dtype=complex), rows)
-    selfadj = max((span_residual(m.conj().T, rows) for m in mats), default=0.0)
+    stack = _square_family(basis, n)
+    rows = span_rows(stack, tol)
     abelian = 0.0
-    for i, x in enumerate(mats):
-        for y in mats[i + 1 :]:
+    for i, x in enumerate(stack):
+        for y in stack[i + 1 :]:
             abelian = max(abelian, max_norm(x @ y - y @ x))
     return MasaCheck(
-        rank=numerical_rank(mats, tol),
-        commutant_dimension=commutant_dimension(mats, n, tol),
-        unital_residual=unital,
-        selfadjoint_residual=selfadj,
+        rank=len(rows),
+        commutant_dimension=commutant_dimension(stack, n, tol),
+        unital_residual=span_residual(np.eye(n, dtype=complex), rows),
+        selfadjoint_residual=span_residual(stack.conj().transpose(0, 2, 1), rows),
         abelian_residual=abelian,
         eps_eq=tol.eps_eq,
     )

@@ -1,22 +1,25 @@
-"""Dense reference implementations that the block-form code replaced, and
-the benchmark's instance shapes they are compared on.
+"""Dense reference implementations that the block-form and stacked code
+replaced, and the benchmark's instance shapes they are compared on.
 
 The references build the n x n block projections explicitly and work on
-spans of flattened matrices, so they cost up to O(k^2 n^4) and serve only
-as differential oracles for small and medium n.
+spans of flattened matrices one member at a time, so they cost up to
+O(k^2 n^4) and serve only as differential oracles for small and medium n.
 """
 
 import numpy as np
 
 from invmasa import (
+    MasaCheck,
+    as_matrix,
     build_instance,
     check_invariance,
+    commutant_dimension,
     max_norm,
     numerical_rank,
     span_residual,
     span_rows,
 )
-from invmasa.errors import NotInvariant
+from invmasa.errors import DimensionMismatch, NotInvariant
 
 # The block structures of the benchmark's factor workload (n = 48..96).
 FACTOR_SHAPES = (
@@ -26,6 +29,15 @@ FACTOR_SHAPES = (
     ([2] * 48, [tuple(range(48))]),
     ([16, 16, 8, 8, 8, 8], [(0, 1), (2, 3, 4, 5)]),
     ([32, 32, 32], [(0, 1, 2)]),
+)
+
+# The block structures of the benchmark's embed workload (n = 8..24).
+EMBED_SHAPES = (
+    ([2, 2, 1, 1, 2], [[0, 1], [2, 3], [4]]),
+    ([3, 3, 2, 2, 1, 1], [[0, 1], [2, 3], [4, 5]]),
+    ([4, 4, 4, 4], [[0, 1, 2, 3]]),
+    ([1] * 16, [list(range(16))]),
+    ([24], [[0]]),
 )
 
 
@@ -90,3 +102,33 @@ def dense_closure(algebra, u, tol):
         for c in mats[i + 1 :]:
             abelian_res = max(abelian_res, max_norm(b @ c - c @ b))
     return iterations, rank, conj_res, abelian_res, selfadj_res
+
+
+def member_masa_check(basis, n, tol):
+    """The maximal-abelian test member by member: each matrix validated on
+    its own, the rank from a Gram eigendecomposition apart from the span's
+    SVD, and each adjoint's distance to the span by its own projection."""
+    mats = [as_matrix(b) for b in basis]
+    for m in mats:
+        if m.shape != (n, n):
+            raise DimensionMismatch(f"basis element has shape {m.shape}, expected ({n}, {n})")
+    rows = span_rows(mats, tol)
+
+    def residual(x):
+        x = x.ravel()
+        if rows.shape[0] == 0:
+            return float(np.abs(x).max()) if x.size else 0.0
+        return float(np.abs(x - rows.T @ (rows.conj() @ x)).max())
+
+    abelian = 0.0
+    for i, x in enumerate(mats):
+        for y in mats[i + 1 :]:
+            abelian = max(abelian, max_norm(x @ y - y @ x))
+    return MasaCheck(
+        rank=numerical_rank(mats, tol),
+        commutant_dimension=commutant_dimension(mats, n, tol),
+        unital_residual=residual(np.eye(n, dtype=complex)),
+        selfadjoint_residual=max((residual(m.conj().T) for m in mats), default=0.0),
+        abelian_residual=abelian,
+        eps_eq=tol.eps_eq,
+    )

@@ -198,6 +198,13 @@ class TestOrbit:
         with pytest.raises(ValueError, match="finite"):
             orbit(t0, RotationConfig(SQRT2_OVER_8), 10)
 
+    @pytest.mark.parametrize("t0", (-1e-300, -5e-324, -1e-17, 1.0, 3.0))
+    def test_points_lie_in_unit_interval(self, t0):
+        # -1e-300 % 1.0 == 1.0: a start that reduces to 1.0 is the point 0.0
+        pts = orbit(t0, RotationConfig(0.1), 3)
+        assert ((0.0 <= pts) & (pts < 1.0)).all()
+        assert pts[0] == 0.0 and pts[1] == 0.1
+
     def test_anchor_drift_bound(self):
         cfg = RotationConfig(SQRT2_OVER_8)
         pts = orbit(0.123, cfg, 100001)

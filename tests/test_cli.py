@@ -191,27 +191,29 @@ class TestMasaPipeline:
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
     def test_frame_and_basis_documents_load_alike(self, tmp_path, seed):
-        # an embed report's frame, and the basis list of the projections onto
-        # its exact columns (signed zeros kept), load to the same matrices bit
-        # for bit, and verify to the same report
+        # an embed report's frame with every zero part made -0.0, and the
+        # basis list of the projections onto its columns (the form older
+        # reports carry), load to the same stack bit for bit and verify to
+        # the same report
         instance = tmp_path / "instance.json"
         invmasa.dump_instance(invmasa.random_instance(seed).instance, instance)
         result = tmp_path / "result.json"
         assert main_masa(["embed", "--input", str(instance), "--output", str(result)]) == 0
-        frame = read_json(result)["frame"]
-        q = np.array(frame["re"], dtype=complex)
-        q.imag = frame["im"]
-        basis = tmp_path / "basis.json"
+        q = invmasa.matrix_from_json(read_json(result)["frame"])
+        q.real[q.real == 0] = -0.0
+        q.imag[q.imag == 0] = -0.0
+        frame, basis = tmp_path / "frame.json", tmp_path / "basis.json"
+        write_json(frame, {"frame": invmasa.matrix_to_json(q)})
         write_json(basis, {"basis": [invmasa.matrix_to_json(np.outer(c, c.conj())) for c in q.T]})
-        loaded = [invmasa.documents.load_algebra_basis(path, len(q)) for path in (result, basis)]
-        assert [p.tobytes() for p in loaded[0]] == [p.tobytes() for p in loaded[1]]
+        loaded = [invmasa.documents.load_algebra_basis(path, len(q)) for path in (frame, basis)]
+        assert loaded[0].tobytes() == loaded[1].tobytes()
         reports = []
-        for algebra in (result, basis):
+        for algebra in (frame, basis):
             out = tmp_path / "verify.json"
-            argv = ["verify", "--input", str(instance), "--algebra", str(algebra), "--output", str(out)]
-            assert main_masa(argv) == 0
+            argv = ["verify", "--mode", "both", "--input", str(instance), "--algebra", str(algebra)]
+            assert main_masa([*argv, "--output", str(out)]) == 0
             doc = read_json(out)
-            del doc["timestamp"], doc["inputs"]["algebra"]
+            del doc["timestamp"], doc["inputs"]
             reports.append(doc)
         assert reports[0] == reports[1]
 
@@ -488,6 +490,12 @@ class TestCexCommands:
 
     def test_angle_out_of_range_exits_two(self):
         assert main_cex(["return-map", "--a", "0.5"]) == 2
+
+    def test_orbit_start_below_zero_stays_in_unit_interval(self, tmp_path):
+        out = tmp_path / "orbit.json"
+        assert main_cex(["orbit", "--a", "0.1", "--t0=-1e-300", "--steps", "8", "--output", str(out)]) == 0
+        head = read_json(out)["details"]["head"]
+        assert all(0.0 <= t < 1.0 for t in head) and head[:2] == [0.0, 0.1]
 
     def test_orbit_stats(self, tmp_path):
         out = tmp_path / "orbit.json"

@@ -32,6 +32,7 @@ from invmasa import (
 from invmasa.circle import interval_indices
 from invmasa.cocycle import (
     DIAGONAL_BOUNDARY_TOL,
+    RANDOM_BREAKPOINT_GAP,
     ROTATION_SNAP_TOL,
     SIGN_ZERO_TOL,
     bloch_rotations,
@@ -276,6 +277,28 @@ class TestInvarianceDefect:
         for seed in range(10):
             field = random_projection_field(seed, 16)
             validate_projection_field(field)
+
+    @pytest.mark.parametrize("scale, kept", [(0.5, False), (2.0, True)])
+    def test_breakpoint_gap(self, monkeypatch, scale, kept):
+        # breakpoints closer than the gap are redrawn; farther ones are kept
+        close = [0.5, 0.5 + scale * RANDOM_BREAKPOINT_GAP]
+
+        class ScriptedRng:
+            draws = iter([close, [0.25, 0.75]])
+            normal = np.random.default_rng(0)
+
+            def integers(self, low, high):
+                return 2
+
+            def uniform(self, low, high, size):
+                return np.array(next(self.draws))
+
+            def standard_normal(self, size):
+                return self.normal.standard_normal(size)
+
+        monkeypatch.setattr(cocycle.np.random, "default_rng", lambda seed: ScriptedRng())
+        field = random_projection_field(0)
+        assert field.breakpoints == tuple(close if kept else [0.25, 0.75])
 
 
 class TestPropagation:

@@ -1,4 +1,5 @@
-"""The canonical JSON encoder against its oracle, the stdlib's ``json.dumps``."""
+"""The canonical JSON encoder against its oracle, the stdlib's ``json.dumps``,
+and loads that keep every bit of what was written."""
 
 import json
 import math
@@ -194,3 +195,34 @@ def test_every_cli_report_matches_the_oracle(kind, cli_inputs, monkeypatch):
         assert text == expected
     with open(cli_inputs["out"], encoding="utf-8") as fh:
         assert fh.read() in {expected for expected, _ in written}
+
+
+# Finite doubles with both zeros drawn often: re + 1j * im loses the sign of
+# a -0.0 imaginary part, and of a -0.0 real part next to a nonzero one.
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def signed_grid(data, shape):
+    count = 2 * int(np.prod(shape))
+    parts = np.array(data.draw(st.lists(SIGNED, min_size=count, max_size=count)), dtype=float)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts.reshape(2, *shape)
+    return m
+
+
+class TestExactLoads:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_matrix_roundtrip_keeps_sign_bits(self, rows, cols, data):
+        m = signed_grid(data, (rows, cols))
+        doc = invmasa.documents.matrix_to_json(m)
+        for obj in (doc, json.loads(canonical_json(doc))):
+            assert invmasa.documents.matrix_from_json(obj).tobytes() == m.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_value_load_keeps_sign_bits(self, tmp_path_factory, n, data):
+        f = signed_grid(data, (n,))
+        path = tmp_path_factory.getbasetemp() / "signed-values.json"
+        invmasa.documents.write_json({"re": f.real.tolist(), "im": f.imag.tolist()}, path)
+        assert invmasa.documents.load_values(path).tobytes() == f.tobytes()

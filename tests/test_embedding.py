@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import invmasa.embedding
 from invmasa import (
     DEFAULT_TOL,
     BlockAlgebra,
@@ -32,7 +33,7 @@ from invmasa import (
     unitary_eigenbasis,
 )
 from invmasa.embedding import _certify, _eigen_clusters
-from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NotInvariant, NotUnitary
+from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NoConvergence, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
 from invmasa.numerics import ROUNDOFF_FLOOR
 from oracles import FACTOR_SHAPES, algebra_basis, dense_closure, frame_projections, shaped_instance
@@ -379,6 +380,26 @@ class TestUnitaryEigenbasis:
         algebra, u = cycle_instance(c)
         assert embed_invariant_masa(algebra, u).certificate.passed
 
+    @pytest.mark.parametrize("scale, passes", [(0.5, True), (2.0, False)])
+    def test_off_diagonal_gate(self, monkeypatch, scale, passes):
+        # an eigenbasis turned by phi leaves off-diagonal mass sin(2 phi) on
+        # diag(1, -1); the gate sits at the policy's eps_certificate
+        phi = np.arcsin(scale * DEFAULT_TOL.eps_certificate) / 2.0
+        turn = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        eig = invmasa.embedding.hermitian_eig
+
+        def turned(m, tol):
+            values, q = eig(m, tol)
+            return values, q @ turn
+
+        monkeypatch.setattr(invmasa.embedding, "hermitian_eig", turned)
+        c = np.diag([1.0, -1.0]).astype(complex)
+        if passes:
+            unitary_eigenbasis(c)
+        else:
+            with pytest.raises(NoConvergence, match="off-diagonal"):
+                unitary_eigenbasis(c)
+
     def test_handles_conjugate_pair_spectrum(self):
         # rotation matrix: Hermitian part is scalar, so the skew refinement
         # has to do all the work
@@ -507,6 +528,19 @@ class TestEmbedInvariantMasa:
         if defect == "not-permuted":
             assert cert.containment_residual <= 1e-12
             assert cert.invariance_span_residual > 0.1 and oracle.invariance_span_residual > 0.1
+
+    @pytest.mark.parametrize("scale, passed", [(0.5, True), (2.0, False)])
+    def test_certificate_threshold(self, scale, passed):
+        # a frame column leaking s outside its block: the containment,
+        # orthogonality and invariance residuals are s, and the threshold is
+        # the policy's eps_certificate
+        tol = TolerancePolicy(eps_eq=1e-6)
+        s = scale * tol.eps_certificate
+        frame = np.array([[1.0, s], [0.0, 1.0]], dtype=complex)
+        cert = _certify(diagonal_masa(2), np.eye(2, dtype=complex), frame, (0, 1), tol)
+        assert cert.threshold == tol.eps_certificate == 10.0 * tol.eps_eq
+        assert cert.containment_residual == s
+        assert cert.passed is passed
 
     def test_certificate_checks_the_block_permutation(self):
         gen = build_instance([1.0] * 4, [[0, 1], [2, 3]], [(0, 1)], seed=3)

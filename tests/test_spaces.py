@@ -6,17 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invmasa import (
+    DEFAULT_TOL,
     BlockAlgebra,
     BlockPartition,
     DiscreteSpace,
     block_masa_check,
+    embed_invariant_masa,
     masa_check,
     multiplication_operator,
     multiplicity_match,
 )
-from invmasa.errors import LengthMismatch
+from invmasa.errors import DimensionMismatch, LengthMismatch
 from invmasa.generate import random_instance
-from oracles import FACTOR_SHAPES, algebra_basis, shaped_instance
+from oracles import (
+    EMBED_SHAPES,
+    FACTOR_SHAPES,
+    algebra_basis,
+    frame_projections,
+    member_masa_check,
+    shaped_instance,
+)
 
 
 def block_algebra(weights, blocks):
@@ -110,6 +119,69 @@ class TestIsMasa:
 
     def test_scalars_on_one_dimension(self):
         assert masa_check([np.eye(1, dtype=complex)], 1).ok
+
+
+class TestMasaCheckAgainstMemberOracle:
+    """The stacked check against the member-by-member one it replaced:
+    equal verdict, rank and commutant dimension, residuals within 1e-15."""
+
+    def assert_agree(self, family, n):
+        new = masa_check(family, n)
+        old = member_masa_check(family, n, DEFAULT_TOL)
+        assert (new.ok, new.rank, new.commutant_dimension) == (old.ok, old.rank, old.commutant_dimension)
+        for field in ("unital_residual", "selfadjoint_residual", "abelian_residual"):
+            assert abs(getattr(new, field) - getattr(old, field)) <= 1e-15, field
+        return new
+
+    def test_criterion_1_frames(self):
+        for seed in range(200):
+            inst = random_instance(seed).instance
+            frame = embed_invariant_masa(inst.algebra, inst.unitary).frame
+            assert self.assert_agree(frame_projections(frame), inst.n).ok, seed
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    @pytest.mark.parametrize("sizes, cycles", EMBED_SHAPES)
+    def test_benchmark_embed_shapes(self, sizes, cycles, seed):
+        inst = shaped_instance(sizes, cycles, seed).instance
+        frame = embed_invariant_masa(inst.algebra, inst.unitary).frame
+        assert self.assert_agree(frame_projections(frame), inst.n).ok
+
+    def test_empty_family(self):
+        check = self.assert_agree([], 3)
+        assert (check.rank, check.commutant_dimension, check.unital_residual) == (0, 9, 1.0)
+        assert check.selfadjoint_residual == check.abelian_residual == 0.0
+
+    @pytest.mark.parametrize("scale, rank", [(0.5, 1), (2.0, 2)])
+    def test_rank_cutoff(self, scale, rank):
+        # [I, I + delta E_00]: the squared singular values' ratio is about
+        # (n - 1) delta^2 / (4 n^2), which is eps_rank at scale 1
+        n = 4
+        delta = scale * 2.0 * n * np.sqrt(DEFAULT_TOL.eps_rank / (n - 1))
+        family = [np.eye(n, dtype=complex), np.eye(n, dtype=complex)]
+        family[1][0, 0] += delta
+        assert self.assert_agree(family, n).rank == rank
+        assert self.assert_agree([np.eye(n), (1.0 + delta) * np.eye(n)], n).rank == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_normal_families(self, seed):
+        # five random members in n = 3: none is self-adjoint, no pair
+        # commutes, the rank exceeds n and the commutant is counted by the
+        # Kronecker path
+        rng = np.random.default_rng(seed)
+        family = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        check = self.assert_agree(list(family), 3)
+        assert check.rank == 5
+        assert min(check.unital_residual, check.selfadjoint_residual, check.abelian_residual) > 0.1
+
+    def test_stack_and_list_inputs_agree(self):
+        inst = random_instance(7).instance
+        family = frame_projections(embed_invariant_masa(inst.algebra, inst.unitary).frame)
+        assert masa_check(np.stack(family), inst.n) == masa_check(family, inst.n)
+
+    @pytest.mark.parametrize("family", [[np.eye(2)], [np.eye(3), np.ones((2, 3))]], ids=["2x2", "2x3"])
+    def test_wrong_shape_is_rejected(self, family):
+        with pytest.raises(DimensionMismatch):
+            masa_check(family, 3)
 
 
 class TestBlockMasaCheck:
