@@ -34,6 +34,7 @@ __all__ = [
     "return_closed_form",
     "RETURN_MAP_TOL",
     "orbit",
+    "orbit_counts",
     "orbit_anchor",
     "EquidistributionStats",
     "equidistribution_stats",
@@ -237,21 +238,51 @@ def return_closed_form(t, config: RotationConfig):
     return r if r.ndim else float(r)
 
 
+def _orbit_start(t0: float) -> float:
+    cur = float(t0)
+    if not math.isfinite(cur):
+        raise ValueError(f"orbit start must be finite, got {t0!r}")
+    # twice: -1e-300 % 1.0 rounds to 1.0, which is 0.0 (as in orbit_anchor)
+    return cur if 0.0 <= cur < 1.0 else cur % 1.0 % 1.0
+
+
 def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
     """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a], each entry mod 1."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cur = float(t0)
-    if not math.isfinite(cur):
-        raise ValueError(f"orbit start must be finite, got {t0!r}")
+    cur = _orbit_start(t0)
     out = np.empty(steps, dtype=float)
-    if not (0.0 <= cur < 1.0):
-        # twice: -1e-300 % 1.0 rounds to 1.0, which is 0.0 (as in orbit_anchor)
-        cur = cur % 1.0 % 1.0
     for k in range(steps):
         out[k] = cur
         cur = shift(cur, config)
     return out
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*k + b) / m) for k in range(n)), n, a, b >= 0 < m, in O(log m) rounds."""
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        if a * n + b < m:
+            return total
+        (n, b), m, a = divmod(a * n + b, m), a, m
+
+
+def orbit_counts(t0: float, config: RotationConfig, steps: int, cuts) -> list[int]:
+    """How many points (t0 + k a) mod 1, k < steps, of the exact orbit of
+    t0 (reduced as in :func:`orbit`) lie in each arc [cuts[i], cuts[i + 1])
+    of binary fractions 0 = cuts[0] < cuts[1] < ... < 1, the last arc ending
+    at 1.  Over the common denominator D, k lies below a cut c exactly when
+    floor((T + kA + D - cD) / D) = floor((T + kA) / D), so each count is a
+    difference of exact floor sums, at O(log D) cost for any ``steps``.
+    """
+    start, a = Fraction(_orbit_start(t0)), Fraction(config.a)
+    den = math.lcm(*(f.denominator for f in (start, a, *cuts)))
+    t, step = int(start * den), int(a * den)
+    base = steps + _floor_sum(steps, den, step, t)
+    edges = [base - _floor_sum(steps, den, step, t + den - int(c * den)) for c in cuts] + [steps]
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
 
 
 def orbit_anchor(t0: float, k: int, config: RotationConfig) -> float:

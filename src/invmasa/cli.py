@@ -106,8 +106,6 @@ def _cmd_gen(args) -> int:
         raise SchemaError("block sizes must be positive")
     point = sum(sizes)
     blocks = [tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))]
-    if args.dim is not None and args.dim != point:
-        raise SchemaError(f"--dim {args.dim} does not match total block size {point}")
     cycles = [tuple(_parse_int_list(part, "--cycles")) for part in args.cycles.split(";")]
     if args.weights is not None:
         weights = [float(x) for x in args.weights.split(",")]
@@ -227,7 +225,6 @@ def main_masa(argv=None) -> int:
     p = sub.add_parser("gen", help="generate a structured instance")
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2,1")
     p.add_argument("--cycles", required=True, help="semicolon-separated label cycles, e.g. 0,1;2")
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--weights", default=None, help="comma-separated point masses")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -269,63 +266,35 @@ def _config(args) -> circle.RotationConfig:
         raise SchemaError(str(exc)) from exc
 
 
-def _class_index(cls) -> int:
-    return signs.ALL_CLASSES.index(cls)
-
-
 def combinatorics_document() -> dict:
     """All automaton tables and partition facts, computed fresh.
 
     The output is pure integer data in a fixed order, so repeated runs are
     byte-identical and suitable as a golden file.
     """
-    classes = signs.ALL_CLASSES
-    tables = {
-        str(j): [_class_index(signs.INTERVAL_ACTIONS[j][c]) for c in classes]
-        for j in (1, 2, 3)
-    }
+    classes, labels = signs.ALL_CLASSES, (1, 2, 3, 4)
 
-    word_1222 = signs.word_action([1, 2, 2, 2])
-    doc = {
+    def indices(group) -> list[int]:
+        return [classes.index(c) for c in group]
+
+    def action1_images(label_of, by_label) -> dict:
+        return {str(k): sorted({label_of(signs.interval_action(1, c)) for c in by_label[k]}) for k in labels}
+
+    return {
         "classes": [list(c) for c in classes],
         "class_count": len(classes),
-        "strata": {
-            str(k): [_class_index(c) for c in signs.STRATA[k]] for k in (0, 1, 2, 3)
-        },
+        "strata": {str(k): indices(signs.STRATA[k]) for k in (0, 1, 2, 3)},
         "strata_sizes": {str(k): len(signs.STRATA[k]) for k in (0, 1, 2, 3)},
-        "interval_actions": tables,
+        "interval_actions": {str(j): indices(signs.INTERVAL_ACTIONS[j][c] for c in classes) for j in (1, 2, 3)},
         "action1_order4": signs.word_action([1] * 4) == {c: c for c in classes},
         "action2_order3": signs.word_action([2] * 3) == {c: c for c in classes},
         "action3_identity": all(signs.INTERVAL_ACTIONS[3][c] == c for c in classes),
-        "one_zero_partition": {
-            str(label): [_class_index(c) for c in signs.ONE_ZERO_CLASSES[label]]
-            for label in (1, 2, 3, 4)
-        },
-        "zero_free_partition": {
-            str(label): [_class_index(c) for c in signs.ZERO_FREE_CLASSES[label]]
-            for label in (1, 2, 3, 4)
-        },
-        "action1_on_one_zero": {
-            str(label): sorted(
-                {
-                    signs.one_zero_label(signs.interval_action(1, c))
-                    for c in signs.ONE_ZERO_CLASSES[label]
-                }
-            )
-            for label in (1, 2, 3, 4)
-        },
-        "action1_on_zero_free": {
-            str(label): sorted(
-                {
-                    signs.zero_free_label(signs.interval_action(1, c))
-                    for c in signs.ZERO_FREE_CLASSES[label]
-                }
-            )
-            for label in (1, 2, 3, 4)
-        },
-        "word_1222_is_action1": word_1222 == signs.INTERVAL_ACTIONS[1],
+        "one_zero_partition": {str(k): indices(signs.ONE_ZERO_CLASSES[k]) for k in labels},
+        "zero_free_partition": {str(k): indices(signs.ZERO_FREE_CLASSES[k]) for k in labels},
+        "action1_on_one_zero": action1_images(signs.one_zero_label, signs.ONE_ZERO_CLASSES),
+        "action1_on_zero_free": action1_images(signs.zero_free_label, signs.ZERO_FREE_CLASSES),
+        "word_1222_is_action1": signs.word_action([1, 2, 2, 2]) == signs.INTERVAL_ACTIONS[1],
     }
-    return doc
 
 
 def _cmd_combinatorics(args) -> int:

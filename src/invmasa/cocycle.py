@@ -13,20 +13,23 @@ projection field violates the transport constraint
 
 along an orbit, on Bloch vectors: S = [[d, conj(w)], [w, -d]] is the real
 3-vector x = (d, Re w, Im w), and conjugation by a twist piece V rotates
-it.  A nonzero defect falsifies the candidate; the harness is
-a falsifier for concrete candidates, not a nonexistence proof (see the
-project README).
+it.  The defect is constant on finitely many arcs, each weighted by its
+exact count of orbit points.  A nonzero defect falsifies the candidate;
+the harness is a falsifier for concrete candidates, not a nonexistence
+proof (see the project README).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .circle import RotationConfig, interval_indices, orbit
+from .circle import RotationConfig, interval_indices, orbit, orbit_counts
 from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
 from .signs import SUBSTITUTION_MATRICES, SignClass, canonicalize, sign_profile
@@ -79,9 +82,6 @@ RANDOM_BREAKPOINT_GAP = 1e-12
 # Steps per chunk of the propagation prefix product: doubling costs
 # log2(chunk) 3x3 products per step, and each chunk a few numpy calls.
 PROPAGATE_CHUNK = 512
-# Orbit points per chunk of invariance_defect; at ~250 bytes of
-# temporaries per point this bounds them to ~8 MB for any step count.
-DEFECT_CHUNK = 1 << 15
 
 # sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
@@ -339,36 +339,32 @@ def invariance_defect(
     distance over the two signs, sqrt(2) min |x(t + a) -/+ R_V x(t)| in
     Bloch vectors.  Zero defect along the orbit means the candidate
     survives the necessary commutation condition there; any sizable defect
-    falsifies it.  The orbit is swept in chunks of ``DEFECT_CHUNK`` points,
-    so only the orbit itself grows with ``steps``.
+    falsifies it.  The defect is constant on the arcs between 0, a, 4a, the
+    breakpoints of both fields and (b - a) mod 1 for candidate breakpoints
+    b, so it is evaluated once per arc and weighted by the arc's exact count
+    of orbit points (:func:`~invmasa.circle.orbit_counts`): no orbit is built.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     validate_projection_field(candidate)
-    pts = orbit(t0, config, steps + 1)
+    a = Fraction(config.a)
+    betas, twist = ([Fraction(b) for b in f.breakpoints] for f in (candidate, field))
+    cuts = sorted({Fraction(0), a, 4 * a, *twist, *betas, *((b - a) % 1 for b in betas)})
+    # an arc's pieces are those of its left end; index -1 is the wrapping last piece
     x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
-    rot = bloch_rotations(field)
-    count, total, peak = np.zeros(4, dtype=int), np.zeros(4), np.zeros(4)
-    for lo in range(0, steps, DEFECT_CHUNK):
-        ts = pts[lo : lo + DEFECT_CHUNK + 1]
-        x = x_pieces[candidate.piece_index(ts)]
-        moved = np.einsum("kij,kj->ki", rot[field.piece_index(ts[:-1])], x[:-1])
-        sq = np.minimum(np.sum((x[1:] - moved) ** 2, axis=1), np.sum((x[1:] + moved) ** 2, axis=1))
-        defects = np.sqrt(2.0 * sq)
-        idx = interval_indices(ts[:-1], config)
-        count += np.bincount(idx, minlength=4)
-        total[1:] += [defects[idx == j].sum() for j in (1, 2, 3)]
-        np.maximum.at(peak, idx, defects)
-    per_interval = {
-        j: IntervalDefect(int(count[j]), float(peak[j]), float(total[j] / max(count[j], 1)))
-        for j in (1, 2, 3)
-    }
-    return DefectReport(
-        max_defect=float(peak.max()),
-        mean_defect=float(total.sum() / steps),
-        steps=steps,
-        per_interval=per_interval,
-    )
+    x, x_next = (x_pieces[[bisect_right(betas, (c + s) % 1) - 1 for c in cuts]] for s in (0, a))
+    moved = np.einsum("kij,kj->ki", bloch_rotations(field)[[bisect_right(twist, c) - 1 for c in cuts]], x)
+    sq = np.minimum(np.sum((x_next - moved) ** 2, axis=1), np.sum((x_next + moved) ** 2, axis=1))
+    arcs = zip(cuts, orbit_counts(t0, config, steps, cuts), np.sqrt(2.0 * sq).tolist())
+    arcs = [(1 if c < a else 2 if c < 4 * a else 3, n, d) for c, n, d in arcs if n]
+    per_interval = {}
+    for j in (1, 2, 3):
+        hits = [(n, d) for i, n, d in arcs if i == j]
+        count = sum(n for n, _ in hits)
+        mean = math.fsum(d * (n / count) for n, d in hits)
+        per_interval[j] = IntervalDefect(count, max((d for _, d in hits), default=0.0), mean)
+    peak = max(s.max_defect for s in per_interval.values())
+    return DefectReport(peak, math.fsum(d * (n / steps) for _, n, d in arcs), steps, per_interval)
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,10 +112,12 @@ def is_unitary(m, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 
 def _flatten_family(vectors) -> np.ndarray:
-    mats = [np.asarray(v, dtype=complex) for v in vectors]
-    if len({v.shape for v in mats}) > 1:
-        raise DimensionMismatch("family members must share one shape")
-    return np.stack([v.ravel() for v in mats]) if mats else np.zeros((0, 0), dtype=complex)
+    """The members as rows; a complex (k, ...) stack is reshaped, not copied."""
+    try:
+        flat = np.asarray(vectors, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch("family members must share one shape") from exc
+    return flat.reshape(len(flat), -1) if len(flat) else np.zeros((0, 0), dtype=complex)
 
 
 def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:

@@ -1,10 +1,17 @@
-"""Dense reference implementations that the block-form and stacked code
-replaced, and the benchmark's instance shapes they are compared on.
+"""Dense and sampled reference implementations that the block-form,
+stacked and arc-count code replaced, and the benchmark's instance shapes
+they are compared on.
 
-The references build the n x n block projections explicitly and work on
-spans of flattened matrices one member at a time, so they cost up to
-O(k^2 n^4) and serve only as differential oracles for small and medium n.
+The algebra references build the n x n block projections explicitly and
+work on spans of flattened matrices one member at a time, so they cost up
+to O(k^2 n^4) and serve only as differential oracles for small and medium
+n.  The defect references visit every orbit point, the stepped float orbit
+in chunks or the exact one as fractions.
 """
+
+import math
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,9 +23,13 @@ from invmasa import (
     commutant_dimension,
     max_norm,
     numerical_rank,
+    orbit,
     span_residual,
     span_rows,
+    validate_projection_field,
 )
+from invmasa.circle import interval_indices
+from invmasa.cocycle import DefectReport, IntervalDefect, bloch_rotations, bloch_vectors
 from invmasa.errors import DimensionMismatch, NotInvariant
 
 # The block structures of the benchmark's factor workload (n = 48..96).
@@ -132,3 +143,66 @@ def member_masa_check(basis, n, tol):
         abelian_residual=abelian,
         eps_eq=tol.eps_eq,
     )
+
+
+# Orbit points per chunk of sampled_defect; at ~250 bytes of temporaries
+# per point this bounds them to ~8 MB for any step count.
+DEFECT_CHUNK = 1 << 15
+
+
+def sampled_defect(candidate, config, field, t0, steps):
+    """The defect sampled at every point of the stepped float orbit, swept
+    in chunks of ``DEFECT_CHUNK`` points: the (steps + 1)-point orbit is the
+    only array that grows with ``steps``."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    validate_projection_field(candidate)
+    pts = orbit(t0, config, steps + 1)
+    x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
+    rot = bloch_rotations(field)
+    count, total, peak = np.zeros(4, dtype=int), np.zeros(4), np.zeros(4)
+    for lo in range(0, steps, DEFECT_CHUNK):
+        ts = pts[lo : lo + DEFECT_CHUNK + 1]
+        x = x_pieces[candidate.piece_index(ts)]
+        moved = np.einsum("kij,kj->ki", rot[field.piece_index(ts[:-1])], x[:-1])
+        sq = np.minimum(np.sum((x[1:] - moved) ** 2, axis=1), np.sum((x[1:] + moved) ** 2, axis=1))
+        defects = np.sqrt(2.0 * sq)
+        idx = interval_indices(ts[:-1], config)
+        count += np.bincount(idx, minlength=4)
+        total[1:] += [defects[idx == j].sum() for j in (1, 2, 3)]
+        np.maximum.at(peak, idx, defects)
+    per_interval = {
+        j: IntervalDefect(int(count[j]), float(peak[j]), float(total[j] / max(count[j], 1)))
+        for j in (1, 2, 3)
+    }
+    return DefectReport(
+        max_defect=float(peak.max()),
+        mean_defect=float(total.sum() / steps),
+        steps=steps,
+        per_interval=per_interval,
+    )
+
+
+def fraction_defect(candidate, config, field, t0, steps):
+    """The defect at every point of the exact orbit of the reduced start:
+    each point (t0 + k a) mod 1 is an exact fraction (kept as its numerator
+    over the common power-of-two denominator), its pieces and interval come
+    from exact comparisons, and the defect from the float formula of
+    :func:`sampled_defect`."""
+    validate_projection_field(candidate)
+    start, a = Fraction(float(orbit(t0, config, 1)[0])), Fraction(config.a)
+    den = math.lcm(*(Fraction(x).denominator for x in (start, a, *candidate.breakpoints, *field.breakpoints)))
+    betas, twist = ([int(Fraction(b) * den) for b in f.breakpoints] for f in (candidate, field))
+    t, step = int(start * den), int(a * den)
+    pts = [(t + k * step) % den for k in range(steps + 1)]
+    x = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))[[bisect_right(betas, p) - 1 for p in pts]]
+    rot = bloch_rotations(field)[[bisect_right(twist, p) - 1 for p in pts[:-1]]]
+    moved = np.einsum("kij,kj->ki", rot, x[:-1])
+    sq = np.minimum(np.sum((x[1:] - moved) ** 2, axis=1), np.sum((x[1:] + moved) ** 2, axis=1))
+    defects = np.sqrt(2.0 * sq)
+    idx = np.array([1 if p < step else 2 if p < 4 * step else 3 for p in pts[:-1]])
+    per_interval = {}
+    for j in (1, 2, 3):
+        sel = defects[idx == j]
+        per_interval[j] = IntervalDefect(sel.size, float(sel.max(initial=0.0)), float(sel.mean()) if sel.size else 0.0)
+    return DefectReport(float(defects.max()), float(defects.mean()), steps, per_interval)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -129,6 +130,14 @@ class TestMasaPipeline:
             ]
         )
         assert code == 2
+
+    def test_gen_has_no_dim_flag(self, tmp_path, capsys):
+        argv = ["gen", "--blocks", "1,1", "--cycles", "0,1", "--dim", "2", "--output", str(tmp_path / "x.json")]
+        with pytest.raises(SystemExit) as exc:
+            main_masa(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_embed_exit_three_on_noninvariant_instance(self, tmp_path):
         s = 1.0 / math.sqrt(2.0)
@@ -540,6 +549,32 @@ class TestCexCommands:
         assert code == 0
         assert read_json(out)["residuals"]["max_defect"] <= 1e-12
 
+    def test_defect_counts_a_huge_orbit(self, tmp_path, capsys):
+        cand = tmp_path / "cand.json"
+        write_json(cand, VALID_INPUTS["candidate"])
+        out = tmp_path / "defect.json"
+        steps = 10**30
+        argv = ["defect", "--a", A_STR, "--candidate", str(cand), "--steps", str(steps), "--output", str(out)]
+        start = time.perf_counter()
+        assert main_cex(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        details = read_json(out)["details"]
+        assert details["steps"] == steps
+        assert sum(s["count"] for s in details["per_interval"].values()) == steps
+        assert "Traceback" not in capsys.readouterr().err
+        assert main_cex(["defect", "--a", A_STR, "--candidate", str(cand), "--steps", "0"]) == 2
+
+    def test_defect_start_below_zero_at_a_tiny_angle(self, tmp_path):
+        cand = tmp_path / "cand.json"
+        write_json(cand, VALID_INPUTS["candidate"])
+        out = tmp_path / "defect.json"
+        argv = ["defect", "--a", "1e-5", "--t0=-1e-300", "--candidate", str(cand), "--steps", str(10**30)]
+        assert main_cex(argv + ["--output", str(out)]) == 0
+        per_interval = read_json(out)["details"]["per_interval"]
+        # no float holds t0 + steps * a here; the counts follow the lengths a, 3a, 1 - 4a
+        assert sum(s["count"] for s in per_interval.values()) == 10**30
+        assert per_interval["1"]["count"] < per_interval["2"]["count"] < per_interval["3"]["count"]
+
     def test_defect_missing_candidate_exits_two(self, tmp_path, capsys):
         code = main_cex(["defect", "--a", A_STR, "--candidate", str(tmp_path / "missing.json")])
         assert code == 2
@@ -626,7 +661,8 @@ class TestExitCodeMapping:
         assert "SVD did not converge" in err and "Traceback" not in err
 
     def test_allocation_failure_exits_four(self, tmp_path, capsys, monkeypatch):
-        # stands in for the orbit buffers of a huge --steps, which no test allocates
+        # stands in for a failed allocation (such as the orbit of a huge
+        # `cex propagate --steps`), which no test provokes
         def fail(*args, **kwargs):
             raise MemoryError("orbit buffers")
 

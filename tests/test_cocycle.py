@@ -40,6 +40,8 @@ from invmasa.cocycle import (
 )
 from invmasa.errors import InvalidCandidate
 from invmasa.signs import SUBSTITUTION_MATRICES
+from oracles import fraction_defect, sampled_defect
+from test_circle import BATTERY
 
 A = math.sqrt(2.0) / 8.0
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -571,6 +573,39 @@ class TestPropagationOracle:
         assert result.classes == result.expected_classes and result.mismatches == ()
 
 
+def pool_candidate(index):
+    """Member ``index`` of the benchmark's fixed pool of defect candidates,
+    drawn by the benchmark's recipe (seed entropy 20240517, 1 to 64 pieces,
+    breakpoints at least 1e-9 apart)."""
+    rng = np.random.default_rng([20240517, index])
+    pieces = int(rng.integers(1, 65))
+    while True:
+        bps = np.sort(rng.uniform(0.0, 1.0, size=pieces))
+        if pieces == 1 or np.min(np.diff(bps)) > 1e-9:
+            break
+    values = []
+    for _ in range(pieces):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z /= np.linalg.norm(z)
+        values.append(np.outer(z, z.conj()))
+    return PiecewiseMatrixField(breakpoints=tuple(bps.tolist()), values=tuple(values))
+
+
+def assert_same_counts_and_peaks(report, oracle):
+    assert report.steps == oracle.steps
+    assert report.max_defect == oracle.max_defect
+    for j in (1, 2, 3):
+        assert report.per_interval[j].count == oracle.per_interval[j].count
+        assert report.per_interval[j].max_defect == oracle.per_interval[j].max_defect
+
+
+def assert_same_defect(report, oracle):
+    assert_same_counts_and_peaks(report, oracle)
+    assert abs(report.mean_defect - oracle.mean_defect) <= 1e-14
+    for j in (1, 2, 3):
+        assert abs(report.per_interval[j].mean_defect - oracle.per_interval[j].mean_defect) <= 1e-14
+
+
 class TestDefectOracle:
     @pytest.mark.parametrize("twist", sorted(TWISTS))
     def test_matches_einsum_on_random_candidates(self, twist):
@@ -589,19 +624,49 @@ class TestDefectOracle:
                 assert abs(got.max_defect - imax) <= 1e-12
                 assert abs(got.mean_defect - imean) <= 1e-12
 
-    def test_chunks_carry_the_running_statistics(self, monkeypatch):
-        cfg = RotationConfig(A)
-        candidate = random_projection_field(3)
-        whole = invariance_defect(candidate, cfg, standard(cfg), 0.0, 1000)
-        monkeypatch.setattr(cocycle, "DEFECT_CHUNK", 7)
-        chunked = invariance_defect(candidate, cfg, standard(cfg), 0.0, 1000)
-        assert chunked.max_defect == whole.max_defect
-        assert abs(chunked.mean_defect - whole.mean_defect) <= 1e-14
-        for j in (1, 2, 3):
-            assert chunked.per_interval[j].count == whole.per_interval[j].count
-            assert chunked.per_interval[j].max_defect == whole.per_interval[j].max_defect
+    @pytest.mark.parametrize("a", BATTERY)
+    @pytest.mark.parametrize("twist", sorted(TWISTS) + ["random"])
+    def test_matches_sampled_oracle(self, a, twist):
+        cfg = RotationConfig(a)
+        for seed in range(20):
+            field = random_twist(seed) if twist == "random" else TWISTS[twist](cfg)
+            candidate = random_projection_field(seed)
+            for steps in (1, 7, 5000, 100_000):
+                report = invariance_defect(candidate, cfg, field, 0.0, steps)
+                assert_same_counts_and_peaks(report, sampled_defect(candidate, cfg, field, 0.0, steps))
+                # near a rational the stepped orbit drifts across arc ends
+                # and moves the means; the exact orbit is then the reference
+                oracle = fraction_defect if cfg.warnings() else sampled_defect
+                assert_same_defect(report, oracle(candidate, cfg, field, 0.0, steps))
 
-    def test_memory_is_bounded_by_the_chunk(self):
+    def test_matches_sampled_oracle_on_the_benchmark_pool(self):
+        cfg = RotationConfig(A)
+        for i in range(24):
+            candidate = pool_candidate(i)
+            report = invariance_defect(candidate, cfg, standard(cfg), 0.0, 1_000_000)
+            assert_same_defect(report, sampled_defect(candidate, cfg, standard(cfg), 0.0, 1_000_000))
+
+    @pytest.mark.parametrize("a", [0.1, 0.25 - 2.0**-54])
+    @pytest.mark.parametrize("t0", [1.0 - 2.0**-53, -1e-300, 0.5])
+    def test_matches_fraction_oracle_near_rationals(self, a, t0):
+        cfg = RotationConfig(a)
+        for seed in range(6):
+            candidate = random_projection_field(seed)
+            for field in (standard(cfg), identity_twist(), random_twist(seed)):
+                for steps in (1, 7, 2000):
+                    report = invariance_defect(candidate, cfg, field, t0, steps)
+                    assert_same_defect(report, fraction_defect(candidate, cfg, field, t0, steps))
+
+    def test_exact_orbit_parts_from_the_stepped_one_near_a_rational(self):
+        # 1 - 2^-53 + 0.1 rounds, so the stepped orbit starts off the exact one
+        cfg = RotationConfig(0.1)
+        candidate = random_projection_field(1)
+        args = (candidate, cfg, standard(cfg), 1.0 - 2.0**-53, 20_000)
+        exact, stepped = invariance_defect(*args).per_interval[1], sampled_defect(*args).per_interval[1]
+        assert exact.count == stepped.count == 2000
+        assert abs(exact.mean_defect - 1.1526) <= 1e-4 and abs(stepped.mean_defect - 1.7548) <= 1e-4
+
+    def test_memory_is_independent_of_steps(self):
         cfg = RotationConfig(A)
         candidate = random_projection_field(0)
 
@@ -613,7 +678,6 @@ class TestDefectOracle:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(200_000), peak(1_000_000)
-        assert large < 50 * 2**20
-        # beyond one chunk, only the 8-byte orbit points grow with the steps
-        assert large - small <= 1.1 * 8 * 800_000
+        small, large = peak(1000), peak(10**8)
+        assert large < 2**20
+        assert abs(large - small) <= 64 * 2**10

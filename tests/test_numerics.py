@@ -386,6 +386,26 @@ class TestSpanHelpers:
         off = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         assert span_residual(off, rows) > 0.9
 
+    def test_span_rows_reads_a_stack_in_place(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((64, 64, 64)) + 1j * rng.standard_normal((64, 64, 64))
+        tracemalloc.start()
+        try:
+            rows = span_rows(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the SVD's own copy and row basis; a flattened copy would add 1.0x
+        assert peak <= 1.2 * stack.nbytes
+        assert np.array_equal(rows, span_rows(list(stack)))
+
+    def test_span_rows_of_ragged_and_empty_families(self):
+        with pytest.raises(DimensionMismatch):
+            span_rows([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
+        for empty in ([], np.zeros((0, 3, 3), dtype=complex)):
+            assert span_rows(empty).shape[0] == 0
+            assert numerical_rank(empty) == 0
+
 
 class TestMatrixJson:
     def test_roundtrip(self):
