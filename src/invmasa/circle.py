@@ -57,16 +57,12 @@ class RationalWitness:
     quality: float
 
 
-def rational_witness(
-    x: float,
-    max_q: int = 10**6,
-    quality_threshold: float = 1e-3,
-) -> RationalWitness | None:
+def rational_witness(x: float) -> RationalWitness | None:
     """Continued-fraction scan for a near-rational collapse of ``x``.
 
     Walks the (exact, terminating) continued fraction of the binary float
-    ``x`` and returns the best convergent with denominator at most
-    ``max_q`` if its quality drops below the threshold, else ``None``.
+    ``x`` and returns the best convergent with denominator at most 10^6 if
+    its quality |x - p/q| q^2 is below 1e-3, else ``None``.
     """
     exact = Fraction(x)
     num, den = exact.numerator, exact.denominator
@@ -79,13 +75,13 @@ def rational_witness(
         n, d = d, n - digit * d
         h1, h2 = digit * h1 + h2, h1
         k1, k2 = digit * k1 + k2, k1
-        if k1 > max_q:
+        if k1 > 10**6:
             break
         err = abs(exact - Fraction(h1, k1))
         quality = float(err * k1 * k1)
         if best is None or quality < best.quality:
             best = RationalWitness(p=h1, q=k1, error=float(err), quality=quality)
-    if best is not None and best.quality < quality_threshold:
+    if best is not None and best.quality < 1e-3:
         return best
     return None
 
@@ -116,15 +112,15 @@ class RotationConfig:
     def interval_lengths(self) -> tuple[float, float, float]:
         return (self.a, 3.0 * self.a, 1.0 - 4.0 * self.a)
 
-    def warnings(self, max_q: int = 10**6) -> tuple[str, ...]:
+    def warnings(self) -> tuple[str, ...]:
         notes = []
-        w = rational_witness(self.a, max_q)
+        w = rational_witness(self.a)
         if w is not None:
             notes.append(
                 f"angle a is close to {w.p}/{w.q} (quality {w.quality:.2e}); "
                 f"orbit statistics degrade near rationals"
             )
-        w = rational_witness(4.0 / self.a - 16.0, max_q)
+        w = rational_witness(4.0 / self.a - 16.0)
         if w is not None:
             notes.append(
                 f"4/a - 16 is close to {w.p}/{w.q} (quality {w.quality:.2e}); "

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ import numpy as np
 from .circle import RotationConfig, interval_indices, orbit, orbit_counts
 from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
-from .signs import SUBSTITUTION_MATRICES, SignClass, canonicalize, sign_profile
+from .signs import INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
 
 __all__ = [
     "SIGN_ZERO_TOL",
@@ -79,9 +80,6 @@ DIAGONALIZER_ZERO_TOL = 1e-14
 # Smallest gap between neighbouring breakpoints of random_projection_field;
 # a closer draw is redrawn, so no piece is shorter than this.
 RANDOM_BREAKPOINT_GAP = 1e-12
-# Steps per chunk of the propagation prefix product: doubling costs
-# log2(chunk) 3x3 products per step, and each chunk a few numpy calls.
-PROPAGATE_CHUNK = 512
 
 # sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
@@ -178,12 +176,13 @@ def random_projection_field(seed: int, max_pieces: int = 64) -> PiecewiseMatrixF
     return PiecewiseMatrixField(breakpoints=tuple(bps), values=tuple(values))
 
 
-def validate_projection_field(field: PiecewiseMatrixField, tol: float = PROJECTION_TOL) -> None:
-    """Check the rank-one projection invariants of every piece."""
+def validate_projection_field(field: PiecewiseMatrixField) -> None:
+    """Check the rank-one projection invariants of every piece, within
+    ``PROJECTION_TOL``."""
     for i, p in enumerate(field.values):
-        if max_norm(p @ p - p) > tol or max_norm(p - p.conj().T) > tol:
-            raise InvalidCandidate(f"piece {i} is not a projection within {tol:g}")
-        if abs(np.trace(p) - 1.0) > tol:
+        if max_norm(p @ p - p) > PROJECTION_TOL or max_norm(p - p.conj().T) > PROJECTION_TOL:
+            raise InvalidCandidate(f"piece {i} is not a projection within {PROJECTION_TOL:g}")
+        if abs(np.trace(p) - 1.0) > PROJECTION_TOL:
             raise InvalidCandidate(f"piece {i} does not have unit trace (rank one)")
 
 
@@ -224,14 +223,15 @@ class ReflectionParams:
         return cls(d=d, e=e, theta=off / e if e > zero_tol else 1.0 + 0.0j)
 
 
-def matrix_sign_profile(m, zero_tol: float = SIGN_ZERO_TOL) -> SignClass:
-    """Sign class of a traceless self-adjoint 2x2 matrix.
+def matrix_sign_profile(m) -> SignClass:
+    """Sign class of a traceless self-adjoint 2x2 matrix, with dead zone
+    ``SIGN_ZERO_TOL``.
 
     Reads (d, c e, s e) straight off the entries, so it stays meaningful on
     the diagonal boundary e == 0 where theta itself is undefined.
     """
     m = np.asarray(m, dtype=complex)
-    return sign_profile(m[0, 0].real, m[1, 0].real, m[1, 0].imag, zero_tol)
+    return sign_profile(m[0, 0].real, m[1, 0].real, m[1, 0].imag, SIGN_ZERO_TOL)
 
 
 def bloch_vectors(m) -> np.ndarray:
@@ -388,25 +388,6 @@ class PropagationResult:
         return not self.mismatches
 
 
-def _prefix_images(mats: np.ndarray, index: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows P_k v, k = 0..len(index), for P_0 = I, P_{k+1} = mats[index[k]] P_k,
-    by log-depth doubling within chunks of ``PROPAGATE_CHUNK`` steps and a
-    running product across them; exact when mats are signed permutations."""
-    out = np.empty((index.size + 1, v.size), dtype=np.result_type(mats, v))
-    out[0] = v
-    carry = np.eye(v.size, dtype=mats.dtype)
-    for lo in range(0, index.size, PROPAGATE_CHUNK):
-        p = mats[index[lo : lo + PROPAGATE_CHUNK]]
-        span = 1
-        while span < len(p):
-            p[span:] = p[span:] @ p[:-span]
-            span *= 2
-        p = p @ carry
-        out[lo + 1 : lo + 1 + len(p)] = p @ v
-        carry = p[-1]
-    return out
-
-
 def propagate_constraint(
     start: ReflectionParams,
     t0: float,
@@ -416,18 +397,29 @@ def propagate_constraint(
 ) -> PropagationResult:
     """Propagate the forced values of S forward along the orbit of t0.
 
-    Step k rotates the Bloch vector by R_V of the twist piece at t_k.  The
-    free global sign flips only on the diagonal boundary (e at most
+    One pass over the orbit's itinerary: step k rotates the Bloch vector by
+    R_V of the twist piece at t_k and steps the predicted sign class by the
+    interval automaton's table (``signs.INTERVAL_ACTIONS``) of the interval
+    at t_k, starting from the class of the initial vector.  The free global
+    sign flips only on the diagonal boundary (e at most
     ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are
-    logged, not treated as errors.  The sign classes are compared with the
-    interval automaton acting on the initial class.
+    logged, not treated as errors.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pts = orbit(t0, config, steps + 1)
-    y = _prefix_images(
-        bloch_rotations(field), field.piece_index(pts[:-1]), bloch_vectors(start.matrix())
-    )
+    rows = bloch_rotations(field).tolist()
+    x0, x1, x2 = x = bloch_vectors(start.matrix()).tolist()
+    cls = sign_profile(*x, SIGN_ZERO_TOL)
+    flat, expected = array("d", x), [cls]
+    for p, j in zip(field.piece_index(pts[:-1]).tolist(), interval_indices(pts[:-1], config).tolist()):
+        (a, b, c), (d, e, f), (g, h, i) = rows[p]
+        # each sum starts at +0.0, as a matrix product's does: no component is -0.0
+        x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
+        flat.extend((x0, x1, x2))
+        cls = INTERVAL_ACTIONS[j][cls]
+        expected.append(cls)
+    y = np.frombuffer(flat).reshape(steps + 1, 3)
     boundary = np.flatnonzero(np.hypot(y[1:, 1], y[1:, 2]) <= DIAGONAL_BOUNDARY_TOL) + 1
     sign = np.zeros(steps + 1)
     sign[0] = 1.0
@@ -439,14 +431,12 @@ def propagate_constraint(
     table = [canonicalize(t) for t in itertools.product((-1, 0, 1), repeat=3)]
     canonical = np.array([np.dot(c, (9, 3, 1)) + 13 for c in table])
     codes = canonical[np.dot(np.where(np.abs(y) <= SIGN_ZERO_TOL, 0, np.where(y > 0.0, 1, -1)), (9, 3, 1)) + 13]
-    substitutions = np.array([SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)])
-    moved = _prefix_images(substitutions, interval_indices(pts[:-1], config) - 1, np.array(table[codes[0]]))
-    expected = canonical[np.dot(moved, (9, 3, 1)) + 13]
+    classes = tuple(map(table.__getitem__, codes.tolist()))
     return PropagationResult(
         points=pts,
         vectors=sign[:, None] * y,
-        classes=tuple(map(table.__getitem__, codes.tolist())),
-        expected_classes=tuple(map(table.__getitem__, expected.tolist())),
-        mismatches=tuple(np.flatnonzero(codes != expected).tolist()),
+        classes=classes,
+        expected_classes=tuple(expected),
+        mismatches=tuple(k for k, (c, e) in enumerate(zip(classes, expected)) if c != e),
         boundary_steps=tuple(boundary.tolist()),
     )

@@ -245,7 +245,6 @@ def make_report(
     residuals: dict | None = None,
     details: dict | None = None,
     warnings: list | tuple = (),
-    timestamp: bool = True,
 ) -> dict:
     """Assemble a run report; deterministic apart from the timestamp field."""
     report: dict = {
@@ -256,11 +255,10 @@ def make_report(
         "residuals": residuals or {},
         "details": details or {},
         "warnings": list(warnings),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if passed is not None:
         report["pass"] = bool(passed)
-    if timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
     return report
 
 

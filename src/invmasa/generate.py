@@ -93,12 +93,9 @@ def build_instance(
     return GeneratedInstance(instance=instance, pi=pi, seed=seed)
 
 
-def random_instance(
-    seed: int,
-    max_dim: int = 12,
-    max_block: int = 4,
-) -> GeneratedInstance:
-    """Random instance with dimension at most ``max_dim``.
+def random_instance(seed: int) -> GeneratedInstance:
+    """Random instance with dimension at most 12 and blocks of size at
+    most 4.
 
     Cycle structures are drawn as (block size, cycle length) pairs until
     the dimension budget is spent or an early stop fires; labels inside a
@@ -106,11 +103,11 @@ def random_instance(
     """
     rng = np.random.default_rng(seed)
     structures: list[tuple[int, int]] = []
-    remaining = max_dim
+    remaining = 12
     while remaining > 0:
         if structures and rng.random() < 0.3:
             break
-        size = int(rng.integers(1, min(max_block, remaining) + 1))
+        size = int(rng.integers(1, min(4, remaining) + 1))
         length = int(rng.integers(1, remaining // size + 1))
         structures.append((size, length))
         remaining -= size * length

@@ -6,7 +6,8 @@ The algebra references build the n x n block projections explicitly and
 work on spans of flattened matrices one member at a time, so they cost up
 to O(k^2 n^4) and serve only as differential oracles for small and medium
 n.  The defect references visit every orbit point, the stepped float orbit
-in chunks or the exact one as fractions.
+in chunks or the exact one as fractions.  The propagation reference takes
+one numpy matrix-vector product per orbit step.
 """
 
 import math
@@ -29,7 +30,13 @@ from invmasa import (
     validate_projection_field,
 )
 from invmasa.circle import interval_indices
-from invmasa.cocycle import DefectReport, IntervalDefect, bloch_rotations, bloch_vectors
+from invmasa.cocycle import (
+    DIAGONAL_BOUNDARY_TOL,
+    DefectReport,
+    IntervalDefect,
+    bloch_rotations,
+    bloch_vectors,
+)
 from invmasa.errors import DimensionMismatch, NotInvariant
 
 # The block structures of the benchmark's factor workload (n = 48..96).
@@ -206,3 +213,20 @@ def fraction_defect(candidate, config, field, t0, steps):
         sel = defects[idx == j]
         per_interval[j] = IntervalDefect(sel.size, float(sel.max(initial=0.0)), float(sel.mean()) if sel.size else 0.0)
     return DefectReport(float(defects.max()), float(defects.mean()), steps, per_interval)
+
+
+def stepped_vectors(start, t0, config, field, steps):
+    """Forced Bloch vectors by one numpy product per step, y = R_V(t_k) y,
+    with the global sign resolved as ``propagate_constraint`` does: it flips
+    only where (Re w, Im w) is within ``DIAGONAL_BOUNDARY_TOL`` of zero and
+    d is nonzero, to make d positive, and holds until the next flip."""
+    pts = orbit(t0, config, steps + 1)
+    rot = bloch_rotations(field)
+    y = bloch_vectors(start.matrix())
+    sign, out = 1.0, [y]
+    for piece in field.piece_index(pts[:-1]):
+        y = rot[piece] @ y
+        if np.hypot(y[1], y[2]) <= DIAGONAL_BOUNDARY_TOL and y[0] != 0.0:
+            sign = float(np.sign(y[0]))
+        out.append(sign * y)
+    return np.array(out)

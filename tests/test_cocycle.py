@@ -39,8 +39,8 @@ from invmasa.cocycle import (
     bloch_vectors,
 )
 from invmasa.errors import InvalidCandidate
-from invmasa.signs import SUBSTITUTION_MATRICES
-from oracles import fraction_defect, sampled_defect
+from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
+from oracles import fraction_defect, sampled_defect, stepped_vectors
 from test_circle import BATTERY
 
 A = math.sqrt(2.0) / 8.0
@@ -542,18 +542,49 @@ class TestPropagationOracle:
             assert clear.sum() > 2000
             assert [c for c, ok in zip(got.classes, clear) if ok] == [c for c, ok in zip(classes, clear) if ok]
 
-    def test_chunks_carry_the_running_product(self, monkeypatch):
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    @pytest.mark.parametrize("t0", (0.0, 0.3, 0.9))
+    def test_matches_stepped_products_bit_for_bit(self, twist, t0):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        # starts with zero Bloch components, so the zeros' sign bits must agree
+        # too; negative partners of a zero would make -1 * 0 + 0 * x + 0 * y a -0.0
+        starts = (
+            ReflectionParams(d=0.0, e=0.7, theta=-complex(math.cos(0.4), math.sin(0.4))),
+            ReflectionParams(d=-0.3, e=0.7, theta=1.0 + 0j),
+            ReflectionParams(d=0.3, e=0.7, theta=1j),
+            ReflectionParams(d=-0.3, e=0.7, theta=-1j),
+            ReflectionParams(d=-0.6, e=0.0, theta=1.0 + 0j),
+        )
+        for start in starts:
+            got = propagate_constraint(start, t0, cfg, field, 3000).vectors
+            want = stepped_vectors(start, t0, cfg, field, 3000)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_prediction_steps_the_automaton_tables(self, monkeypatch):
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
-        for field in (standard(cfg), random_twist(5)):
-            whole = propagate_constraint(start, 0.1, cfg, field, 1000)
-            monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", 7)
-            chunked = propagate_constraint(start, 0.1, cfg, field, 1000)
-            monkeypatch.undo()
-            assert chunked.classes == whole.classes
-            assert chunked.expected_classes == whole.expected_classes
-            assert np.max(np.abs(chunked.vectors - whole.vectors)) <= 1e-12
-        assert cocycle.PROPAGATE_CHUNK < 1000
+        whole = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
+        assert whole.agreement
+        one, two = INTERVAL_ACTIONS[1], INTERVAL_ACTIONS[2]
+        monkeypatch.setitem(INTERVAL_ACTIONS, 1, two)
+        monkeypatch.setitem(INTERVAL_ACTIONS, 2, one)
+        swapped = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
+        assert swapped.classes == whole.classes
+        assert not swapped.agreement
+
+    def test_memory_is_a_few_copies_of_the_vectors(self):
+        cfg = RotationConfig(A)
+        start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
+        propagate_constraint(start, 0.1, cfg, standard(cfg), 10)
+        tracemalloc.start()
+        try:
+            result = propagate_constraint(start, 0.1, cfg, standard(cfg), 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * result.vectors.nbytes
 
     def test_standard_twist_propagation_is_exact(self):
         cfg = RotationConfig(A)
