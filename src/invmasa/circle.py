@@ -14,6 +14,7 @@ exactly three steps, so its itinerary is 1 2 2 2 3...3.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,15 +244,15 @@ def _orbit_start(t0: float) -> float:
 
 
 def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
-    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a], each entry mod 1."""
+    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a], each entry mod 1 as :func:`shift` steps it."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cur = _orbit_start(t0)
-    out = np.empty(steps, dtype=float)
+    cur, a, out = _orbit_start(t0), config.a, array("d", [0.0]) * steps
     for k in range(steps):
-        out[k] = cur
-        cur = shift(cur, config)
-    return out
+        out[k], cur = cur, cur + a
+        if cur >= 1.0:
+            cur -= 1.0
+    return np.frombuffer(out)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

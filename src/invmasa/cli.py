@@ -304,6 +304,8 @@ def _cmd_combinatorics(args) -> int:
 
 def _cmd_return_map(args) -> int:
     config = _config(args)
+    if args.samples < 1:
+        raise SchemaError("--samples must be positive")
     rng = np.random.default_rng(args.seed)
     ts = rng.uniform(0.0, config.a, size=args.samples)
     t_return, _, words = circle.first_returns(ts, config)
@@ -372,6 +374,10 @@ def _cmd_propagate(args) -> int:
     config = _config(args)
     if args.e <= 0.0:
         raise SchemaError("--e must be positive")
+    limit = sys.float_info.max / 2.0  # bloch_vectors doubles d and e
+    for flag, value in (("--d", abs(args.d)), ("--e", args.e)):
+        if not value <= limit:
+            raise SchemaError(f"{flag} must be finite and at most {limit!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
     result = cocycle.propagate_constraint(params, args.t0, config, field, args.steps)

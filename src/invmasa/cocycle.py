@@ -21,6 +21,7 @@ proof (see the project README).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -33,7 +34,7 @@ import numpy as np
 from .circle import RotationConfig, interval_indices, orbit, orbit_counts
 from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
-from .signs import INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
+from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
 
 __all__ = [
     "SIGN_ZERO_TOL",
@@ -83,6 +84,8 @@ RANDOM_BREAKPOINT_GAP = 1e-12
 
 # sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+# +e_0, -e_0, +e_1, -e_1, +e_2, -e_2: a signed permutation permutes these rows.
+_SIGNED_AXES = np.kron(np.eye(3), [[1.0], [-1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +391,30 @@ class PropagationResult:
         return not self.mismatches
 
 
+@functools.cache
+def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
+    """Elements, product table ([i, j] numbers i after j) and generator numbers, as
+    tuples, of the group generated by permutations of range(m), numbered
+    breadth-first from the identity, 0."""
+    elements = [tuple(range(len(generators[0])))]
+    for e in elements:
+        elements += [h for h in dict.fromkeys(tuple(g[k] for k in e) for g in generators) if h not in elements]
+    perms, number = np.array(elements), {e: k for k, e in enumerate(elements)}
+    table = tuple(tuple(number[tuple(p)] for p in row) for row in perms[:, perms].tolist())
+    return tuple(elements), table, tuple(number[g] for g in generators)
+
+
+def _prefix_products(table: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """out[k] = word[k-1] ... word[1] word[0] for k = 0..len(word) (out[0] = 0,
+    the identity) over a numbered group of at most 256 elements, by
+    Hillis-Steele doubling: log2(len(word)) gathers from its product table."""
+    n, flat, out, shift = len(table), table.ravel(), np.insert(word.astype(np.uint16), 0, 0), 1
+    while shift < len(word):
+        out[shift:] = flat.take(out[shift:] * n + out[:-shift])
+        shift *= 2
+    return out
+
+
 def propagate_constraint(
     start: ReflectionParams,
     t0: float,
@@ -397,46 +424,51 @@ def propagate_constraint(
 ) -> PropagationResult:
     """Propagate the forced values of S forward along the orbit of t0.
 
-    One pass over the orbit's itinerary: step k rotates the Bloch vector by
-    R_V of the twist piece at t_k and steps the predicted sign class by the
-    interval automaton's table (``signs.INTERVAL_ACTIONS``) of the interval
-    at t_k, starting from the class of the initial vector.  The free global
-    sign flips only on the diagonal boundary (e at most
-    ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are
-    logged, not treated as errors.
+    Step k rotates the Bloch vector by R_V of the twist piece at t_k and
+    steps the predicted sign class by the automaton's table
+    (``signs.INTERVAL_ACTIONS``) of the interval at t_k.  The tables generate
+    a small group, as do rotations that are all signed permutations (the
+    CLI's twists'), so both recurrences are prefix products of group
+    numbers; other rotations take a per-step float loop.  The sign flips
+    only on the diagonal boundary (e at most ``DIAGONAL_BOUNDARY_TOL``), to
+    make d nonnegative; such steps are logged, not treated as errors.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     pts = orbit(t0, config, steps + 1)
-    rows = bloch_rotations(field).tolist()
-    x0, x1, x2 = x = bloch_vectors(start.matrix()).tolist()
-    cls = sign_profile(*x, SIGN_ZERO_TOL)
-    flat, expected = array("d", x), [cls]
-    for p, j in zip(field.piece_index(pts[:-1]).tolist(), interval_indices(pts[:-1], config).tolist()):
-        (a, b, c), (d, e, f), (g, h, i) = rows[p]
-        # each sum starts at +0.0, as a matrix product's does: no component is -0.0
-        x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
-        flat.extend((x0, x1, x2))
-        cls = INTERVAL_ACTIONS[j][cls]
-        expected.append(cls)
-    y = np.frombuffer(flat).reshape(steps + 1, 3)
-    boundary = np.flatnonzero(np.hypot(y[1:, 1], y[1:, 2]) <= DIAGONAL_BOUNDARY_TOL) + 1
-    sign = np.zeros(steps + 1)
-    sign[0] = 1.0
-    flips = boundary[y[boundary, 0] != 0.0]
-    sign[flips] = np.sign(y[flips, 0])
-    # forward fill: every step keeps the sign set at the last flip before it
-    sign = sign[np.maximum.accumulate(np.where(sign != 0.0, np.arange(steps + 1), 0))]
-    # sign triples are coded 9 p + 3 q + r + 13; code -> canonical class
-    table = [canonicalize(t) for t in itertools.product((-1, 0, 1), repeat=3)]
-    canonical = np.array([np.dot(c, (9, 3, 1)) + 13 for c in table])
-    codes = canonical[np.dot(np.where(np.abs(y) <= SIGN_ZERO_TOL, 0, np.where(y > 0.0, 1, -1)), (9, 3, 1)) + 13]
-    classes = tuple(map(table.__getitem__, codes.tolist()))
+    pieces, rot, x = field.piece_index(pts[:-1]), bloch_rotations(field), bloch_vectors(start.matrix())
+    if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
+        # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
+        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
+        elements, table, gens = map(np.array, _numbered_group(tuple(map(tuple, perms.tolist()))))
+        index = _prefix_products(table, gens[pieces])
+        # one +/-x_j and two zero products, summed from +0.0 as in the loop
+        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
+    else:
+        x0, x1, x2 = flat = array("d", x.tolist())
+        for (a, b, c), (d, e, f), (g, h, i) in map(rot.tolist().__getitem__, pieces.tolist()):
+            # each sum starts at +0.0, as a matrix product's does: no component is -0.0
+            x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
+            flat.extend((x0, x1, x2))
+        images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
+    actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
+    class_elements, class_table, class_gens = map(np.array, _numbered_group(actions))
+    word = class_gens[interval_indices(pts[:-1], config) - 1]
+    expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
+    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
+    triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
+    observed = np.array([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
+    boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL)[index[1:]]) + 1
+    flips = boundary[images[index[boundary], 0] != 0.0]
+    # every step keeps the sign set at the last flip before it, + before the first
+    negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
+    vectors = images[index]
+    vectors[negative] *= -1.0
     return PropagationResult(
         points=pts,
-        vectors=sign[:, None] * y,
-        classes=classes,
-        expected_classes=tuple(expected),
-        mismatches=tuple(k for k, (c, e) in enumerate(zip(classes, expected)) if c != e),
+        vectors=vectors,
+        classes=tuple(map(ALL_CLASSES.__getitem__, observed.tolist())),
+        expected_classes=tuple(map(ALL_CLASSES.__getitem__, expected.tolist())),
+        mismatches=tuple(np.flatnonzero(observed != expected).tolist()),
         boundary_steps=tuple(boundary.tolist()),
     )

@@ -205,6 +205,18 @@ class TestOrbit:
         assert ((0.0 <= pts) & (pts < 1.0)).all()
         assert pts[0] == 0.0 and pts[1] == 0.1
 
+    @pytest.mark.parametrize("a", BATTERY)
+    @pytest.mark.parametrize("t0", (0.0, 0.37, 0.999999, -0.25, -1e-300))
+    def test_matches_iterated_shift_bit_for_bit(self, a, t0):
+        cfg = RotationConfig(a)
+        cur, want = t0 % 1.0 % 1.0, []
+        for _ in range(5000):
+            want.append(cur)
+            cur = shift(cur, cfg)
+        pts = orbit(t0, cfg, 5000)
+        assert pts.dtype == np.float64 and pts.shape == (5000,)
+        assert np.array_equal(pts, want) and not np.signbit(pts).any()
+
     def test_anchor_drift_bound(self):
         cfg = RotationConfig(SQRT2_OVER_8)
         pts = orbit(0.123, cfg, 100001)

@@ -869,6 +869,31 @@ class TestMalformedInput:
         code, err = run_command(main, argv, doc)
         assert code == 2 and "2x2" in err and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("samples", ("0", "-1"))
+    def test_return_map_without_samples_exits_two(self, tmp_path, capsys, samples):
+        # zero samples would pass a check of nothing
+        out = tmp_path / "rm.json"
+        assert main_cex(["return-map", "--a", A_STR, f"--samples={samples}", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--d", "1e308"), ("--d", "-1e308"), ("--e", "1e308")])
+    def test_propagate_start_beyond_the_bloch_range_exits_two(self, tmp_path, capsys, flag, value):
+        # bloch_vectors doubles d and e: past max / 2 that overflows to inf
+        limit = sys.float_info.max / 2.0
+        args = {"--d": "0.3", "--e": "0.5", flag: value}
+        out = tmp_path / "prop.json"
+        argv = ["propagate", "--a", A_STR, "--output", str(out)] + [f"{k}={v}" for k, v in args.items()]
+        assert main_cex(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(limit) in err and "Traceback" not in err
+        assert not out.exists()
+        args[flag] = repr(math.copysign(limit, float(value)))
+        argv = ["propagate", "--a", A_STR, "--output", str(out)] + [f"{k}={v}" for k, v in args.items()]
+        assert main_cex(argv) == 0
+        assert all(math.isfinite(v) for v in read_json(out)["details"]["final"].values())
+
     def test_unparsable_documents_exit_two(self, tmp_path, capsys):
         for name, text in (("truncated", '{"dimension": 2'), ("deep", "[" * 100000 + "]" * 100000)):
             (tmp_path / name).write_text(text, encoding="utf-8")

@@ -524,7 +524,7 @@ class TestPropagationOracle:
         assert all(got.vectors[k, 0] >= 0.0 for k in boundary)
 
     def test_matches_loop_on_a_generic_su2_twist(self):
-        # rotations far from any signed permutation: the float prefix product
+        # rotations far from any signed permutation: the per-step float loop fallback
         cfg = RotationConfig(A)
         rng = np.random.default_rng(22)
         for seed in range(4):
@@ -602,6 +602,106 @@ class TestPropagationOracle:
         result = propagate_constraint(start, 0.1, cfg, standard(cfg), 0)
         assert result.vectors.shape == (1, 3)
         assert result.classes == result.expected_classes and result.mismatches == ()
+
+
+def numbered_groups(monkeypatch):
+    """Record the point count m of every group of permutations of range(m)
+    that propagate_constraint numbers: 6 signed axes for the rotations, 14
+    sign classes for the automaton."""
+    seen = []
+    numbered = cocycle._numbered_group
+
+    def spy(generators):
+        seen.append(len(generators[0]))
+        return numbered(generators)
+
+    monkeypatch.setattr(cocycle, "_numbered_group", spy)
+    return seen
+
+
+def near_permutation_twist(config, eps):
+    """The standard twist with its first piece turned by eps about the third
+    Bloch axis: its rotation is eps off a signed permutation."""
+    field = standard(config)
+    turn = np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
+    return PiecewiseMatrixField(field.breakpoints, (field.values[0] @ turn,) + field.values[1:])
+
+
+class TestGroupScan:
+    def class_group(self):
+        classes = sorted(INTERVAL_ACTIONS[1])
+        actions = tuple(tuple(classes.index(INTERVAL_ACTIONS[j][c]) for c in classes) for j in (1, 2, 3))
+        return tuple(map(np.array, cocycle._numbered_group(actions)))
+
+    def test_groups_are_numbered_with_their_products(self):
+        elements, table, gens = self.class_group()
+        assert len(elements) == 24 and np.array_equal(elements[0], np.arange(14))
+        assert len({tuple(e) for e in elements.tolist()}) == 24
+        for i in range(24):
+            for j in range(24):
+                assert np.array_equal(elements[table[i, j]], elements[i][elements[j]])
+        assert not np.array_equal(table, table.T)
+        field = standard(RotationConfig(A))
+        axes = cocycle._SIGNED_AXES
+        perms = np.argmax(axes @ bloch_rotations(field) @ axes.T, axis=1)
+        elements, table, gens = map(np.array, cocycle._numbered_group(tuple(map(tuple, perms.tolist()))))
+        images = axes[elements[:, ::2]].transpose(0, 2, 1)
+        # conjugations by SU(2) are proper rotations: the 24 of the cube
+        assert len(elements) == 24 and np.array_equal(np.rint(np.linalg.det(images)), np.ones(24))
+        assert np.array_equal(images[gens], bloch_rotations(field))
+        assert np.array_equal(images[table], images[:, None] @ images[None, :])
+
+    @pytest.mark.parametrize("length", (0, 1, 2, 255, 256, 257, 1023, 1024, 1025))
+    def test_doubling_scan_is_the_left_fold(self, length):
+        _, table, gens = self.class_group()
+        word = gens[np.random.default_rng(length).integers(0, 3, size=length)]
+        want, acc = [0], 0
+        for g in word.tolist():
+            acc = int(table[g, acc])
+            want.append(acc)
+        got = cocycle._prefix_products(table, word)
+        assert got.shape == (length + 1,) and got.tolist() == want
+
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    @pytest.mark.parametrize("steps", (0, 1))
+    def test_shortest_runs_match_the_oracles(self, twist, steps):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        for start in (ReflectionParams(0.0, 0.7, -1.0 + 0j), ReflectionParams(-0.3, 0.7, 1j)):
+            for t0 in (0.0, 0.05, 0.5):
+                got = propagate_constraint(start, t0, cfg, field, steps)
+                params, classes, expected, mismatches, boundary = loop_propagate(start, t0, cfg, field, steps)
+                want = stepped_vectors(start, t0, cfg, field, steps)
+                assert got.vectors.shape == (steps + 1, 3)
+                assert np.array_equal(got.vectors, want) and np.array_equal(np.signbit(got.vectors), np.signbit(want))
+                assert got.classes == classes and got.expected_classes == expected
+                assert got.mismatches == mismatches and got.boundary_steps == boundary
+
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    def test_signed_permutation_twists_take_the_scan(self, monkeypatch, twist):
+        seen = numbered_groups(monkeypatch)
+        cfg = RotationConfig(A)
+        propagate_constraint(ReflectionParams(0.3, 0.7, 1j), 0.1, cfg, TWISTS[twist](cfg), 100)
+        assert sorted(seen) == [6, 14]
+
+    def test_rotation_past_the_snap_takes_the_loop(self, monkeypatch):
+        cfg = RotationConfig(A)
+        field = near_permutation_twist(cfg, 1e-9)
+        rot = bloch_rotations(field)
+        assert ROTATION_SNAP_TOL < np.max(np.abs(rot[0] - SUBSTITUTION_MATRICES[1])) < 1e-8
+        assert np.array_equal(rot[1:], [SUBSTITUTION_MATRICES[2], SUBSTITUTION_MATRICES[3]])
+        seen = numbered_groups(monkeypatch)
+        start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
+        got = propagate_constraint(start, 0.02, cfg, field, 2000)
+        assert seen == [14]
+        params, classes, expected, mismatches, boundary = loop_propagate(start, 0.02, cfg, field, 2000)
+        assert np.max(np.abs(got.vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
+        assert got.classes == classes and got.expected_classes == expected
+        assert got.mismatches == mismatches and got.boundary_steps == boundary
+        # the vectors drift off the exact signed permutation images of the start
+        exact = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
+        assert 0.0 < np.max(np.abs(got.vectors - exact.vectors)) <= 1e-5
+        assert got.classes == exact.classes and got.agreement
 
 
 def pool_candidate(index):
