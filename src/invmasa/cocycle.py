@@ -440,7 +440,7 @@ def propagate_constraint(
     if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
         # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
         perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
-        elements, table, gens = map(np.array, _numbered_group(tuple(map(tuple, perms.tolist()))))
+        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
         index = _prefix_products(table, gens[pieces])
         # one +/-x_j and two zero products, summed from +0.0 as in the loop
         images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
@@ -452,12 +452,12 @@ def propagate_constraint(
             flat.extend((x0, x1, x2))
         images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
     actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
-    class_elements, class_table, class_gens = map(np.array, _numbered_group(actions))
+    class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
     word = class_gens[interval_indices(pts[:-1], config) - 1]
     expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
     # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
     triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
-    observed = np.array([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
+    observed = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
     boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL)[index[1:]]) + 1
     flips = boundary[images[index[boundary], 0] != 0.0]
     # every step keeps the sign set at the last flip before it, + before the first
