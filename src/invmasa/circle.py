@@ -65,12 +65,9 @@ def rational_witness(x: float) -> RationalWitness | None:
     ``x`` and returns the best convergent with denominator at most 10^6 if
     its quality |x - p/q| q^2 is below 1e-3, else ``None``.
     """
-    exact = Fraction(x)
-    num, den = exact.numerator, exact.denominator
-    h1, h2 = 1, 0
-    k1, k2 = 0, 1
+    n, d = num, den = Fraction(x).as_integer_ratio()
+    h1, h2, k1, k2 = 1, 0, 0, 1
     best: RationalWitness | None = None
-    n, d = num, den
     while d != 0:
         digit = n // d
         n, d = d, n - digit * d
@@ -78,13 +75,12 @@ def rational_witness(x: float) -> RationalWitness | None:
         k1, k2 = digit * k1 + k2, k1
         if k1 > 10**6:
             break
-        err = abs(exact - Fraction(h1, k1))
-        quality = float(err * k1 * k1)
+        # |x - h1/k1| = gap / (den k1); int / int rounds correctly, as float(Fraction) does
+        gap = abs(num * k1 - h1 * den)
+        quality = gap * k1 / den
         if best is None or quality < best.quality:
-            best = RationalWitness(p=h1, q=k1, error=float(err), quality=quality)
-    if best is not None and best.quality < 1e-3:
-        return best
-    return None
+            best = RationalWitness(p=h1, q=k1, error=gap / (den * k1), quality=quality)
+    return best if best is not None and best.quality < 1e-3 else None
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import circle, cocycle, signs
 from .documents import (
+    Gathered,
     dump_instance,
     file_digest,
     load_algebra_basis,
@@ -374,10 +375,9 @@ def _cmd_propagate(args) -> int:
     config = _config(args)
     if args.e <= 0.0:
         raise SchemaError("--e must be positive")
-    limit = sys.float_info.max / 2.0  # bloch_vectors doubles d and e
     for flag, value in (("--d", abs(args.d)), ("--e", args.e)):
-        if not value <= limit:
-            raise SchemaError(f"{flag} must be finite and at most {limit!r} in magnitude")
+        if not value <= cocycle.BLOCH_LIMIT:
+            raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
     result = cocycle.propagate_constraint(params, args.t0, config, field, args.steps)
@@ -389,8 +389,8 @@ def _cmd_propagate(args) -> int:
             "a": config.a,
             "t0": args.t0,
             "steps": int(args.steps),
-            "classes": result.classes,
-            "expected_classes": result.expected_classes,
+            "classes": Gathered(signs.ALL_CLASSES, result.observed),
+            "expected_classes": Gathered(signs.ALL_CLASSES, result.expected),
             "mismatch_steps": list(result.mismatches),
             "boundary_steps": list(result.boundary_steps),
             "final": {"d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag},

@@ -66,6 +66,7 @@ SIGN_ZERO_TOL = 1e-10
 PROJECTION_TOL = 1e-10
 # Largest ||theta| - 1| at which ReflectionParams takes theta as unimodular.
 UNIMODULAR_TOL = 1e-12
+BLOCH_LIMIT = float(np.finfo(float).max) / 2.0  # largest Bloch component: bloch_vectors doubles it
 # Off-diagonal magnitude below which a parameterised matrix counts as
 # sitting on the diagonal boundary.
 DIAGONAL_BOUNDARY_TOL = 1e-12
@@ -197,7 +198,7 @@ class ReflectionParams:
 
     with e >= 0 and theta unimodular.  For e > 0 the parameterisation is
     unique; e == 0 marks the diagonal boundary, where theta is fixed at 1
-    by convention.
+    by convention.  No Bloch component may pass ``BLOCH_LIMIT``.
     """
 
     d: float
@@ -211,6 +212,8 @@ class ReflectionParams:
             raise ValueError("e must be nonnegative")
         if not abs(abs(self.theta) - 1.0) <= UNIMODULAR_TOL:
             raise ValueError("theta must be unimodular")
+        if max(abs(self.d), abs(self.theta.real) * self.e, abs(self.theta.imag) * self.e) > BLOCH_LIMIT:
+            raise ValueError(f"d, Re(theta e) and Im(theta e) must be at most {BLOCH_LIMIT!r} in magnitude")
 
     def matrix(self) -> np.ndarray:
         off = self.theta * self.e
@@ -372,15 +375,23 @@ def invariance_defect(
 
 @dataclass(frozen=True, eq=False)
 class PropagationResult:
-    """Forced Bloch-vector trajectory along an orbit, with its sign classes
-    and the classes predicted by the interval automaton."""
+    """Forced Bloch-vector trajectory along an orbit, with its sign classes and
+    those the interval automaton predicts as places in ``ALL_CLASSES``."""
 
     points: np.ndarray
     vectors: np.ndarray
-    classes: tuple[SignClass, ...]
-    expected_classes: tuple[SignClass, ...]
+    observed: np.ndarray
+    expected: np.ndarray
     mismatches: tuple[int, ...]
     boundary_steps: tuple[int, ...]
+
+    @property
+    def classes(self) -> tuple[SignClass, ...]:
+        return tuple(map(ALL_CLASSES.__getitem__, self.observed.tolist()))
+
+    @property
+    def expected_classes(self) -> tuple[SignClass, ...]:
+        return tuple(map(ALL_CLASSES.__getitem__, self.expected.tolist()))
 
     @property
     def parameters(self) -> tuple[ReflectionParams, ...]:
@@ -464,11 +475,5 @@ def propagate_constraint(
     negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
     vectors = images[index]
     vectors[negative] *= -1.0
-    return PropagationResult(
-        points=pts,
-        vectors=vectors,
-        classes=tuple(map(ALL_CLASSES.__getitem__, observed.tolist())),
-        expected_classes=tuple(map(ALL_CLASSES.__getitem__, expected.tolist())),
-        mismatches=tuple(np.flatnonzero(observed != expected).tolist()),
-        boundary_steps=tuple(boundary.tolist()),
-    )
+    mismatches = tuple(np.flatnonzero(observed != expected).tolist())
+    return PropagationResult(pts, vectors, observed, expected, mismatches, tuple(boundary.tolist()))

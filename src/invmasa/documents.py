@@ -22,10 +22,10 @@ Floats are written in their shortest round-trip form, so re-parsing an
 emitted document always reproduces the exact values.  With ``indent`` set
 the stdlib encodes in pure Python, so :func:`canonical_json` renders a
 non-empty list of plain ``int``/``float`` values, or of equal-width
-non-empty lists of them (class triples, matrix rows), from one
-``%``-format template, formatting a row object that the list repeats only
-once, and leaves everything else (strings, bools, None, NaN and
-infinities, float subclasses, other keys) to the ``json`` module.
+non-empty lists of them (matrix rows; a :class:`Gathered` list formats
+each row of its table once), from one ``%``-format template, and leaves
+everything else (strings, bools, None, NaN and infinities, float
+subclasses, other keys) to the ``json`` module.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .spaces import BlockAlgebra, BlockPartition, DiscreteSpace
 
 __all__ = [
     "Instance",
+    "Gathered",
     "load_instance",
     "dump_instance",
     "load_projection_field",
@@ -113,6 +114,14 @@ class Instance:
         if not is_unitary(_square(unitary, n, "unitary"), tol):
             raise SchemaError("the 'unitary' field is not unitary at load tolerance")
         return cls(space=space, partition=partition, unitary=unitary)
+
+
+@dataclass(frozen=True, eq=False)
+class Gathered:
+    """The list ``[table[k] for k in index]``, written without building it."""
+
+    table: tuple
+    index: np.ndarray
 
 
 def _integer(value, what: str) -> int:
@@ -281,8 +290,15 @@ def _encode(obj, nl: str, out: list[str]) -> None:
             _encode(value, inner, out)
             lead = "," + inner
         out.append(nl + "}")
+    elif isinstance(obj, Gathered):
+        # No number's repr holds a NUL, so it splits the table's row texts apart.
+        rows = obj.index.size and _number_rows(obj.table, inner, "\0")
+        if not rows:  # an empty list, or a table the template cannot render
+            return _encode(list(map(obj.table.__getitem__, obj.index.tolist())), nl, out)
+        texts = np.array(rows.split("\0"), dtype=object)
+        out += ("[" + inner, ("," + inner).join(texts[obj.index].tolist()), nl + "]")
     elif isinstance(obj, (list, tuple)) and obj:
-        body = _number_rows(obj, inner)
+        body = _number_rows(obj, inner, "," + inner)
         if body is not None:
             out += ("[" + inner, body, nl + "]")
             return
@@ -298,28 +314,21 @@ def _encode(obj, nl: str, out: list[str]) -> None:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def _number_rows(items, inner: str) -> str | None:
-    """Body of a list of plain ints and floats, or of equal-width non-empty
-    lists of them, filled into one %-format template; None for any other
-    list.  When row objects repeat (class triples from a lookup table), each
-    distinct row is formatted once."""
+def _number_rows(items, inner: str, sep: str) -> str | None:
+    """Texts of a list of plain ints and floats, or of equal-width non-empty
+    lists of them, filled into one %-format template and joined by ``sep``;
+    None for any other list."""
     kinds = set(map(type, items))
     if kinds <= _NUMBERS:
-        text = ("," + inner).join(["%r"] * len(items)) % tuple(items)
+        text = sep.join(["%r"] * len(items)) % tuple(items)
     elif kinds <= {list, tuple}:
-        rows = dict(zip(map(id, items), items))
-        widths = set(map(len, rows.values()))
-        values = tuple(chain.from_iterable(rows.values()))
+        widths = set(map(len, items))
+        values = tuple(chain.from_iterable(items))
         if len(widths) != 1 or 0 in widths or not set(map(type, values)) <= _NUMBERS:
             return None
         deeper = inner + "  "
         row = "[" + deeper + ("," + deeper).join(["%r"] * widths.pop()) + inner + "]"
-        if len(rows) == len(items):
-            text = ("," + inner).join([row] * len(items)) % values
-        else:
-            # No number's repr holds a NUL, so it splits the distinct rows apart.
-            texts = ("\0".join([row] * len(rows)) % values).split("\0")
-            text = ("," + inner).join(map(dict(zip(rows, texts)).__getitem__, map(id, items)))
+        text = sep.join([row] * len(items)) % values
     else:
         return None
     # repr spells NaN and Infinity "nan" and "inf"; no finite number's repr has an "n".

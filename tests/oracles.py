@@ -7,7 +7,8 @@ work on spans of flattened matrices one member at a time, so they cost up
 to O(k^2 n^4) and serve only as differential oracles for small and medium
 n.  The defect references visit every orbit point, the stepped float orbit
 in chunks or the exact one as fractions.  The propagation reference takes
-one numpy matrix-vector product per orbit step.
+one numpy matrix-vector product per orbit step.  The rational-witness
+reference measures each convergent's error as a ``Fraction``.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 
 from invmasa import (
     MasaCheck,
+    RationalWitness,
     as_matrix,
     build_instance,
     check_invariance,
@@ -230,3 +232,24 @@ def stepped_vectors(start, t0, config, field, steps):
             sign = float(np.sign(y[0]))
         out.append(sign * y)
     return np.array(out)
+
+
+def fraction_witness(x):
+    """``circle.rational_witness`` with each convergent's error |x - p/q| and
+    quality q^2 |x - p/q| computed as fractions and rounded once."""
+    exact = Fraction(x)
+    n, d = exact.numerator, exact.denominator
+    h1, h2, k1, k2 = 1, 0, 0, 1
+    best = None
+    while d != 0:
+        digit = n // d
+        n, d = d, n - digit * d
+        h1, h2 = digit * h1 + h2, h1
+        k1, k2 = digit * k1 + k2, k1
+        if k1 > 10**6:
+            break
+        err = abs(exact - Fraction(h1, k1))
+        quality = float(err * k1 * k1)
+        if best is None or quality < best.quality:
+            best = RationalWitness(p=h1, q=k1, error=float(err), quality=quality)
+    return best if best is not None and best.quality < 1e-3 else None

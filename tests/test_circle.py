@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmasa import (
     RotationConfig,
@@ -18,6 +20,7 @@ from invmasa import (
 )
 from invmasa.circle import first_returns, shift_array
 from invmasa.errors import NoConvergence, NotInBaseInterval
+from oracles import fraction_witness
 
 SQRT2_OVER_8 = math.sqrt(2.0) / 8.0
 BATTERY = (SQRT2_OVER_8, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012)
@@ -256,6 +259,23 @@ class TestRationalWitness:
     def test_exact_dyadic_flagged(self):
         w = rational_witness(0.125)
         assert w is not None and w.error == 0.0
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            # p/q moved by a few ulps or by a small offset: the witness's hits
+            st.builds(
+                lambda p, q, ulps, offset: p / q + ulps * math.ulp(p / q) + offset,
+                st.integers(-(10**7), 10**7),
+                st.integers(1, 10**6),
+                st.integers(-4, 4),
+                st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-3]),
+            ),
+        )
+    )
+    def test_integer_gaps_match_the_fraction_errors(self, x):
+        assert rational_witness(x) == fraction_witness(x)
 
     def test_config_warning_channels(self):
         assert RotationConfig(BATTERY[0]).warnings() == ()

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,8 @@ from invmasa import errors
 from invmasa.cli import main_cex, main_masa
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
+# A 3000-step standard-twist propagation report; its timestamp is "".
+GOLDEN_PROPAGATE = Path(__file__).parent / "golden" / "propagate.json"
 A_STR = repr(math.sqrt(2.0) / 8.0)
 
 
@@ -430,6 +433,13 @@ class TestCexCommands:
         b1 = out1.read_bytes()
         assert b1 == out2.read_bytes()
         assert b1 == GOLDEN.read_bytes()
+
+    def test_propagate_matches_golden_bytes(self, tmp_path):
+        out = tmp_path / "propagate.json"
+        argv = ["propagate", "--a", "0.17677669529663687", "--d", "0.3", "--e", "0.7", "--theta-arg", "0.4"]
+        assert main_cex(argv + ["--steps", "3000", "--output", str(out)]) == 0
+        text = re.sub(rb'\n  "timestamp": "[^"]*",\n', b'\n  "timestamp": "",\n', out.read_bytes())
+        assert text == GOLDEN_PROPAGATE.read_bytes()
 
     def test_return_map_report(self, tmp_path):
         out = tmp_path / "rm.json"
@@ -893,6 +903,16 @@ class TestMalformedInput:
         argv = ["propagate", "--a", A_STR, "--output", str(out)] + [f"{k}={v}" for k, v in args.items()]
         assert main_cex(argv) == 0
         assert all(math.isfinite(v) for v in read_json(out)["details"]["final"].values())
+
+    @pytest.mark.parametrize("arg, steps", [("0", "2"), ("0.7853981633974483", "1"), ("1.5707963267948966", "1")])
+    def test_propagate_from_both_limits_exits_zero(self, tmp_path, arg, steps):
+        # the twist moves d into w, so the final e passes the limit (up to
+        # sqrt(2) times it) while no Bloch component does
+        limit, out = sys.float_info.max / 2.0, tmp_path / "prop.json"
+        argv = ["propagate", "--a", A_STR, "--d", repr(limit), "--e", repr(limit), "--theta-arg", arg, "--steps", steps]
+        assert main_cex(argv + ["--output", str(out)]) == 0
+        final = read_json(out)["details"]["final"]
+        assert all(math.isfinite(v) for v in final.values()) and final["e"] > limit
 
     def test_unparsable_documents_exit_two(self, tmp_path, capsys):
         for name, text in (("truncated", '{"dimension": 2'), ("deep", "[" * 100000 + "]" * 100000)):

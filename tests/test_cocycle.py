@@ -139,6 +139,25 @@ class TestReflectionParams:
                 ReflectionParams(d=0.0, e=1.0, theta=theta)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d, e, theta", [(1e308, 0.5, 1.0 + 0j), (-1e308, 0.0, 1.0 + 0j), (0.3, 1e308, 1.0 + 0j), (0.3, 1e308, -1j)])
+    def test_bloch_components_past_the_limit_are_rejected(self, d, e, theta):
+        # bloch_vectors doubles each component: past BLOCH_LIMIT that is inf
+        with pytest.raises(ValueError, match="at most"):
+            ReflectionParams(d=d, e=e, theta=theta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_starts_at_the_limit_propagate_to_finite_vectors(self):
+        limit, cfg = cocycle.BLOCH_LIMIT, RotationConfig(A)
+        off_axes = ReflectionParams(0.3, 1e308, complex(math.cos(0.8), math.sin(0.8)))
+        for start in (ReflectionParams(limit, limit, 1.0 + 0j), ReflectionParams(-limit, limit, 1j), off_axes):
+            assert np.isfinite(bloch_vectors(start.matrix())).all()
+            for field in (standard(cfg), near_permutation_twist(cfg, 1e-9)):
+                assert np.isfinite(propagate_constraint(start, 0.1, cfg, field, 500).vectors).all()
+            # a signed permutation moves components, so every step's parameters stay in range
+            assert len(propagate_constraint(start, 0.1, cfg, standard(cfg), 500).parameters) == 501
+
+
 class TestConjugateStep:
     def test_identity_on_third_interval(self):
         cfg = RotationConfig(A)

@@ -11,15 +11,23 @@ from hypothesis import strategies as st
 
 import invmasa.documents
 from invmasa.cli import main_cex, main_masa
-from invmasa.documents import canonical_json
+from invmasa.documents import Gathered, canonical_json
 
 A_STR = repr(math.sqrt(2.0) / 8.0)
 NAN, INF = float("nan"), float("inf")
 
 
+def expand(obj):
+    """A ``Gathered`` list as the plain list it stands for; any other value
+    raises the stdlib's own TypeError."""
+    if isinstance(obj, Gathered):
+        return [obj.table[int(k)] for k in obj.index]
+    return json.JSONEncoder().default(obj)
+
+
 def oracle(obj) -> str:
     """The canonical form by definition: the stdlib's pure-Python encoder."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, default=expand) + "\n"
 
 
 SHARED = [1, -1, 0]
@@ -92,6 +100,30 @@ def test_unserialisable_values_raise_like_the_oracle(obj):
     assert str(got.value) == str(expected.value)
 
 
+CLASSES = ((-1, 0, 1), (0, 0, 0), (1, 1, 1), (1, -1, 0))
+GATHERED = [
+    Gathered(CLASSES, np.uint8([0, 3, 3, 1, 0, 2])),
+    Gathered(CLASSES, np.uint8([2])),
+    Gathered(CLASSES, np.uint8([])),
+    Gathered((), np.arange(0)),
+    Gathered((0.5, -0.0, 7, 1e300), np.array([3, 1, 1, 0, 2])),
+    Gathered(([-0.0, 1e-300], [1e16, 2**64]), np.array([1, 0, 1])),
+    # tables the template cannot render: NaN, infinity, bools, ragged and empty rows
+    Gathered(((1, 2), (NAN, 0)), np.uint8([0, 1, 0])),
+    Gathered((1.0, -INF), np.uint8([1, 1])),
+    Gathered(((True, 1), (0, 1)), np.uint8([1, 0])),
+    Gathered(((1,), (2, 3)), np.uint8([1, 0, 1])),
+    Gathered(((), ()), np.uint8([1, 0])),
+    Gathered(("a", None), np.uint8([1, 0])),
+    {"classes": Gathered(CLASSES, np.uint8([1, 2])), "expected": [Gathered(CLASSES, np.uint8([3]))]},
+]
+
+
+@pytest.mark.parametrize("obj", GATHERED, ids=range(len(GATHERED)))
+def test_gathered_lists_match_the_oracle(obj):
+    assert canonical_json(obj) == oracle(obj)
+
+
 NUMBERS = st.one_of(
     st.integers(-(2**70), 2**70),
     st.floats(),
@@ -124,6 +156,16 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENTS)
 def test_generated_documents_match_the_oracle(obj):
+    assert canonical_json(obj) == oracle(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(lambda w: st.lists(st.lists(NUMBERS, min_size=w, max_size=w), min_size=1, max_size=5)),
+    st.lists(st.integers(0, 4), max_size=30),
+)
+def test_generated_gathered_lists_match_the_oracle(table, picks):
+    obj = {"rows": Gathered(tuple(table), np.array([k % len(table) for k in picks], dtype=np.uint8))}
     assert canonical_json(obj) == oracle(obj)
 
 
