@@ -138,7 +138,6 @@ class TestReflectionParams:
             with pytest.raises(ValueError, match="unimodular"):
                 ReflectionParams(d=0.0, e=1.0, theta=theta)
 
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d, e, theta", [(1e308, 0.5, 1.0 + 0j), (-1e308, 0.0, 1.0 + 0j), (0.3, 1e308, 1.0 + 0j), (0.3, 1e308, -1j)])
     def test_bloch_components_past_the_limit_are_rejected(self, d, e, theta):
