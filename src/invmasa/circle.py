@@ -1,10 +1,10 @@
 """Circle rotation dynamics over the three-interval partition
 [0,a), [a,4a), [4a,1) for a rotation angle a in (0, 1/4).
 
-Points live in [0,1) as plain floats; one rotation step is a single
-addition followed by one conditional subtraction, so each step costs one
-ulp at most.  Long orbits can be cross-checked against recomputed anchors
-in extended precision.
+Points live in [0,1) as plain floats.  Orbits are exact: the k-th point is
+the integer (T + kA) mod 2^E over the common power of two of t0, a and the
+interval ends, rounded once, and its interval is read from the integer.
+The first-return map steps the IEEE map :func:`shift` instead.
 
 The first-return map to the base interval [0,a) subtracts b = 1 - 4a
 modulo a: a returning orbit segment always crosses the middle interval in
@@ -14,7 +14,6 @@ exactly three steps, so its itinerary is 1 2 2 2 3...3.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ __all__ = [
     "return_closed_form",
     "RETURN_MAP_TOL",
     "orbit",
+    "orbit_arcs",
     "orbit_counts",
     "orbit_anchor",
     "EquidistributionStats",
@@ -110,28 +110,18 @@ class RotationConfig:
         return (self.a, 3.0 * self.a, 1.0 - 4.0 * self.a)
 
     def warnings(self) -> tuple[str, ...]:
-        notes = []
-        w = rational_witness(self.a)
-        if w is not None:
-            notes.append(
-                f"angle a is close to {w.p}/{w.q} (quality {w.quality:.2e}); "
-                f"orbit statistics degrade near rationals"
-            )
-        w = rational_witness(4.0 / self.a - 16.0)
-        if w is not None:
-            notes.append(
-                f"4/a - 16 is close to {w.p}/{w.q} (quality {w.quality:.2e}); "
-                f"the fourth power of the return map may look periodic"
-            )
-        return tuple(notes)
+        checks = (
+            ("angle a", self.a, "orbit statistics degrade near rationals"),
+            ("4/a - 16", 4.0 / self.a - 16.0, "the fourth power of the return map may look periodic"),
+        )
+        found = ((name, rational_witness(x), effect) for name, x, effect in checks)
+        return tuple(f"{name} is close to {w.p}/{w.q} (quality {w.quality:.2e}); {effect}" for name, w, effect in found if w)
 
 
 def shift(t: float, config: RotationConfig) -> float:
     """One rotation step (t + a) mod 1, via conditional subtraction."""
     s = t + config.a
-    if s >= 1.0:
-        s -= 1.0
-    return s
+    return s - 1.0 if s >= 1.0 else s
 
 
 def shift_array(ts, config: RotationConfig) -> np.ndarray:
@@ -142,11 +132,7 @@ def shift_array(ts, config: RotationConfig) -> np.ndarray:
 
 def interval_index(t: float, config: RotationConfig) -> int:
     """Index of the half-open interval containing t: 1, 2 or 3."""
-    if t < config.a:
-        return 1
-    if t < 4.0 * config.a:
-        return 2
-    return 3
+    return 1 if t < config.a else 2 if t < 4.0 * config.a else 3
 
 
 def interval_indices(points, config: RotationConfig) -> np.ndarray:
@@ -174,14 +160,10 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
     a = config.a
     if not (0.0 <= t < a):
         raise NotInBaseInterval(f"t = {t!r} is not in [0, {a!r})")
-    word = []
-    cur = t
-    steps = 0
-    limit = int(1.0 / a) + 3
+    word, cur, steps, limit = [], t, 0, int(1.0 / a) + 3
     while True:
         word.append(interval_index(cur, config))
-        cur = shift(cur, config)
-        steps += 1
+        cur, steps = shift(cur, config), steps + 1
         if cur < a:
             return FirstReturn(t_return=cur, steps=steps, word=tuple(word))
         if steps > limit:
@@ -193,13 +175,10 @@ def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, n
     points, step counts, and whether each itinerary was 1 2 2 2 3...3.
     Unreturned orbits step together through :func:`shift_array`, so all
     three match the scalar results bit for bit, as does the step bound."""
-    a = config.a
-    cur = np.array(ts, dtype=float)
+    a, cur = config.a, np.array(ts, dtype=float)
     if not np.all((0.0 <= cur) & (cur < a)):
         raise NotInBaseInterval(f"a start is not in [0, {a!r})")
-    steps = np.zeros(cur.shape, dtype=int)
-    words_ok = np.ones(cur.shape, dtype=bool)
-    live = np.arange(cur.size)
+    steps, words_ok, live = np.zeros(cur.shape, dtype=int), np.ones(cur.shape, dtype=bool), np.arange(cur.size)
     limit = int(1.0 / a) + 3
     for n in range(1, limit + 2):
         words_ok[live] &= interval_indices(cur[live], config) == (1 if n == 1 else 2 if n <= 4 else 3)
@@ -239,16 +218,45 @@ def _orbit_start(t0: float) -> float:
     return cur if 0.0 <= cur < 1.0 else cur % 1.0 % 1.0
 
 
-def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
-    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a], each entry mod 1 as :func:`shift` steps it."""
+def _numerators(t0: float, config: RotationConfig, cuts) -> tuple[int, int, int, list[int]]:
+    """Power-of-two common denominator D of the reduced start, a and the cuts, and their numerators over D."""
+    start, a, *cuts = map(Fraction, (_orbit_start(t0), config.a, *cuts))
+    den = math.lcm(*(f.denominator for f in (start, a, *cuts)))
+    return den, int(start * den), int(a * den), [int(c * den) for c in cuts]
+
+
+ORBIT_CHUNK = 1 << 14  # points per Python-int chunk of orbit_arcs: a few MB of temporaries
+
+
+def orbit_arcs(t0: float, config: RotationConfig, steps: int, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Points (t0 + k a) mod 1, k < steps, of the exact orbit of the reduced
+    start, correctly rounded, and the arc [cuts[i], cuts[i + 1]) of each, as
+    in :func:`orbit_counts`.  Over their denominator 2^E the points are
+    x_k = (T + kA) mod 2^E: uint64 arithmetic up to E = 63 (its wraparound
+    is mod 2^64), else Python ints in chunks (4 to 8 times the cost of
+    float steps).  Arcs come from x_k; a point within 2^-54 of 1 rounds to
+    1.0 and reads 0.0."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cur, a, out = _orbit_start(t0), config.a, array("d", [0.0]) * steps
-    for k in range(steps):
-        out[k], cur = cur, cur + a
-        if cur >= 1.0:
-            cur -= 1.0
-    return np.frombuffer(out)
+    den, t, step, bounds = _numerators(t0, config, cuts)
+    dtype, chunk = (np.uint64, steps) if den <= 2**63 else (object, ORBIT_CHUNK)
+    bounds = np.array(bounds[1:], dtype=dtype)
+    points, arcs = np.empty(steps), np.empty(steps, dtype=np.min_scalar_type(len(cuts) - 1))
+    for lo in range(0, steps, chunk):
+        x = np.arange(lo, min(lo + chunk, steps), dtype=dtype)
+        x *= step
+        x += t
+        x &= den - 1
+        # uint64 -> float64 and int / int both round correctly, and 2^E divides exactly
+        np.divide(x, den, out=points[lo : lo + len(x)], casting="unsafe")
+        arcs[lo : lo + len(x)] = np.searchsorted(bounds, x, side="right")
+    points[points == 1.0] = 0.0
+    return points, arcs
+
+
+def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
+    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a] mod 1, exact (see :func:`orbit_arcs`)."""
+    return orbit_arcs(t0, config, steps, (0.0,))[0]
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -270,22 +278,18 @@ def orbit_counts(t0: float, config: RotationConfig, steps: int, cuts) -> list[in
     floor((T + kA + D - cD) / D) = floor((T + kA) / D), so each count is a
     difference of exact floor sums, at O(log D) cost for any ``steps``.
     """
-    start, a = Fraction(_orbit_start(t0)), Fraction(config.a)
-    den = math.lcm(*(f.denominator for f in (start, a, *cuts)))
-    t, step = int(start * den), int(a * den)
+    den, t, step, bounds = _numerators(t0, config, cuts)
     base = steps + _floor_sum(steps, den, step, t)
-    edges = [base - _floor_sum(steps, den, step, t + den - int(c * den)) for c in cuts] + [steps]
+    edges = [base - _floor_sum(steps, den, step, t + den - c) for c in bounds] + [steps]
     return [hi - lo for lo, hi in zip(edges, edges[1:])]
 
 
 def orbit_anchor(t0: float, k: int, config: RotationConfig) -> float:
     """Recompute the k-th orbit point as (t0 + k*a) mod 1 in extended
-    precision; used to bound drift of the stepped orbit."""
+    precision, as an independent check of :func:`orbit`."""
     ld = np.longdouble
     val = float((ld(t0) + ld(k) * ld(config.a)) % ld(1.0))
-    if val >= 1.0:
-        val -= 1.0
-    return val
+    return val - 1.0 if val >= 1.0 else val
 
 
 @dataclass(frozen=True)
@@ -294,15 +298,16 @@ class EquidistributionStats:
     discrepancy: float
     steps: int
 
+    @classmethod
+    def from_counts(cls, counts, config: RotationConfig) -> "EquidistributionStats":
+        """Visit frequencies of the intervals, and their worst deviation from the interval lengths."""
+        if not (steps := sum(counts)):
+            raise ValueError("orbit must be nonempty")
+        freqs = tuple(n / steps for n in counts)
+        return cls(freqs, max(abs(f - l) for f, l in zip(freqs, config.interval_lengths)), steps)
+
 
 def equidistribution_stats(points, config: RotationConfig) -> EquidistributionStats:
-    """Visit frequencies of the three intervals and their worst deviation
-    from the interval lengths."""
-    ts = np.asarray(points, dtype=float)
-    if ts.size == 0:
-        raise ValueError("orbit must be nonempty")
-    idx = interval_indices(ts, config)
-    freqs = tuple(float(np.count_nonzero(idx == j)) / ts.size for j in (1, 2, 3))
-    lengths = config.interval_lengths
-    disc = max(abs(f - l) for f, l in zip(freqs, lengths))
-    return EquidistributionStats(frequencies=freqs, discrepancy=disc, steps=int(ts.size))
+    """:meth:`EquidistributionStats.from_counts` of the points in each interval."""
+    counts = np.bincount(interval_indices(points, config).ravel(), minlength=4)[1:]
+    return EquidistributionStats.from_counts(counts.tolist(), config)

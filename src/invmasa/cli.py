@@ -65,6 +65,14 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")
 
 
+def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
+    if output:
+        p.add_argument("--output", default=None)
+    return p
+
+
 def _emit(report: dict, output) -> None:
     text = write_json(report, output)
     if output is None:
@@ -217,40 +225,31 @@ def main_masa(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", help="run the embedding pipeline on an instance")
+    p = _subcommand(sub, "embed", _cmd_embed, "run the embedding pipeline on an instance")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
     _add_tolerance_flags(p)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("gen", help="generate a structured instance")
+    p = _subcommand(sub, "gen", _cmd_gen, "generate a structured instance", output=False)
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2,1")
     p.add_argument("--cycles", required=True, help="semicolon-separated label cycles, e.g. 0,1;2")
     p.add_argument("--weights", default=None, help="comma-separated point masses")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="verify invariance and/or the masa property")
+    p = _subcommand(sub, "verify", _cmd_verify, "verify invariance and/or the masa property")
     p.add_argument("--input", required=True)
     p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")
     p.add_argument("--mode", choices=("masa", "invariance", "both"), default="both")
-    p.add_argument("--output", default=None)
     _add_tolerance_flags(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("factor", help="factor the unitary into block-diagonal and permutation parts")
+    p = _subcommand(sub, "factor", _cmd_factor, "factor the unitary into block-diagonal and permutation parts")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
     _add_tolerance_flags(p)
-    p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("match", help="match two functions by value multiplicities")
+    p = _subcommand(sub, "match", _cmd_match, "match two functions by value multiplicities")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--value-tol", type=float, default=0.0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_match)
 
     args = parser.parse_args(argv)
     return _dispatch(lambda: args.func(args))
@@ -326,18 +325,13 @@ def _cmd_return_map(args) -> int:
 
 def _cmd_orbit(args) -> int:
     config = _config(args)
-    pts = circle.orbit(args.t0, config, args.steps)
-    details = {
-        "a": config.a,
-        "t0": args.t0,
-        "steps": int(args.steps),
-        "head": [float(x) for x in pts[:8]],
-    }
+    head = circle.orbit(args.t0, config, min(args.steps, 8))
+    details = {"a": config.a, "t0": args.t0, "steps": int(args.steps), "head": head.tolist()}
     if args.stats:
-        stats = circle.equidistribution_stats(pts, config)
-        details["frequencies"] = list(stats.frequencies)
-        details["interval_lengths"] = list(config.interval_lengths)
-        details["discrepancy"] = stats.discrepancy
+        counts = circle.orbit_counts(args.t0, config, args.steps, (0.0, config.a, 4.0 * config.a))
+        stats = circle.EquidistributionStats.from_counts(counts, config)
+        lengths = list(config.interval_lengths)
+        details.update(frequencies=list(stats.frequencies), interval_lengths=lengths, discrepancy=stats.discrepancy)
     report = make_report("orbit", details=details, warnings=config.warnings())
     _emit(report, args.output)
     return 0
@@ -410,35 +404,27 @@ def main_cex(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("combinatorics", help="dump the exact automaton tables")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_combinatorics)
+    _subcommand(sub, "combinatorics", _cmd_combinatorics, "dump the exact automaton tables")
 
-    p = sub.add_parser("return-map", help="compare iterated and closed-form first returns")
+    p = _subcommand(sub, "return-map", _cmd_return_map, "compare iterated and closed-form first returns")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_return_map)
 
-    p = sub.add_parser("orbit", help="rotation orbit and interval statistics")
+    p = _subcommand(sub, "orbit", _cmd_orbit, "rotation orbit and interval statistics")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100000)
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("defect", help="invariance defect of a candidate projection field")
+    p = _subcommand(sub, "defect", _cmd_defect, "invariance defect of a candidate projection field")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--twist", choices=("standard", "identity"), default="standard")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_defect)
 
-    p = sub.add_parser("propagate", help="propagate the forced parameter trajectory")
+    p = _subcommand(sub, "propagate", _cmd_propagate, "propagate the forced parameter trajectory")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--e", type=float, required=True)
@@ -446,8 +432,6 @@ def main_cex(argv=None) -> int:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--twist", choices=("standard", "identity"), default="standard")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_propagate)
 
     args = parser.parse_args(argv)
     return _dispatch(lambda: args.func(args))

@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import RotationConfig, interval_indices, orbit, orbit_counts
-from .errors import InvalidCandidate
+from .circle import RotationConfig, interval_indices, orbit_arcs, orbit_counts
+from .errors import InvalidCandidate, NoConvergence
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
 from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
 
@@ -426,6 +426,14 @@ def _prefix_products(table: np.ndarray, word: np.ndarray) -> np.ndarray:
     return out
 
 
+def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
+    """Exact orbit t_0..t_steps, and the interval and twist piece of t_0..t_(steps-1) from their arcs."""
+    cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
+    pts, arcs = orbit_arcs(t0, config, steps + 1, cuts)
+    tables = (interval_indices(cuts, config), field.piece_index(cuts))
+    return (pts, *(table.astype(arcs.dtype).take(arcs[:-1]) for table in tables))
+
+
 def propagate_constraint(
     start: ReflectionParams,
     t0: float,
@@ -437,17 +445,18 @@ def propagate_constraint(
 
     Step k rotates the Bloch vector by R_V of the twist piece at t_k and
     steps the predicted sign class by the automaton's table
-    (``signs.INTERVAL_ACTIONS``) of the interval at t_k.  The tables generate
-    a small group, as do rotations that are all signed permutations (the
-    CLI's twists'), so both recurrences are prefix products of group
-    numbers; other rotations take a per-step float loop.  The sign flips
-    only on the diagonal boundary (e at most ``DIAGONAL_BOUNDARY_TOL``), to
-    make d nonnegative; such steps are logged, not treated as errors.
+    (``signs.INTERVAL_ACTIONS``) of the interval at t_k, on the exact orbit.
+    The tables generate a small group, as do rotations that are all signed
+    permutations (the CLI's twists'), so both recurrences are prefix products
+    of group numbers; other rotations take a per-step float loop, which
+    raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
+    The sign flips only on the diagonal boundary (e at most
+    ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are logged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    pts = orbit(t0, config, steps + 1)
-    pieces, rot, x = field.piece_index(pts[:-1]), bloch_rotations(field), bloch_vectors(start.matrix())
+    pts, letters, pieces = _itinerary(t0, config, field, steps)
+    rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
     if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
         # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
         perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
@@ -462,9 +471,11 @@ def propagate_constraint(
             x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
             flat.extend((x0, x1, x2))
         images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
+        if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
+            raise NoConvergence(f"step {past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
     actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
     class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
-    word = class_gens[interval_indices(pts[:-1], config) - 1]
+    word = class_gens[letters - 1]
     expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
     # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
     triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13

@@ -1,6 +1,7 @@
 """Tests for the rotation dynamics over the three-interval partition."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from invmasa import (
     return_closed_form,
     shift,
 )
-from invmasa.circle import first_returns, shift_array
+from invmasa.circle import ORBIT_CHUNK, _numerators, first_returns, orbit_arcs, shift_array
 from invmasa.errors import NoConvergence, NotInBaseInterval
-from oracles import fraction_witness
+from oracles import fraction_witness, stepped_orbit
 
 SQRT2_OVER_8 = math.sqrt(2.0) / 8.0
 BATTERY = (SQRT2_OVER_8, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012)
@@ -216,15 +217,56 @@ class TestOrbit:
         for _ in range(5000):
             want.append(cur)
             cur = shift(cur, cfg)
-        pts = orbit(t0, cfg, 5000)
+        pts = stepped_orbit(t0, cfg, 5000)
         assert pts.dtype == np.float64 and pts.shape == (5000,)
         assert np.array_equal(pts, want) and not np.signbit(pts).any()
+        # each step rounds by at most half an ulp of 1
+        exact = orbit(t0, cfg, 5000)
+        assert max(map(circle_distance, exact, pts)) <= 5000 * 2.0**-53
 
     def test_anchor_drift_bound(self):
         cfg = RotationConfig(SQRT2_OVER_8)
         pts = orbit(0.123, cfg, 100001)
         for k in (10, 1000, 100000):
             assert circle_distance(pts[k], orbit_anchor(0.123, k, cfg)) <= 1e-10
+
+
+def exact_point(t0, a, k):
+    """The k-th point of the exact orbit of the reduced start as a fraction, and its float."""
+    x = (Fraction(float(t0 % 1.0 % 1.0)) + k * Fraction(a)) % 1
+    return x, float(x) % 1.0
+
+
+class TestExactOrbit:
+    @pytest.mark.parametrize(
+        "a, t0, wide",
+        [(a, t0, False) for a in BATTERY for t0 in (0.0, 0.37, 0.999999, -0.25, -1e-300)]
+        + [(SQRT2_OVER_8, 1e-300, True), (SQRT2_OVER_8, 3e-5, True), (1e-5, 0.3, True), (0.1, -5e-324, False), (2e-300, 0.5, True)],
+    )
+    def test_sampled_points_are_the_rounded_fractions(self, a, t0, wide):
+        cfg = RotationConfig(a)
+        assert (_numerators(t0, cfg, ())[0] > 2**63) is wide
+        steps = 2 * ORBIT_CHUNK + 7
+        pts = orbit(t0, cfg, steps)
+        assert pts.shape == (steps,) and ((0.0 <= pts) & (pts < 1.0)).all() and not np.signbit(pts).any()
+        ks = np.random.default_rng(7).integers(0, steps, size=200).tolist()
+        for k in ks + [0, 1, ORBIT_CHUNK - 1, ORBIT_CHUNK, steps - 1]:
+            assert pts[k] == exact_point(t0, a, k)[1]
+
+    def test_a_point_that_rounds_to_one_reads_zero(self):
+        # 2^-54 + 4 (1/4 - 2^-55) = 1 - 2^-54 is the midpoint below 1 and rounds to the even 1.0
+        cfg = RotationConfig(0.25 - 2.0**-55)
+        x, rounded = exact_point(2.0**-54, cfg.a, 4)
+        assert x == 1 - Fraction(1, 2**54) and rounded == 0.0
+        pts, arcs = orbit_arcs(2.0**-54, cfg, 5, (0.0, cfg.a, 4.0 * cfg.a))
+        # the point reads 0.0, but its arc is that of the exact value, the last
+        assert pts[4] == 0.0 and arcs.tolist() == [0, 1, 1, 1, 2]
+
+    def test_arc_numbers_are_one_byte_while_they_fit(self):
+        cfg = RotationConfig(SQRT2_OVER_8)
+        assert orbit_arcs(0.0, cfg, 10, [k / 256 for k in range(256)])[1].dtype == np.uint8
+        arcs = orbit_arcs(0.0, cfg, 10, [k / 512 for k in range(512)])[1]
+        assert arcs.dtype == np.uint16 and arcs.tolist() == [int(512 * exact_point(0.0, cfg.a, k)[0]) for k in range(10)]
 
 
 class TestEquidistribution:

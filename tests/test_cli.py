@@ -526,6 +526,27 @@ class TestCexCommands:
         assert doc["details"]["discrepancy"] <= 0.01
         assert abs(sum(doc["details"]["frequencies"]) - 1.0) < 1e-15
 
+    def test_orbit_stats_of_a_huge_orbit_build_no_orbit(self, tmp_path):
+        # 8 bytes a point would be 8 TB: the head takes 8 points, the frequencies exact counts
+        out = tmp_path / "orbit.json"
+        argv = ["orbit", "--a", A_STR, "--steps", str(10**12), "--stats", "--output", str(out)]
+        start = time.perf_counter()
+        assert main_cex(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        details = read_json(out)["details"]
+        assert len(details["head"]) == 8 and details["steps"] == 10**12
+        assert abs(sum(details["frequencies"]) - 1.0) <= 1e-12 and details["discrepancy"] <= 1e-9
+
+    def test_orbit_head_and_stats_come_from_the_exact_orbit(self, tmp_path):
+        # t0 = 1e-300 puts the orbit over 2^1049: the Python-int sweep
+        out = tmp_path / "orbit.json"
+        assert main_cex(["orbit", "--a", A_STR, "--t0", "1e-300", "--steps", "1000", "--stats", "--output", str(out)]) == 0
+        details, cfg = read_json(out)["details"], invmasa.RotationConfig(float(A_STR))
+        assert details["head"] == invmasa.orbit(1e-300, cfg, 8).tolist()
+        assert details["head"][:2] == [1e-300, cfg.a]
+        stats = invmasa.equidistribution_stats(invmasa.orbit(1e-300, cfg, 1000), cfg)
+        assert details["frequencies"] == list(stats.frequencies) and details["discrepancy"] == stats.discrepancy
+
     def test_defect_constant_diagonal(self, tmp_path):
         cand = tmp_path / "cand.json"
         write_json(

@@ -3,9 +3,13 @@ invariance-defect harness."""
 
 import math
 import tracemalloc
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmasa import cocycle
 from invmasa import (
@@ -24,7 +28,6 @@ from invmasa import (
     is_unitary,
     matrix_sign_profile,
     max_norm,
-    orbit,
     propagate_constraint,
     random_projection_field,
     validate_projection_field,
@@ -38,10 +41,10 @@ from invmasa.cocycle import (
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import InvalidCandidate
+from invmasa.errors import InvalidCandidate, NoConvergence
 from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
-from oracles import fraction_defect, sampled_defect, stepped_vectors
-from test_circle import BATTERY
+from oracles import fraction_defect, sampled_defect, stepped_orbit, stepped_vectors
+from test_circle import BATTERY, exact_point
 
 A = math.sqrt(2.0) / 8.0
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -149,12 +152,26 @@ class TestReflectionParams:
     def test_starts_at_the_limit_propagate_to_finite_vectors(self):
         limit, cfg = cocycle.BLOCH_LIMIT, RotationConfig(A)
         off_axes = ReflectionParams(0.3, 1e308, complex(math.cos(0.8), math.sin(0.8)))
+        near = near_permutation_twist(cfg, 1e-9)
         for start in (ReflectionParams(limit, limit, 1.0 + 0j), ReflectionParams(-limit, limit, 1j), off_axes):
             assert np.isfinite(bloch_vectors(start.matrix())).all()
-            for field in (standard(cfg), near_permutation_twist(cfg, 1e-9)):
-                assert np.isfinite(propagate_constraint(start, 0.1, cfg, field, 500).vectors).all()
             # a signed permutation moves components, so every step's parameters stay in range
             assert len(propagate_constraint(start, 0.1, cfg, standard(cfg), 500).parameters) == 501
+            if start.d < 0.0:
+                # 1e-9 off a signed permutation, the first step turns a component past the limit
+                with pytest.raises(NoConvergence, match="step 1 takes"):
+                    propagate_constraint(start, 0.1, cfg, near, 500)
+            else:
+                assert np.isfinite(propagate_constraint(start, 0.1, cfg, near, 500).vectors).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_loop_that_passes_the_limit_names_its_first_step(self):
+        cfg = RotationConfig(0.1)
+        start = ReflectionParams(cocycle.BLOCH_LIMIT, cocycle.BLOCH_LIMIT, 1j)
+        with pytest.raises(NoConvergence, match=r"step 10 takes a Bloch component past 8\.988465674311579e\+307"):
+            propagate_constraint(start, 0.1, cfg, near_permutation_twist(cfg, 1e-9), 500)
+        # the first 9 steps stay within the limit, so their parameters exist
+        assert len(propagate_constraint(start, 0.1, cfg, near_permutation_twist(cfg, 1e-9), 9).parameters) == 10
 
 
 class TestConjugateStep:
@@ -374,8 +391,9 @@ def resolve_sign(m, zero_tol=DIAGONAL_BOUNDARY_TOL):
 
 
 def loop_propagate(start, t0, config, field, steps):
-    """Per-step 2x2 propagation: conjugate, resolve the sign, classify."""
-    pts = orbit(t0, config, steps + 1)
+    """Per-step 2x2 propagation along the stepped orbit: conjugate, resolve
+    the sign, classify."""
+    pts = stepped_orbit(t0, config, steps + 1)
     s = start.matrix()
     params = [start]
     classes = [matrix_sign_profile(s)]
@@ -401,9 +419,9 @@ def loop_propagate(start, t0, config, field, steps):
 
 
 def einsum_defect(candidate, config, field, t0, steps):
-    """Defect over (steps, 2, 2) complex arrays: (max, mean, per-interval
-    (count, max, mean))."""
-    pts = orbit(t0, config, steps + 1)
+    """Defect over (steps, 2, 2) complex arrays on the stepped orbit: (max,
+    mean, per-interval (count, max, mean))."""
+    pts = stepped_orbit(t0, config, steps + 1)
     s_all = 2.0 * candidate.values_at(pts) - np.eye(2, dtype=complex)
     v = field.values_at(pts[:-1])
     transported = np.einsum("kji,kjl,klm->kim", v.conj(), s_all[:-1], v)
@@ -643,6 +661,38 @@ def near_permutation_twist(config, eps):
     field = standard(config)
     turn = np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
     return PiecewiseMatrixField(field.breakpoints, (field.values[0] @ turn,) + field.values[1:])
+
+
+def near_rationals(lo, hi):
+    """Floats in [lo, hi), often p/q moved by a few ulps."""
+    moved = st.builds(
+        lambda p, q, ulps: p / q + ulps * math.ulp(p / q), st.integers(0, 400), st.integers(1, 400), st.integers(-3, 3)
+    )
+    return st.one_of(moved, st.floats(lo, hi)).filter(lambda x: lo <= x < hi)
+
+
+class TestItinerary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=near_rationals(1e-4, 0.25).filter(lambda a: a > 0.0),
+        t0=st.one_of(near_rationals(0.0, 1.0), st.sampled_from([1e-300, 3e-5, 1.0 - 2.0**-53])),
+        marks=st.lists(st.one_of(near_rationals(0.0, 1.0), st.integers(1, 60)), max_size=6),
+        steps=st.integers(1, 300),
+    )
+    def test_letters_and_pieces_are_the_exact_ones(self, a, t0, marks, steps):
+        cfg = RotationConfig(a)
+        # an integer mark k puts a breakpoint on the float of the k-th orbit point
+        bps = sorted({0.0, *(m if isinstance(m, float) else exact_point(t0, a, m)[1] for m in marks)})
+        field = PiecewiseMatrixField(bps, (np.eye(2),) * len(bps))
+        pts, letters, pieces = cocycle._itinerary(t0, cfg, field, steps)
+        assert pts.shape == (steps + 1,) and letters.dtype == pieces.dtype == np.uint8
+        fa, twist = Fraction(a), [Fraction(b) for b in bps]
+        for k in range(steps + 1):
+            x, rounded = exact_point(t0, a, k)
+            assert pts[k] == rounded
+            if k < steps:
+                assert letters[k] == (1 if x < fa else 2 if x < 4 * fa else 3)
+                assert pieces[k] == bisect_right(twist, x) - 1
 
 
 class TestGroupScan:
