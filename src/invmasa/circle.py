@@ -308,6 +308,13 @@ class EquidistributionStats:
 
 
 def equidistribution_stats(points, config: RotationConfig) -> EquidistributionStats:
-    """:meth:`EquidistributionStats.from_counts` of the points in each interval."""
+    """:meth:`EquidistributionStats.from_counts` of the points in each interval.
+
+    It classifies the given (rounded) points, so a point that rounds onto
+    a cut counts in the next interval and the counts can differ from the
+    exact :func:`orbit_counts`: at a = 1/6, t0 = 0 and 10^5 points this
+    gives [16668, 50000, 33332] against [16667, 50000, 33333].
+    ``cex orbit --stats`` uses the exact counts.
+    """
     counts = np.bincount(interval_indices(points, config).ravel(), minlength=4)[1:]
     return EquidistributionStats.from_counts(counts.tolist(), config)

@@ -122,10 +122,6 @@ class PiecewiseMatrixField:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", tuple(vals))
 
-    @property
-    def pieces(self) -> int:
-        return len(self.breakpoints)
-
     def piece_index(self, t):
         """Index of the piece containing t, or of each entry of an array."""
         return (np.searchsorted(self.breakpoints, t, side="right") - 1) % len(self.breakpoints)

@@ -207,12 +207,9 @@ def commutant_basis(
             f"{system_bytes} bytes, over the budget of {COMMUTANT_SYSTEM_BUDGET}"
         )
     if len(gens) == 0:
-        return [_unit_matrix(n, i, j) for i in range(n) for j in range(n)]
+        return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
     eye = np.eye(n)
     system = np.vstack([np.kron(g.T, eye) - np.kron(eye, g) for g in gens])
-    if system.shape[0] < system.shape[1]:
-        pad = np.zeros((system.shape[1] - system.shape[0], system.shape[1]), dtype=complex)
-        system = np.vstack([system, pad])
     _, sing, vh = np.linalg.svd(system, full_matrices=False)
     rank = int(np.sum(sing * sing > _zero_cutoff(float(sing.max(initial=0.0)) ** 2, gens, tol)))
     null = vh[rank:]
@@ -257,9 +254,3 @@ def commutant_dimension(
     values = np.diagonal(rotated, axis1=1, axis2=2)
     gaps = np.sum(np.abs(values[:, :, None] - values[:, None, :]) ** 2, axis=0)
     return int(np.sum(gaps <= _zero_cutoff(float(gaps.max()), stack, tol)))
-
-
-def _unit_matrix(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e

@@ -103,10 +103,6 @@ class BlockPartition:
         labels.setflags(write=False)
         return labels
 
-    @classmethod
-    def singletons(cls, n: int) -> "BlockPartition":
-        return cls(tuple((i,) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class BlockAlgebra:
@@ -169,10 +165,9 @@ def masa_check(basis, n: int, tol: TolerancePolicy = DEFAULT_TOL) -> MasaCheck:
     """
     stack = _square_family(basis, n)
     rows = span_rows(stack, tol)
-    abelian = 0.0
-    for i, x in enumerate(stack):
-        for y in stack[i + 1 :]:
-            abelian = max(abelian, max_norm(x @ y - y @ x))
+    abelian = max(
+        (max_norm(x @ stack[i + 1 :] - stack[i + 1 :] @ x) for i, x in enumerate(stack)), default=0.0
+    )
     return MasaCheck(
         rank=len(rows),
         commutant_dimension=commutant_dimension(stack, n, tol),
@@ -201,22 +196,6 @@ def block_masa_check(algebra: BlockAlgebra, tol: TolerancePolicy = DEFAULT_TOL) 
     )
 
 
-def _cluster_keys(values: np.ndarray, value_tol: float) -> list[int]:
-    """Assign a cluster id to every value; values within ``value_tol`` of a
-    chain neighbour (in lexicographic real/imag order) share an id."""
-    order = np.lexsort((values.imag, values.real))
-    keys = [0] * len(values)
-    cluster = 0
-    prev = None
-    for pos in order:
-        v = values[pos]
-        if prev is not None and abs(v - prev) > value_tol:
-            cluster += 1
-        keys[pos] = cluster
-        prev = v
-    return keys
-
-
 def multiplicity_match(f, g, value_tol: float = 0.0):
     """Find a point bijection ``sigma`` with ``g[x] == f[sigma[x]]``.
 
@@ -227,33 +206,30 @@ def multiplicity_match(f, g, value_tol: float = 0.0):
 
     Values are compared with exact complex equality by default; a positive
     ``value_tol`` switches to chain clustering for inputs that were
-    computed rather than given.  Equal values are paired in ascending point
-    order, so the output is deterministic.
+    computed rather than given: in lexicographic real/imag order, a value
+    within ``value_tol`` of its predecessor shares its cluster.  Equal
+    values are paired in ascending point order, so the output is
+    deterministic.
     """
     fv = np.asarray(f, dtype=complex)
     gv = np.asarray(g, dtype=complex)
     if fv.shape != gv.shape or fv.ndim != 1:
         raise LengthMismatch("f and g must be equal-length value tuples")
-    n = fv.shape[0]
+    values = np.concatenate([fv, gv])
+    order = np.lexsort((values.imag, values.real))
+    ordered = values[order]
+    starts = np.zeros(len(values), dtype=int)
     if value_tol > 0.0:
-        keys = _cluster_keys(np.concatenate([fv, gv]), value_tol)
-        f_keys, g_keys = keys[:n], keys[n:]
+        starts[1:] = np.abs(np.diff(ordered)) > value_tol
     else:
-        f_keys = [complex(v) for v in fv]
-        g_keys = [complex(v) for v in gv]
-    f_positions: dict = {}
-    for i, k in enumerate(f_keys):
-        f_positions.setdefault(k, []).append(i)
-    g_positions: dict = {}
-    for i, k in enumerate(g_keys):
-        g_positions.setdefault(k, []).append(i)
-    if set(f_positions) != set(g_positions):
+        starts[1:] = ordered[1:] != ordered[:-1]
+    keys = np.empty_like(starts)
+    keys[order] = np.cumsum(starts)
+    f_keys, g_keys = np.split(keys, 2)
+    f_order = np.argsort(f_keys, kind="stable")
+    g_order = np.argsort(g_keys, kind="stable")
+    if not np.array_equal(f_keys[f_order], g_keys[g_order]):
         return None
-    sigma = [0] * n
-    for key, f_idx in f_positions.items():
-        g_idx = g_positions[key]
-        if len(f_idx) != len(g_idx):
-            return None
-        for gi, fi in zip(g_idx, f_idx):
-            sigma[gi] = fi
-    return tuple(sigma)
+    sigma = np.empty_like(f_order)
+    sigma[g_order] = f_order
+    return tuple(sigma.tolist())

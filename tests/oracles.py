@@ -11,7 +11,8 @@ exact one.  The defect references visit every orbit point, the stepped
 float orbit in chunks or the exact one as fractions.  The propagation
 reference takes one numpy matrix-vector product per stepped orbit point.
 The rational-witness reference measures each convergent's error as a
-``Fraction``.
+``Fraction``.  The multiplicity-match reference buckets point positions
+by value in dictionaries.
 """
 
 import math
@@ -42,7 +43,7 @@ from invmasa.cocycle import (
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import DimensionMismatch, NotInvariant
+from invmasa.errors import DimensionMismatch, LengthMismatch, NotInvariant
 
 # The block structures of the benchmark's factor workload (n = 48..96).
 FACTOR_SHAPES = (
@@ -271,3 +272,52 @@ def fraction_witness(x):
         if best is None or quality < best.quality:
             best = RationalWitness(p=h1, q=k1, error=float(err), quality=quality)
     return best if best is not None and best.quality < 1e-3 else None
+
+
+def _cluster_keys(values, value_tol):
+    """Assign a cluster id to every value; values within ``value_tol`` of a
+    chain neighbour (in lexicographic real/imag order) share an id."""
+    order = np.lexsort((values.imag, values.real))
+    keys = [0] * len(values)
+    cluster = 0
+    prev = None
+    for pos in order:
+        v = values[pos]
+        if prev is not None and abs(v - prev) > value_tol:
+            cluster += 1
+        keys[pos] = cluster
+        prev = v
+    return keys
+
+
+def bucket_match(f, g, value_tol=0.0):
+    """``spaces.multiplicity_match`` with the positions of each value (or
+    value cluster) collected in one dict per side and paired bucket by
+    bucket; exact mode keys the dicts by Python ``complex``."""
+    fv = np.asarray(f, dtype=complex)
+    gv = np.asarray(g, dtype=complex)
+    if fv.shape != gv.shape or fv.ndim != 1:
+        raise LengthMismatch("f and g must be equal-length value tuples")
+    n = fv.shape[0]
+    if value_tol > 0.0:
+        keys = _cluster_keys(np.concatenate([fv, gv]), value_tol)
+        f_keys, g_keys = keys[:n], keys[n:]
+    else:
+        f_keys = [complex(v) for v in fv]
+        g_keys = [complex(v) for v in gv]
+    f_positions = {}
+    for i, k in enumerate(f_keys):
+        f_positions.setdefault(k, []).append(i)
+    g_positions = {}
+    for i, k in enumerate(g_keys):
+        g_positions.setdefault(k, []).append(i)
+    if set(f_positions) != set(g_positions):
+        return None
+    sigma = [0] * n
+    for key, f_idx in f_positions.items():
+        g_idx = g_positions[key]
+        if len(f_idx) != len(g_idx):
+            return None
+        for gi, fi in zip(g_idx, f_idx):
+            sigma[gi] = fi
+    return tuple(sigma)

@@ -706,6 +706,92 @@ class TestExitCodeMapping:
         assert "error: orbit buffers" in err and "Traceback" not in err
         assert not out.exists()
 
+    # one bad option or document per command, each rejected before any
+    # output is written
+    @pytest.mark.parametrize(
+        "main, argv, files, code, message",
+        [
+            (main_masa, ["gen", "--blocks", "2,x", "--cycles", "0,1"], {}, 2, "could not parse --blocks: '2,x'"),
+            (main_masa, ["gen", "--blocks", "2,0", "--cycles", "0,1"], {}, 2, "block sizes must be positive"),
+            (
+                main_masa,
+                ["gen", "--blocks", "2,2", "--cycles", "0,1", "--weights", "1,2,3"],
+                {},
+                2,
+                "--weights needs 4 values",
+            ),
+            (
+                main_cex,
+                ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0", "--theta-arg", "0.4", "--steps", "10"],
+                {},
+                2,
+                "--e must be positive",
+            ),
+            (
+                main_masa,
+                ["factor", "--input", "instance.json"],
+                {
+                    "instance.json": {
+                        "dimension": 3,
+                        "weights": [1.0, 2.0],
+                        "blocks": [[0], [1]],
+                        "unitary": _matrix([[0.0, 1.0], [1.0, 0.0]]),
+                    }
+                },
+                2,
+                "dimension 3 does not match 2 weights",
+            ),
+            (
+                main_masa,
+                ["factor", "--input", "instance.json"],
+                {
+                    "instance.json": {
+                        "dimension": 2,
+                        "weights": [1.0, 2.0],
+                        "blocks": [[0]],
+                        "unitary": _matrix([[0.0, 1.0], [1.0, 0.0]]),
+                    }
+                },
+                2,
+                "blocks cover 1 points, dimension is 2",
+            ),
+            (
+                main_cex,
+                ["defect", "--a", A_STR, "--candidate", "cand.json", "--steps", "10"],
+                {"cand.json": {"breakpoints": [0.0], "projections": [_matrix([[2.0, 0.0], [0.0, -1.0]])]}},
+                3,
+                "piece 0 is not a projection within 1e-10",
+            ),
+            (
+                main_masa,
+                ["match", "--f", "f.json", "--g", "g.json"],
+                {"f.json": {"re": [1.0, 2.0], "im": [0.0] * 2}, "g.json": {"re": [1.0, 2.0, 3.0], "im": [0.0] * 3}},
+                3,
+                "f and g must be equal-length value tuples",
+            ),
+        ],
+        ids=[
+            "gen-block-not-int",
+            "gen-block-zero",
+            "gen-weight-count",
+            "propagate-e-zero",
+            "instance-dimension",
+            "instance-cover",
+            "candidate-not-projection",
+            "match-unequal-lengths",
+        ],
+    )
+    def test_input_paths_exit_with_their_error_line(
+        self, tmp_path, capsys, monkeypatch, main, argv, files, code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in files.items():
+            write_json(tmp_path / name, doc)
+        assert main([*argv, "--output", "out.json"]) == code
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, tmp_path):

@@ -188,6 +188,19 @@ class TestCommutant:
         for n in (2, 3):
             assert len(commutant_basis([np.eye(n, dtype=complex)], n)) == n * n
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_family_gives_the_unit_matrices_in_row_major_order(self, n):
+        units = []
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j] = 1.0
+                units.append(e)
+        basis = commutant_basis([], n)
+        assert len(basis) == n * n
+        for x, e in zip(basis, units):
+            assert x.dtype == complex and x.shape == (n, n) and np.array_equal(x, e)
+
     def test_block_scalar_algebra(self):
         gens = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0]).astype(complex)]
         assert commutant_dimension_bruteforce(gens, 3) == 5

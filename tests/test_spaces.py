@@ -22,6 +22,7 @@ from oracles import (
     EMBED_SHAPES,
     FACTOR_SHAPES,
     algebra_basis,
+    bucket_match,
     frame_projections,
     member_masa_check,
     shaped_instance,
@@ -259,3 +260,20 @@ class TestMultiplicityMatch:
             mf = multiplication_operator(fv, space)
             mg = multiplication_operator(gv, space)
             assert np.max(np.abs(p @ mf @ p.conj().T - mg)) <= 1e-12
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from([0.0, 1e-13, 1e-9, 0.5]), st.data())
+    def test_equals_bucket_oracle(self, value_tol, data):
+        # repeats, both zero signs in each part, near-ties 1e-12 apart, a
+        # gap of exactly 0.5 and NaN; inf only in exact mode, because
+        # inf - inf warns under a tolerance in both versions
+        pool = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), 1.0, 1 + 1e-12, 1 - 1e-12]
+        pool += [1j, -1j, 2.0, 2.5, complex("nan"), complex(1.0, float("nan"))]
+        if value_tol == 0.0:
+            pool += [complex("inf"), complex(0.0, -float("inf"))]
+        f = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        if data.draw(st.booleans()):
+            g = data.draw(st.permutations(f))
+        else:
+            g = data.draw(st.lists(st.sampled_from(pool), min_size=len(f), max_size=len(f)))
+        assert multiplicity_match(f, g, value_tol) == bucket_match(f, g, value_tol)
