@@ -60,9 +60,16 @@ def _tolerance(args) -> TolerancePolicy:
     return TolerancePolicy(eps_eq=args.tol, eps_rank=args.rank_tol)
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_eq, help="entrywise equality tolerance")
     parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")
+
+
+def _add_orbit_flags(parser: argparse.ArgumentParser, steps: int) -> None:
+    parser.add_argument("--a", type=float, required=True)
+    parser.add_argument("--t0", type=float, default=0.0)
+    parser.add_argument("--steps", type=int, default=steps)
 
 
 def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> argparse.ArgumentParser:
@@ -225,9 +232,7 @@ def main_masa(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "embed", _cmd_embed, "run the embedding pipeline on an instance")
-    p.add_argument("--input", required=True)
-    _add_tolerance_flags(p)
+    _add_instance_flags(_subcommand(sub, "embed", _cmd_embed, "run the embedding pipeline on an instance"))
 
     p = _subcommand(sub, "gen", _cmd_gen, "generate a structured instance", output=False)
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2,1")
@@ -237,14 +242,12 @@ def main_masa(argv=None) -> int:
     p.add_argument("--output", required=True)
 
     p = _subcommand(sub, "verify", _cmd_verify, "verify invariance and/or the masa property")
-    p.add_argument("--input", required=True)
+    _add_instance_flags(p)
     p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")
     p.add_argument("--mode", choices=("masa", "invariance", "both"), default="both")
-    _add_tolerance_flags(p)
 
     p = _subcommand(sub, "factor", _cmd_factor, "factor the unitary into block-diagonal and permutation parts")
-    p.add_argument("--input", required=True)
-    _add_tolerance_flags(p)
+    _add_instance_flags(p)
 
     p = _subcommand(sub, "match", _cmd_match, "match two functions by value multiplicities")
     p.add_argument("--f", required=True)
@@ -257,13 +260,6 @@ def main_masa(argv=None) -> int:
 
 # ---------------------------------------------------------------------------
 # cex subcommands
-
-
-def _config(args) -> circle.RotationConfig:
-    try:
-        return circle.RotationConfig(args.a)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def combinatorics_document() -> dict:
@@ -303,7 +299,7 @@ def _cmd_combinatorics(args) -> int:
 
 
 def _cmd_return_map(args) -> int:
-    config = _config(args)
+    config = circle.RotationConfig(args.a)
     if args.samples < 1:
         raise SchemaError("--samples must be positive")
     rng = np.random.default_rng(args.seed)
@@ -324,7 +320,7 @@ def _cmd_return_map(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    config = _config(args)
+    config = circle.RotationConfig(args.a)
     head = circle.orbit(args.t0, config, min(args.steps, 8))
     details = {"a": config.a, "t0": args.t0, "steps": int(args.steps), "head": head.tolist()}
     if args.stats:
@@ -344,7 +340,7 @@ def _twist(args, config: circle.RotationConfig) -> cocycle.PiecewiseMatrixField:
 
 
 def _cmd_defect(args) -> int:
-    config = _config(args)
+    config = circle.RotationConfig(args.a)
     candidate = load_projection_field(args.candidate)
     field = _twist(args, config)
     report = cocycle.invariance_defect(candidate, config, field, args.t0, args.steps)
@@ -366,7 +362,7 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    config = _config(args)
+    config = circle.RotationConfig(args.a)
     if args.e <= 0.0:
         raise SchemaError("--e must be positive")
     for flag, value in (("--d", abs(args.d)), ("--e", args.e)):
@@ -412,25 +408,19 @@ def main_cex(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
 
     p = _subcommand(sub, "orbit", _cmd_orbit, "rotation orbit and interval statistics")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=100000)
+    _add_orbit_flags(p, steps=100000)
     p.add_argument("--stats", action="store_true")
 
     p = _subcommand(sub, "defect", _cmd_defect, "invariance defect of a candidate projection field")
-    p.add_argument("--a", type=float, required=True)
+    _add_orbit_flags(p, steps=10000)
     p.add_argument("--candidate", required=True)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--twist", choices=("standard", "identity"), default="standard")
 
     p = _subcommand(sub, "propagate", _cmd_propagate, "propagate the forced parameter trajectory")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--theta-arg", type=float, default=0.0, help="phase angle of theta, radians")
+    _add_orbit_flags(p, steps=100)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--e", type=float, required=True)
-    p.add_argument("--theta-arg", type=float, default=0.0, help="phase angle of theta, radians")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--twist", choices=("standard", "identity"), default="standard")
 
     args = parser.parse_args(argv)

@@ -44,8 +44,8 @@ class TolerancePolicy:
     """Comparison thresholds used throughout the library.
 
     ``eps_eq`` bounds entrywise (max-norm) equality checks; ``eps_rank`` is
-    the relative Gram-eigenvalue cutoff below which a direction counts as
-    numerically zero.  ``eps_certificate`` is derived, not set.
+    the relative cutoff on squared singular values below which a direction
+    counts as numerically zero.  ``eps_certificate`` is derived, not set.
     """
 
     eps_eq: float = 1e-9
@@ -120,30 +120,25 @@ def _flatten_family(vectors) -> np.ndarray:
     return flat.reshape(len(flat), -1) if len(flat) else np.zeros((0, 0), dtype=complex)
 
 
-def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Rank of a family of arrays viewed as flat vectors.
+def _rank(sing: np.ndarray, tol: TolerancePolicy) -> int:
+    """Number of singular values sigma with sigma^2 > eps_rank * sigma_max^2."""
+    return int(np.sum(sing * sing > tol.eps_rank * sing.max(initial=0.0) ** 2))
 
-    Computed from the Gram matrix: eigenvalues below ``eps_rank`` times the
-    largest one count as zero.
-    """
-    flat = _flatten_family(vectors)
-    eigs = np.linalg.eigvalsh(flat @ flat.conj().T)
-    top = float(eigs.max(initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.sum(eigs > tol.eps_rank * top))
+
+def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Rank of a family of arrays viewed as flat vectors: the number of its
+    singular values kept by the cutoff of :func:`span_rows`."""
+    return _rank(np.linalg.svd(_flatten_family(vectors), compute_uv=False), tol)
 
 
 def span_rows(matrices, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal row basis for the span of a family of same-shape arrays.
 
-    Rows are flat vectors; the rank cutoff matches :func:`numerical_rank`
-    (singular values sigma with sigma^2 below eps_rank * sigma_max^2 are
-    dropped).
+    Rows are flat vectors; singular values sigma with sigma^2 at or below
+    eps_rank * sigma_max^2 are dropped, as in :func:`numerical_rank`.
     """
     _, sing, vh = np.linalg.svd(_flatten_family(matrices), full_matrices=False)
-    keep = (sing * sing) > tol.eps_rank * sing.max(initial=0.0) ** 2
-    return vh[: int(np.sum(keep))]
+    return vh[: _rank(sing, tol)]
 
 
 def span_residual(matrices, rows: np.ndarray) -> float:
@@ -176,7 +171,7 @@ def _square_family(generators, n: int) -> np.ndarray:
 COMMUTANT_SYSTEM_BUDGET = 2**27
 
 # Singular values and joint-eigenvalue gaps no larger than this times the
-# family's max norm are roundoff: the Gram cutoff relative to the largest
+# family's max norm are roundoff: the eps_rank cutoff relative to the largest
 # one alone would count the noise of a (near-)scalar family as structure.
 ROUNDOFF_FLOOR = 1e-12
 
@@ -194,8 +189,8 @@ def commutant_basis(
     """Orthonormal basis of ``{x : x g == g x for every generator g}``.
 
     The commutation constraints are assembled as one linear system on the
-    column-major vectorisation of ``x`` and solved by SVD; singular values
-    are cut off with the Gram convention of :func:`numerical_rank`, and at
+    column-major vectorisation of ``x`` and solved by SVD; squared singular
+    values are cut off as in :func:`numerical_rank`, and at
     ``ROUNDOFF_FLOOR`` times the family's max norm.  Raises ``NoConvergence``
     when the system would exceed ``COMMUTANT_SYSTEM_BUDGET`` bytes.
     """
@@ -234,12 +229,12 @@ def commutant_dimension(
     a commuting family of normal matrices.  In that basis the Kronecker
     system of :func:`commutant_basis` is diagonal, with singular value
     d_ij = ||(lambda_i(g) - lambda_j(g))_g||_2 on the unit matrix E_ij, so
-    the same Gram cutoff counts the pairs with d_ij^2 <= eps_rank * max d^2
-    in O(k n^3) time and O(k n^2) memory.  Both paths also count sizes up
-    to ``ROUNDOFF_FLOOR`` times the family's max norm as zero.  A family
-    that Q does not diagonalise within ``eps_eq`` times its max norm (a
-    non-normal or non-commuting one) is counted through
-    :func:`commutant_basis`.
+    the same cutoff on squared singular values counts the pairs with
+    d_ij^2 <= eps_rank * max d^2 in O(k n^3) time and O(k n^2) memory.
+    Both paths also count sizes up to ``ROUNDOFF_FLOOR`` times the family's
+    max norm as zero.  A family that Q does not diagonalise within
+    ``eps_eq`` times its max norm (a non-normal or non-commuting one) is
+    counted through :func:`commutant_basis`.
     """
     stack = _square_family(generators, n)
     if len(stack) == 0:

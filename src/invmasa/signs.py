@@ -65,8 +65,6 @@ SUBSTITUTION_MATRICES: dict[int, tuple[SignClass, SignClass, SignClass]] = {
 
 
 def _substitute(j: int, t: SignClass) -> SignClass:
-    if j not in SUBSTITUTION_MATRICES:
-        raise ValueError(f"interval index must be 1, 2 or 3, got {j}")
     return tuple(sum(m * x for m, x in zip(row, t)) for row in SUBSTITUTION_MATRICES[j])  # type: ignore[return-value]
 
 

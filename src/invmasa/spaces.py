@@ -209,8 +209,10 @@ def multiplicity_match(f, g, value_tol: float = 0.0):
     computed rather than given: in lexicographic real/imag order, a value
     within ``value_tol`` of its predecessor shares its cluster.  Equal
     values are paired in ascending point order, so the output is
-    deterministic.
+    deterministic.  ``value_tol`` must be finite and non-negative.
     """
+    if not 0.0 <= value_tol < np.inf:
+        raise ValueError(f"value_tol must be finite and non-negative, got {value_tol!r}")
     fv = np.asarray(f, dtype=complex)
     gv = np.asarray(g, dtype=complex)
     if fv.shape != gv.shape or fv.ndim != 1:

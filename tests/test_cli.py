@@ -322,6 +322,18 @@ class TestMasaPipeline:
         code = main_masa(["match", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g2.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("value_tol", ("-1", "nan", "inf"))
+    def test_match_value_tol_out_of_range_exits_two(self, tmp_path, capsys, value_tol):
+        # under inf these unequal multiplicities would match as one cluster
+        write_json(tmp_path / "f.json", {"re": [1.0, 2.0, 2.0], "im": [0.0, 0.0, 0.0]})
+        write_json(tmp_path / "g.json", {"re": [1.0, 1.0, 2.0], "im": [0.0, 0.0, 0.0]})
+        out = tmp_path / "match.json"
+        argv = ["match", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"), "--output", str(out)]
+        assert main_masa(argv + [f"--value-tol={value_tol}"]) == 2
+        expected = f"error: value_tol must be finite and non-negative, got {float(value_tol)!r}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
 
 class TestOwnAlgebraCheck:
     """``masa verify`` without ``--algebra`` reads the check off the
@@ -507,8 +519,21 @@ class TestCexCommands:
         assert main_cex(["return-map", "--a", A_STR, "--samples", "200", "--output", str(out)]) == 0
         assert read_json(out)["pass"] is passed
 
-    def test_angle_out_of_range_exits_two(self):
-        assert main_cex(["return-map", "--a", "0.5"]) == 2
+    @pytest.mark.parametrize("a", ("0.5", "0.25", "0", "-1", "nan", "inf"))
+    @pytest.mark.parametrize("command", ("return-map", "orbit", "defect", "propagate"))
+    def test_angle_out_of_range_exits_two(self, tmp_path, capsys, command, a):
+        cand = tmp_path / "cand.json"
+        write_json(cand, {"breakpoints": [0.0], "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]])]})
+        extra = {
+            "return-map": [],
+            "orbit": [],
+            "defect": ["--candidate", str(cand)],
+            "propagate": ["--d", "0.3", "--e", "0.7"],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main_cex([command, f"--a={a}", "--output", str(out)] + extra) == 2
+        assert capsys.readouterr().err == f"error: rotation angle must lie in (0, 0.25), got {float(a)!r}\n"
+        assert not out.exists()
 
     def test_orbit_start_below_zero_stays_in_unit_interval(self, tmp_path):
         out = tmp_path / "orbit.json"

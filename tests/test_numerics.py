@@ -174,6 +174,21 @@ class TestNumericalRank:
     def test_empty(self):
         assert numerical_rank([]) == 0
 
+    @pytest.mark.parametrize("delta", [1e-7, 1e-8, 3e-9])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_cutoff_edge(self, delta, side):
+        # three 4 x 4 members whose flat 3 x 16 family has singular values
+        # (1, 1, s) with s^2 = eps_rank (1 +- delta): the third counts only
+        # above the cutoff; squaring the family (a Gram matrix) loses the
+        # digits this needs
+        s = np.sqrt(DEFAULT_TOL.eps_rank * (1.0 + side * delta))
+        designed = 3 if side > 0 else 2
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            left, right = haar_unitary(3, rng), haar_unitary(16, rng)
+            family = ((left * [1.0, 1.0, s]) @ right[:3]).reshape(3, 4, 4)
+            assert numerical_rank(family) == designed == len(span_rows(family))
+
 
 class TestCommutant:
     def test_diagonal_units(self):

@@ -232,6 +232,18 @@ class TestMultiplicityMatch:
         assert multiplicity_match(f, g) is None
         assert multiplicity_match(f, g, value_tol=1e-9) is not None
 
+    @pytest.mark.parametrize("value_tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_a_tolerance_it_cannot_mean(self, value_tol):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            multiplicity_match([1.0, 2.0, 2.0], [1.0, 1.0, 2.0], value_tol)
+
+    def test_zero_tolerance_of_either_sign_is_exact(self):
+        f = [1.0, 2.0]
+        g = [1.0 + 1e-12, 2.0]
+        assert multiplicity_match(f, g, 0.0) is None
+        assert multiplicity_match(f, g, -0.0) is None
+        assert multiplicity_match(f, f, -0.0) == (0, 1)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from([0, 1, 1j, -2.5]), min_size=1, max_size=10),
