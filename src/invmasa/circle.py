@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,7 +64,7 @@ def rational_witness(x: float) -> RationalWitness | None:
     ``x`` and returns the best convergent with denominator at most 10^6 if
     its quality |x - p/q| q^2 is below 1e-3, else ``None``.
     """
-    n, d = num, den = Fraction(x).as_integer_ratio()
+    n, d = num, den = float(x).as_integer_ratio()
     h1, h2, k1, k2 = 1, 0, 0, 1
     best: RationalWitness | None = None
     while d != 0:
@@ -75,7 +74,7 @@ def rational_witness(x: float) -> RationalWitness | None:
         k1, k2 = digit * k1 + k2, k1
         if k1 > 10**6:
             break
-        # |x - h1/k1| = gap / (den k1); int / int rounds correctly, as float(Fraction) does
+        # |x - h1/k1| = gap / (den k1), rounded once: int / int rounds correctly
         gap = abs(num * k1 - h1 * den)
         quality = gap * k1 / den
         if best is None or quality < best.quality:
@@ -220,9 +219,10 @@ def _orbit_start(t0: float) -> float:
 
 def _numerators(t0: float, config: RotationConfig, cuts) -> tuple[int, int, int, list[int]]:
     """Power-of-two common denominator D of the reduced start, a and the cuts, and their numerators over D."""
-    start, a, *cuts = map(Fraction, (_orbit_start(t0), config.a, *cuts))
-    den = math.lcm(*(f.denominator for f in (start, a, *cuts)))
-    return den, int(start * den), int(a * den), [int(c * den) for c in cuts]
+    ratios = [x.as_integer_ratio() for x in (_orbit_start(t0), config.a, *cuts)]
+    den = math.lcm(*(d for _, d in ratios))
+    t, step, *bounds = (n * (den // d) for n, d in ratios)
+    return den, t, step, bounds
 
 
 ORBIT_CHUNK = 1 << 14  # points per Python-int chunk of orbit_arcs: a few MB of temporaries
@@ -278,7 +278,11 @@ def orbit_counts(t0: float, config: RotationConfig, steps: int, cuts) -> list[in
     floor((T + kA + D - cD) / D) = floor((T + kA) / D), so each count is a
     difference of exact floor sums, at O(log D) cost for any ``steps``.
     """
-    den, t, step, bounds = _numerators(t0, config, cuts)
+    return _arc_counts(steps, *_numerators(t0, config, cuts))
+
+
+def _arc_counts(steps: int, den: int, t: int, step: int, bounds) -> list[int]:
+    """:func:`orbit_counts` over the denominator ``den``: start ``t``, step and cut numerators ``bounds``."""
     base = steps + _floor_sum(steps, den, step, t)
     edges = [base - _floor_sum(steps, den, step, t + den - c) for c in bounds] + [steps]
     return [hi - lo for lo, hi in zip(edges, edges[1:])]

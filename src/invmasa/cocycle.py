@@ -27,11 +27,10 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .circle import RotationConfig, interval_indices, orbit_arcs, orbit_counts
+from .circle import RotationConfig, _arc_counts, _numerators, interval_indices, orbit_arcs
 from .errors import InvalidCandidate, NoConvergence
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
 from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
@@ -343,21 +342,22 @@ def invariance_defect(
     survives the necessary commutation condition there; any sizable defect
     falsifies it.  The defect is constant on the arcs between 0, a, 4a, the
     breakpoints of both fields and (b - a) mod 1 for candidate breakpoints
-    b, so it is evaluated once per arc and weighted by the arc's exact count
-    of orbit points (:func:`~invmasa.circle.orbit_counts`): no orbit is built.
+    b, all integers over the orbit's denominator 2^E, so it is evaluated
+    once per arc and weighted by the arc's exact count of orbit points
+    (:func:`~invmasa.circle.orbit_counts`): no orbit is built.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     validate_projection_field(candidate)
-    a = Fraction(config.a)
-    betas, twist = ([Fraction(b) for b in f.breakpoints] for f in (candidate, field))
-    cuts = sorted({Fraction(0), a, 4 * a, *twist, *betas, *((b - a) % 1 for b in betas)})
+    den, t, a, bps = _numerators(t0, config, candidate.breakpoints + field.breakpoints)
+    betas, twist = bps[: len(candidate.breakpoints)], bps[len(candidate.breakpoints) :]
+    cuts = sorted({0, a, 4 * a, *twist, *betas, *((b - a) % den for b in betas)})
     # an arc's pieces are those of its left end; index -1 is the wrapping last piece
     x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
-    x, x_next = (x_pieces[[bisect_right(betas, (c + s) % 1) - 1 for c in cuts]] for s in (0, a))
+    x, x_next = (x_pieces[[bisect_right(betas, (c + s) % den) - 1 for c in cuts]] for s in (0, a))
     moved = np.einsum("kij,kj->ki", bloch_rotations(field)[[bisect_right(twist, c) - 1 for c in cuts]], x)
     sq = np.minimum(np.sum((x_next - moved) ** 2, axis=1), np.sum((x_next + moved) ** 2, axis=1))
-    arcs = zip(cuts, orbit_counts(t0, config, steps, cuts), np.sqrt(2.0 * sq).tolist())
+    arcs = zip(cuts, _arc_counts(steps, den, t, a, cuts), np.sqrt(2.0 * sq).tolist())
     arcs = [(1 if c < a else 2 if c < 4 * a else 3, n, d) for c, n, d in arcs if n]
     per_interval = {}
     for j in (1, 2, 3):

@@ -70,13 +70,6 @@ def _as_permutation(bijection, n: int) -> tuple[int, ...]:
     return phi
 
 
-def _invert(phi: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(phi)
-    for i, j in enumerate(phi):
-        inv[j] = i
-    return tuple(inv)
-
-
 def radon_nikodym_weights(space: DiscreteSpace, bijection) -> np.ndarray:
     """Mass ratios h[x] = mu(x) / mu(phi^{-1}(x)).
 
@@ -86,10 +79,10 @@ def radon_nikodym_weights(space: DiscreteSpace, bijection) -> np.ndarray:
     ``NoConvergence`` when a ratio over- or underflows a float.
     """
     phi = _as_permutation(bijection, space.n)
-    inv = _invert(phi)
+    inv = np.argsort(phi)
     mu = np.asarray(space.weights, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
-        h = mu / mu[list(inv)]
+        h = mu / mu[inv]
     bad = np.flatnonzero(~np.isfinite(h) | (h == 0.0))
     if bad.size:
         x = int(bad[0])
@@ -126,10 +119,10 @@ class WeightedCompositionOperator:
 
     @classmethod
     def from_space(cls, space: DiscreteSpace, bijection) -> "WeightedCompositionOperator":
-        inv = _invert(_as_permutation(bijection, space.n))
+        inv = np.argsort(_as_permutation(bijection, space.n))
         root = np.sqrt(np.asarray(space.weights, dtype=float))
         # A ratio of roots stays finite where the ratio of masses may not.
-        return cls(tuple(int(i) for i in bijection), tuple(root / root[list(inv)]))
+        return cls(tuple(int(i) for i in bijection), tuple(root / root[inv]))
 
     @property
     def n(self) -> int:
@@ -340,11 +333,7 @@ def unitary_eigenbasis(c, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarra
 
 
 def _offdiag(m: np.ndarray) -> float:
-    n = m.shape[0]
-    if n < 2:
-        return 0.0
-    off = m - np.diag(m.diagonal())
-    return float(np.abs(off).max())
+    return max_norm(m[~np.eye(len(m), dtype=bool)])
 
 
 @dataclass(frozen=True)

@@ -112,12 +112,13 @@ def is_unitary(m, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 
 def _flatten_family(vectors) -> np.ndarray:
-    """The members as rows; a complex (k, ...) stack is reshaped, not copied."""
+    """The members as rows, real if all are real; a (k, ...) stack of either type is reshaped, not copied."""
     try:
-        flat = np.asarray(vectors, dtype=complex)
+        flat = np.asarray(vectors)
     except ValueError as exc:
         raise DimensionMismatch("family members must share one shape") from exc
-    return flat.reshape(len(flat), -1) if len(flat) else np.zeros((0, 0), dtype=complex)
+    flat = flat.astype(complex if np.iscomplexobj(flat) else float, copy=False)
+    return flat.reshape(len(flat), -1) if len(flat) else np.zeros((0, 0), dtype=flat.dtype)
 
 
 def _rank(sing: np.ndarray, tol: TolerancePolicy) -> int:

@@ -8,7 +8,8 @@ to O(k^2 n^4) and serve only as differential oracles for small and medium
 n.  The stepped orbit takes one float addition and conditional
 subtraction per point, as :func:`invmasa.shift` does, and drifts off the
 exact one.  The defect references visit every orbit point, the stepped
-float orbit in chunks or the exact one as fractions.  The propagation
+float orbit in chunks or the exact one as fractions, or cut the circle into
+arcs at ``Fraction`` points.  The propagation
 reference takes one numpy matrix-vector product per stepped orbit point.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
@@ -35,7 +36,7 @@ from invmasa import (
     span_rows,
     validate_projection_field,
 )
-from invmasa.circle import _orbit_start, interval_indices
+from invmasa.circle import _orbit_start, interval_indices, orbit_counts
 from invmasa.cocycle import (
     DIAGONAL_BOUNDARY_TOL,
     DefectReport,
@@ -234,6 +235,33 @@ def fraction_defect(candidate, config, field, t0, steps):
         sel = defects[idx == j]
         per_interval[j] = IntervalDefect(sel.size, float(sel.max(initial=0.0)), float(sel.mean()) if sel.size else 0.0)
     return DefectReport(float(defects.max()), float(defects.mean()), steps, per_interval)
+
+
+def fraction_cut_defect(candidate, config, field, t0, steps):
+    """``cocycle.invariance_defect`` with its arcs cut at ``Fraction`` points
+    and counted by :func:`invmasa.circle.orbit_counts`: one evaluation per
+    arc, so it checks any ``steps`` at O(arcs log D) cost."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    validate_projection_field(candidate)
+    a = Fraction(config.a)
+    betas, twist = ([Fraction(b) for b in f.breakpoints] for f in (candidate, field))
+    cuts = sorted({Fraction(0), a, 4 * a, *twist, *betas, *((b - a) % 1 for b in betas)})
+    # an arc's pieces are those of its left end; index -1 is the wrapping last piece
+    x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
+    x, x_next = (x_pieces[[bisect_right(betas, (c + s) % 1) - 1 for c in cuts]] for s in (0, a))
+    moved = np.einsum("kij,kj->ki", bloch_rotations(field)[[bisect_right(twist, c) - 1 for c in cuts]], x)
+    sq = np.minimum(np.sum((x_next - moved) ** 2, axis=1), np.sum((x_next + moved) ** 2, axis=1))
+    arcs = zip(cuts, orbit_counts(t0, config, steps, cuts), np.sqrt(2.0 * sq).tolist())
+    arcs = [(1 if c < a else 2 if c < 4 * a else 3, n, d) for c, n, d in arcs if n]
+    per_interval = {}
+    for j in (1, 2, 3):
+        hits = [(n, d) for i, n, d in arcs if i == j]
+        count = sum(n for n, _ in hits)
+        mean = math.fsum(d * (n / count) for n, d in hits)
+        per_interval[j] = IntervalDefect(count, max((d for _, d in hits), default=0.0), mean)
+    peak = max(s.max_defect for s in per_interval.values())
+    return DefectReport(peak, math.fsum(d * (n / steps) for _, n, d in arcs), steps, per_interval)
 
 
 def stepped_vectors(start, t0, config, field, steps):

@@ -43,7 +43,7 @@ from invmasa.cocycle import (
 )
 from invmasa.errors import InvalidCandidate, NoConvergence
 from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
-from oracles import fraction_defect, sampled_defect, stepped_orbit, stepped_vectors
+from oracles import fraction_cut_defect, fraction_defect, sampled_defect, stepped_orbit, stepped_vectors
 from test_circle import BATTERY, exact_point
 
 A = math.sqrt(2.0) / 8.0
@@ -790,6 +790,13 @@ def pool_candidate(index):
     return PiecewiseMatrixField(breakpoints=tuple(bps.tolist()), values=tuple(values))
 
 
+def adversarial_breakpoints(a):
+    """Breakpoints on the arc ends 0, a, 4a and 1 - a, a few ulps off them,
+    at the ends of the floats in [0, 1), and two generic ones."""
+    pool = {0.0, a, 4 * a, 1 - a, a + 2.0**-60, 4 * a - 2.0**-58, 2.0**-1074, 1 - 2.0**-53, 0.3, 0.7}
+    return sorted(pool)
+
+
 def assert_same_counts_and_peaks(report, oracle):
     assert report.steps == oracle.steps
     assert report.max_defect == oracle.max_defect
@@ -855,6 +862,30 @@ class TestDefectOracle:
                 for steps in (1, 7, 2000):
                     report = invariance_defect(candidate, cfg, field, t0, steps)
                     assert_same_defect(report, fraction_defect(candidate, cfg, field, t0, steps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.sampled_from([A, 1 / 6, 1e-5, 2.0**-40, 0.25 - 2.0**-55]),
+        t0=st.sampled_from([0.0, 1e-300, 0.5, -0.25, 1.0 - 2.0**-53]),
+        steps=st.sampled_from([1, 3, 10**6, 10**12]),
+        twist=st.sampled_from(sorted(TWISTS)),
+        picks=st.sets(st.integers(0, 9), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integer_arcs_equal_the_fraction_cut_oracle(self, a, t0, steps, twist, picks, seed):
+        cfg = RotationConfig(a)
+        pool = adversarial_breakpoints(a)
+        bps = sorted({pool[i % len(pool)] for i in picks})
+        rng = np.random.default_rng(seed)
+        values = []
+        for _ in bps:
+            # a diagonal piece keeps some arcs at an exact 0 or 2 under the standard twist
+            z = np.array([1.0, 0.0]) if rng.random() < 0.3 else rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            z = z / np.linalg.norm(z)
+            values.append(np.outer(z, z.conj()))
+        candidate, field = PiecewiseMatrixField(tuple(bps), tuple(values)), TWISTS[twist](cfg)
+        report = invariance_defect(candidate, cfg, field, t0, steps)
+        assert report == fraction_cut_defect(candidate, cfg, field, t0, steps)
 
     def test_exact_orbit_parts_from_the_stepped_one_near_a_rational(self):
         # 1 - 2^-53 + 0.1 rounds, so the stepped orbit starts off the exact one

@@ -183,11 +183,23 @@ class TestNumericalRank:
         # digits this needs
         s = np.sqrt(DEFAULT_TOL.eps_rank * (1.0 + side * delta))
         designed = 3 if side > 0 else 2
-        rng = np.random.default_rng(20)
+        rng, real_rng = np.random.default_rng(20), np.random.default_rng(21)
         for _ in range(200):
             left, right = haar_unitary(3, rng), haar_unitary(16, rng)
             family = ((left * [1.0, 1.0, s]) @ right[:3]).reshape(3, 4, 4)
             assert numerical_rank(family) == designed == len(span_rows(family))
+            # the same from real orthogonal matrices: a real family is ranked
+            # as float64 and agrees with its complex copy
+            left, right = (np.linalg.qr(real_rng.standard_normal((n, n)))[0] for n in (3, 16))
+            family = ((left * [1.0, 1.0, s]) @ right[:3]).reshape(3, 4, 4)
+            assert numerical_rank(family) == numerical_rank(family.astype(complex)) == designed
+
+    def test_a_stack_is_flattened_in_its_own_type_without_a_copy(self):
+        real, cplx = np.zeros((3, 4, 4)), np.zeros((3, 4, 4), dtype=complex)
+        assert numerics._flatten_family(real).dtype == float
+        assert numerics._flatten_family([np.eye(2), 1j * np.eye(2)]).dtype == complex
+        assert np.shares_memory(numerics._flatten_family(cplx), cplx)
+        assert np.shares_memory(numerics._flatten_family(real), real)
 
 
 class TestCommutant:
