@@ -790,13 +790,6 @@ def pool_candidate(index):
     return PiecewiseMatrixField(breakpoints=tuple(bps.tolist()), values=tuple(values))
 
 
-def adversarial_breakpoints(a):
-    """Breakpoints on the arc ends 0, a, 4a and 1 - a, a few ulps off them,
-    at the ends of the floats in [0, 1), and two generic ones."""
-    pool = {0.0, a, 4 * a, 1 - a, a + 2.0**-60, 4 * a - 2.0**-58, 2.0**-1074, 1 - 2.0**-53, 0.3, 0.7}
-    return sorted(pool)
-
-
 def assert_same_counts_and_peaks(report, oracle):
     assert report.steps == oracle.steps
     assert report.max_defect == oracle.max_defect
@@ -874,7 +867,9 @@ class TestDefectOracle:
     )
     def test_integer_arcs_equal_the_fraction_cut_oracle(self, a, t0, steps, twist, picks, seed):
         cfg = RotationConfig(a)
-        pool = adversarial_breakpoints(a)
+        # breakpoints on the arc ends 0, a, 4a and 1 - a, a few ulps off
+        # them, at the ends of the floats in [0, 1), and two generic ones
+        pool = sorted({0.0, a, 4 * a, 1 - a, a + 2.0**-60, 4 * a - 2.0**-58, 2.0**-1074, 1 - 2.0**-53, 0.3, 0.7})
         bps = sorted({pool[i % len(pool)] for i in picks})
         rng = np.random.default_rng(seed)
         values = []
