@@ -374,7 +374,6 @@ class PropagationResult:
     """Forced Bloch-vector trajectory along an orbit, with its sign classes and
     those the interval automaton predicts as places in ``ALL_CLASSES``."""
 
-    points: np.ndarray
     vectors: np.ndarray
     observed: np.ndarray
     expected: np.ndarray
@@ -423,11 +422,11 @@ def _prefix_products(table: np.ndarray, word: np.ndarray) -> np.ndarray:
 
 
 def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
-    """Exact orbit t_0..t_steps, and the interval and twist piece of t_0..t_(steps-1) from their arcs."""
+    """The interval and twist piece of t_0..t_(steps-1) on the exact orbit, from their arcs."""
     cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
-    pts, arcs = orbit_arcs(t0, config, steps + 1, cuts)
+    arcs = orbit_arcs(t0, config, steps + 1, cuts)[1][:-1]
     tables = (interval_indices(cuts, config), field.piece_index(cuts))
-    return (pts, *(table.astype(arcs.dtype).take(arcs[:-1]) for table in tables))
+    return tuple(table.astype(arcs.dtype).take(arcs) for table in tables)
 
 
 def propagate_constraint(
@@ -451,7 +450,7 @@ def propagate_constraint(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    pts, letters, pieces = _itinerary(t0, config, field, steps)
+    letters, pieces = _itinerary(t0, config, field, steps)
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
     if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
         # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
@@ -483,4 +482,4 @@ def propagate_constraint(
     vectors = images[index]
     vectors[negative] *= -1.0
     mismatches = tuple(np.flatnonzero(observed != expected).tolist())
-    return PropagationResult(pts, vectors, observed, expected, mismatches, tuple(boundary.tolist()))
+    return PropagationResult(vectors, observed, expected, mismatches, tuple(boundary.tolist()))

@@ -95,34 +95,19 @@ def radon_nikodym_weights(space: DiscreteSpace, bijection) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightedCompositionOperator:
-    """Unitary ``f -> (sqrt(h) * f) o phi`` on a weighted point space.
+    """Unitary ``f -> sqrt(h) * (f o phi)`` on a weighted point space, with
+    ``h`` the mass ratios of :func:`radon_nikodym_weights`.
 
-    ``sqrt_h[x]`` is the square root of the mass ratio
-    ``mu(x) / mu(phi^{-1}(x))``.  In the orthonormalised point basis the
-    operator is the bare coordinate permutation ``(W v)[x] = v[phi[x]]``;
-    the weights are absorbed by the basis normalisation, which is exactly
-    why the operator is unitary.
+    In the orthonormalised point basis the weights are absorbed by the
+    basis normalisation, which is exactly why the operator is unitary: it
+    is the bare coordinate permutation ``(W v)[x] = v[phi[x]]``, so only
+    the point bijection ``phi`` is stored.
     """
 
     bijection: tuple[int, ...]
-    sqrt_h: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        phi = _as_permutation(self.bijection, len(self.bijection))
-        object.__setattr__(self, "bijection", phi)
-        if len(self.sqrt_h) != len(phi):
-            raise DimensionMismatch("one weight per point required")
-        ws = tuple(float(w) for w in self.sqrt_h)
-        if any(not np.isfinite(w) or w <= 0.0 for w in ws):
-            raise ValueError("weights must be finite and positive")
-        object.__setattr__(self, "sqrt_h", ws)
-
-    @classmethod
-    def from_space(cls, space: DiscreteSpace, bijection) -> "WeightedCompositionOperator":
-        inv = np.argsort(_as_permutation(bijection, space.n))
-        root = np.sqrt(np.asarray(space.weights, dtype=float))
-        # A ratio of roots stays finite where the ratio of masses may not.
-        return cls(tuple(int(i) for i in bijection), tuple(root / root[inv]))
+        object.__setattr__(self, "bijection", _as_permutation(self.bijection, len(self.bijection)))
 
     @property
     def n(self) -> int:
@@ -278,7 +263,7 @@ def factor_unitary(
                 f"{len(blocks[j])} != {len(blocks[k])}"
             )
         phi[list(blocks[j])] = blocks[k]
-    w = WeightedCompositionOperator.from_space(algebra.space, phi)
+    w = WeightedCompositionOperator(tuple(phi.tolist()))
     wm = w.matrix()
     v = u @ wm.conj().T
     block_residual = max_norm(v[labels[:, None] != labels[None, :]])

@@ -207,9 +207,9 @@ def multiplicity_match(f, g, value_tol: float = 0.0):
     Values are compared with exact complex equality by default; a positive
     ``value_tol`` switches to chain clustering for inputs that were
     computed rather than given: in lexicographic real/imag order, a value
-    within ``value_tol`` of its predecessor shares its cluster.  Equal
-    values are paired in ascending point order, so the output is
-    deterministic.  ``value_tol`` must be finite and non-negative.
+    within ``value_tol`` of its predecessor shares its cluster, and a NaN
+    never does.  Equal values are paired in ascending point order, so the
+    output is deterministic.  ``value_tol`` must be finite and non-negative.
     """
     if not 0.0 <= value_tol < np.inf:
         raise ValueError(f"value_tol must be finite and non-negative, got {value_tol!r}")
@@ -222,7 +222,7 @@ def multiplicity_match(f, g, value_tol: float = 0.0):
     ordered = values[order]
     starts = np.zeros(len(values), dtype=int)
     if value_tol > 0.0:
-        starts[1:] = np.abs(np.diff(ordered)) > value_tol
+        starts[1:] = ~(np.abs(np.diff(ordered)) <= value_tol)
     else:
         starts[1:] = ordered[1:] != ordered[:-1]
     keys = np.empty_like(starts)

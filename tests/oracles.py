@@ -311,7 +311,7 @@ def _cluster_keys(values, value_tol):
     prev = None
     for pos in order:
         v = values[pos]
-        if prev is not None and abs(v - prev) > value_tol:
+        if prev is not None and not abs(v - prev) <= value_tol:
             cluster += 1
         keys[pos] = cluster
         prev = v

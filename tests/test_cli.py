@@ -374,21 +374,25 @@ class TestOwnAlgebraCheck:
             self.verify(tmp_path, "1,1", "0,1", "--algebra", str(algebra))
 
 
-EXTREME_SWAP = {
-    "dimension": 2,
-    "weights": [1e-300, 1e300],
-    "blocks": [[0], [1]],
-    "unitary": {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-}
+def extreme_swap(weights):
+    return {
+        "dimension": 2,
+        "weights": list(weights),
+        "blocks": [[0], [1]],
+        "unitary": {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    }
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights", [(1e-300, 1e300), (5e-324, 1.7e308)])
 class TestExtremeWeights:
-    """Masses 1e-300 and 1e300: the mass ratios over- and underflow, their
-    square roots (1e300 and 1e-300) do not, and the matrices never see them."""
+    """Two singleton blocks swapped by one 2-cycle, with masses at the ends
+    of the float range: their ratios over- and underflow.  ``masa embed``
+    never reads the masses, so no ratio and no square root is ever taken;
+    ``masa factor`` reports the ratios and exits 4 naming the first one."""
 
-    def test_embed_succeeds(self, tmp_path, capsys):
-        write_json(tmp_path / "swap.json", EXTREME_SWAP)
+    def test_embed_succeeds(self, tmp_path, capsys, weights):
+        write_json(tmp_path / "swap.json", extreme_swap(weights))
         out = tmp_path / "result.json"
         assert main_masa(["embed", "--input", str(tmp_path / "swap.json"), "--output", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
@@ -398,8 +402,8 @@ class TestExtremeWeights:
         assert doc["pi"] == [1, 0]
         assert capsys.readouterr().err == ""
 
-    def test_factor_exits_four_naming_the_ratio(self, tmp_path, capsys):
-        write_json(tmp_path / "swap.json", EXTREME_SWAP)
+    def test_factor_exits_four_naming_the_ratio(self, tmp_path, capsys, weights):
+        write_json(tmp_path / "swap.json", extreme_swap(weights))
         out = tmp_path / "factor.json"
         assert main_masa(["factor", "--input", str(tmp_path / "swap.json"), "--output", str(out)]) == 4
         err = capsys.readouterr().err

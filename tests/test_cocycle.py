@@ -684,15 +684,13 @@ class TestItinerary:
         # an integer mark k puts a breakpoint on the float of the k-th orbit point
         bps = sorted({0.0, *(m if isinstance(m, float) else exact_point(t0, a, m)[1] for m in marks)})
         field = PiecewiseMatrixField(bps, (np.eye(2),) * len(bps))
-        pts, letters, pieces = cocycle._itinerary(t0, cfg, field, steps)
-        assert pts.shape == (steps + 1,) and letters.dtype == pieces.dtype == np.uint8
+        letters, pieces = cocycle._itinerary(t0, cfg, field, steps)
+        assert letters.shape == pieces.shape == (steps,) and letters.dtype == pieces.dtype == np.uint8
         fa, twist = Fraction(a), [Fraction(b) for b in bps]
-        for k in range(steps + 1):
-            x, rounded = exact_point(t0, a, k)
-            assert pts[k] == rounded
-            if k < steps:
-                assert letters[k] == (1 if x < fa else 2 if x < 4 * fa else 3)
-                assert pieces[k] == bisect_right(twist, x) - 1
+        for k in range(steps):
+            x = exact_point(t0, a, k)[0]
+            assert letters[k] == (1 if x < fa else 2 if x < 4 * fa else 3)
+            assert pieces[k] == bisect_right(twist, x) - 1
 
 
 class TestGroupScan:

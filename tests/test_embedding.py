@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invmasa.embedding
 from invmasa import (
@@ -132,7 +134,7 @@ def dense_factor_pi(algebra, u, tol=DEFAULT_TOL):
         for src, dst in zip(blocks[j], blocks[k]):
             phi[src] = dst
         label[list(blocks[j])] = j
-    v = u @ WeightedCompositionOperator.from_space(algebra.space, phi).matrix().conj().T
+    v = u @ WeightedCompositionOperator(tuple(phi.tolist())).matrix().conj().T
     if max_norm(v[label[:, None] != label[None, :]]) > tol.eps_eq:
         raise NotInvariant("recovered V is not block diagonal")
     return tuple(pi)
@@ -183,11 +185,12 @@ class TestRadonNikodym:
         space = DiscreteSpace((1.0, 2.0))
         h = radon_nikodym_weights(space, [1, 0])
         assert np.allclose(h, [0.5, 2.0])
-        # oracle: the raw-value operator, entry sqrt_h[phi[x]] at
-        # (x, phi[x]), must preserve the weighted norm of every basis function
-        w = WeightedCompositionOperator.from_space(space, [1, 0])
+        # oracle: the raw-value operator f -> sqrt(h) * (f o phi), entry
+        # sqrt(h[phi[x]]) at (x, phi[x]), must preserve the weighted norm of
+        # every basis function
+        phi = [1, 0]
         vm = np.zeros((2, 2), dtype=complex)
-        vm[np.arange(2), w.bijection] = np.asarray(w.sqrt_h)[list(w.bijection)]
+        vm[np.arange(2), phi] = np.sqrt(h)[phi]
         mu = np.array(space.weights)
         for y in range(2):
             e = np.zeros(2, dtype=complex)
@@ -211,9 +214,15 @@ class TestRadonNikodym:
     def test_matrix_always_unitary(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            space = DiscreteSpace(tuple(rng.uniform(0.1, 3.0, size=6)))
-            w = WeightedCompositionOperator.from_space(space, tuple(rng.permutation(6)))
+            w = WeightedCompositionOperator(tuple(rng.permutation(6)))
             assert is_unitary(w.matrix())
+
+    def test_operator_stores_only_a_permutation(self):
+        w = WeightedCompositionOperator((np.int64(2), 0, 1))
+        assert w.bijection == (2, 0, 1) and w.n == 3
+        assert [f.name for f in dataclasses.fields(w)] == ["bijection"]
+        with pytest.raises(ValueError, match="not a permutation"):
+            WeightedCompositionOperator((0, 0))
 
 
 class TestCheckInvariance:
@@ -314,7 +323,7 @@ class TestFactorUnitary:
         fact = factor_unitary(diagonal_masa(2), u)
         assert fact.pi == (1, 0)
         assert np.allclose(fact.v, np.eye(2))
-        assert np.allclose(fact.w.sqrt_h, 1.0)
+        assert fact.w.bijection == (1, 0)
         assert fact.factor_residual <= 1e-15
 
     def test_block_diagonal_unitary(self):
@@ -463,6 +472,29 @@ class TestEmbedInvariantMasa:
         for p in base:
             pb = p[:2, :2]
             assert max_norm(c @ pb - pb @ c) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([5e-324, 1.7e308]),
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            ),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_masses_are_never_read(self, masses):
+        # W is the point bijection alone: any positive masses, down to the
+        # smallest subnormal and up to near the largest float, give the same
+        # frame bits, pi and certificate as the counting measure
+        blocks = [[0, 1], [2, 3], [4], [5]]
+        inst = build_instance([1.0] * 6, blocks, [(0, 1), (2, 3)], seed=3).instance
+        reference = embed_invariant_masa(inst.algebra, inst.unitary)
+        result = embed_invariant_masa(block_algebra(masses, blocks), inst.unitary)
+        assert result.frame.tobytes() == reference.frame.tobytes()
+        assert result.factorization.pi == reference.factorization.pi == (1, 0, 3, 2)
+        assert result.certificate == reference.certificate and result.certificate.passed
 
     def test_cycle_wraparound(self):
         gen = random_instance(12345)

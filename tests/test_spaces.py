@@ -244,6 +244,14 @@ class TestMultiplicityMatch:
         assert multiplicity_match(f, g, -0.0) is None
         assert multiplicity_match(f, f, -0.0) == (0, 1)
 
+    @pytest.mark.parametrize(
+        "f, g", [([float("nan")], [5.0]), ([float("nan")], [float("nan")]), ([1.0, float("nan")], [float("nan"), 1.0])]
+    )
+    @pytest.mark.parametrize("value_tol", [0.0, 1e-9])
+    def test_nan_never_matches(self, f, g, value_tol):
+        # NaN equals nothing, itself included, under a tolerance as in exact mode
+        assert multiplicity_match(f, g, value_tol) is None
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from([0, 1, 1j, -2.5]), min_size=1, max_size=10),
