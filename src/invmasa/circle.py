@@ -231,27 +231,37 @@ ORBIT_CHUNK = 1 << 14  # points per Python-int chunk of orbit_arcs: a few MB of 
 def orbit_arcs(t0: float, config: RotationConfig, steps: int, cuts) -> tuple[np.ndarray, np.ndarray]:
     """Points (t0 + k a) mod 1, k < steps, of the exact orbit of the reduced
     start, correctly rounded, and the arc [cuts[i], cuts[i + 1]) of each, as
-    in :func:`orbit_counts`.  Over their denominator 2^E the points are
-    x_k = (T + kA) mod 2^E: uint64 arithmetic up to E = 63 (its wraparound
-    is mod 2^64), else Python ints in chunks (4 to 8 times the cost of
-    float steps).  Arcs come from x_k; a point within 2^-54 of 1 rounds to
-    1.0 and reads 0.0."""
+    in :func:`orbit_counts` (see :func:`_sweep`).  A point within 2^-54 of 1
+    rounds to 1.0 and reads 0.0."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    points = np.empty(steps)
+    arcs = _sweep(t0, config, 0, steps, cuts, points)
+    points[points == 1.0] = 0.0
+    return points, arcs
+
+
+def _sweep(t0: float, config: RotationConfig, lo: int, hi: int, cuts, points=None) -> np.ndarray:
+    """The arc [cuts[i], cuts[i + 1]) of each exact orbit point k in [lo, hi),
+    read from its integer x_k = (T + kA) mod 2^E over their denominator 2^E:
+    uint64 arithmetic up to E = 63 (its wraparound is mod 2^64), else Python
+    ints in chunks (4 to 8 times the cost of float steps).  Each point,
+    correctly rounded, goes into ``points`` when it is given."""
     den, t, step, bounds = _numerators(t0, config, cuts)
-    dtype, chunk = (np.uint64, steps) if den <= 2**63 else (object, ORBIT_CHUNK)
+    dtype, chunk = (np.uint64, max(hi - lo, 1)) if den <= 2**63 else (object, ORBIT_CHUNK)
     bounds = np.array(bounds[1:], dtype=dtype)
-    points, arcs = np.empty(steps), np.empty(steps, dtype=np.min_scalar_type(len(cuts) - 1))
-    for lo in range(0, steps, chunk):
-        x = np.arange(lo, min(lo + chunk, steps), dtype=dtype)
+    arcs = np.empty(hi - lo, dtype=np.min_scalar_type(len(cuts) - 1))
+    for start in range(lo, hi, chunk):
+        x = np.arange(start, min(start + chunk, hi), dtype=dtype)
         x *= step
         x += t
         x &= den - 1
-        # uint64 -> float64 and int / int both round correctly, and 2^E divides exactly
-        np.divide(x, den, out=points[lo : lo + len(x)], casting="unsafe")
-        arcs[lo : lo + len(x)] = np.searchsorted(bounds, x, side="right")
-    points[points == 1.0] = 0.0
-    return points, arcs
+        part = slice(start - lo, start - lo + len(x))
+        if points is not None:
+            # uint64 -> float64 and int / int both round correctly, and 2^E divides exactly
+            np.divide(x, den, out=points[part], casting="unsafe")
+        arcs[part] = np.searchsorted(bounds, x, side="right")
+    return arcs
 
 
 def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:

@@ -80,12 +80,6 @@ def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> ar
     return p
 
 
-def _emit(report: dict, output) -> None:
-    text = write_json(report, output)
-    if output is None:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # masa subcommands
 
@@ -105,7 +99,7 @@ def _cmd_embed(args) -> int:
         "pass": result.certificate.passed,
         "inputs": {"instance": file_digest(args.input)},
     }
-    _emit(doc, args.output)
+    write_json(doc, args.output)
     return 0 if result.certificate.passed else 4
 
 
@@ -145,7 +139,7 @@ def _cmd_gen(args) -> int:
             "invariance_residual": report.residual,
         },
     )
-    sys.stdout.write(write_json(summary))
+    write_json(summary)
     return 0
 
 
@@ -182,7 +176,7 @@ def _cmd_verify(args) -> int:
     report_doc = make_report(
         "verify", passed=overall, inputs=inputs, residuals=residuals, details=details
     )
-    _emit(report_doc, args.output)
+    write_json(report_doc, args.output)
     return 0 if overall else 3
 
 
@@ -206,7 +200,7 @@ def _cmd_factor(args) -> int:
             "v": matrix_to_json(fact.v),
         },
     )
-    _emit(report, args.output)
+    write_json(report, args.output)
     return 0
 
 
@@ -220,7 +214,7 @@ def _cmd_match(args) -> int:
         inputs={"f": file_digest(args.f), "g": file_digest(args.g)},
         details={"bijection": None if sigma is None else list(sigma)},
     )
-    _emit(report, args.output)
+    write_json(report, args.output)
     return 0 if sigma is not None else 3
 
 
@@ -294,8 +288,12 @@ def combinatorics_document() -> dict:
 
 
 def _cmd_combinatorics(args) -> int:
-    _emit(combinatorics_document(), args.output)
+    write_json(combinatorics_document(), args.output)
     return 0
+
+
+# Samples per chunk of cex return-map: a few MB of temporaries.
+RETURN_CHUNK = 1 << 16
 
 
 def _cmd_return_map(args) -> int:
@@ -303,10 +301,13 @@ def _cmd_return_map(args) -> int:
     if args.samples < 1:
         raise SchemaError("--samples must be positive")
     rng = np.random.default_rng(args.seed)
-    ts = rng.uniform(0.0, config.a, size=args.samples)
-    t_return, _, words = circle.first_returns(ts, config)
-    max_dev = float(np.max(np.abs(t_return - circle.return_closed_form(ts, config)), initial=0.0))
-    words_ok = bool(np.all(words))
+    max_dev, words_ok = 0.0, True
+    for lo in range(0, args.samples, RETURN_CHUNK):
+        # chunked draws are the numbers of one draw of all the samples
+        ts = rng.uniform(0.0, config.a, size=min(RETURN_CHUNK, args.samples - lo))
+        t_return, _, words = circle.first_returns(ts, config)
+        max_dev = float(np.max(np.abs(t_return - circle.return_closed_form(ts, config)), initial=max_dev))
+        words_ok = words_ok and bool(np.all(words))
     report = make_report(
         "return-map",
         passed=bool(words_ok and max_dev <= circle.RETURN_MAP_TOL),
@@ -315,7 +316,7 @@ def _cmd_return_map(args) -> int:
         details={"a": config.a, "samples": int(args.samples), "words_ok": words_ok},
         warnings=config.warnings(),
     )
-    _emit(report, args.output)
+    write_json(report, args.output)
     return 0
 
 
@@ -329,7 +330,7 @@ def _cmd_orbit(args) -> int:
         lengths = list(config.interval_lengths)
         details.update(frequencies=list(stats.frequencies), interval_lengths=lengths, discrepancy=stats.discrepancy)
     report = make_report("orbit", details=details, warnings=config.warnings())
-    _emit(report, args.output)
+    write_json(report, args.output)
     return 0
 
 
@@ -357,7 +358,7 @@ def _cmd_defect(args) -> int:
         },
         warnings=config.warnings(),
     )
-    _emit(doc, args.output)
+    write_json(doc, args.output)
     return 0
 
 
@@ -370,24 +371,34 @@ def _cmd_propagate(args) -> int:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    result = cocycle.propagate_constraint(params, args.t0, config, field, args.steps)
-    final = cocycle.ReflectionParams.from_bloch(result.vectors[-1])
+    chunks = cocycle.propagation_chunks(params, args.t0, config, field, args.steps)
+    # Each chunk's classes and steps are copied into place and its vectors
+    # dropped, but for the last.  A list of steps fills only the head of its
+    # row, and np.empty leaves the tail untouched, so it takes no memory.
+    observed, expected = np.empty((2, args.steps + 1), dtype=np.uint8)
+    mismatches, boundary = np.empty((2, args.steps + 1), dtype=np.min_scalar_type(args.steps))
+    lo = m = b = 0
+    for vectors, obs, exp, mis, bnd in chunks:
+        observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
+        mismatches[m : m + len(mis)], boundary[b : b + len(bnd)] = mis, bnd
+        lo, m, b = lo + len(obs), m + len(mis), b + len(bnd)
+    final = cocycle.ReflectionParams.from_bloch(vectors[-1])
     doc = make_report(
         "propagate",
-        passed=result.agreement,
+        passed=not m,
         details={
             "a": config.a,
             "t0": args.t0,
             "steps": int(args.steps),
-            "classes": Gathered(signs.ALL_CLASSES, result.observed),
-            "expected_classes": Gathered(signs.ALL_CLASSES, result.expected),
-            "mismatch_steps": list(result.mismatches),
-            "boundary_steps": list(result.boundary_steps),
+            "classes": Gathered(signs.ALL_CLASSES, observed),
+            "expected_classes": Gathered(signs.ALL_CLASSES, expected),
+            "mismatch_steps": mismatches[:m],
+            "boundary_steps": boundary[:b],
             "final": {"d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag},
         },
         warnings=config.warnings(),
     )
-    _emit(doc, args.output)
+    write_json(doc, args.output)
     return 0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import RotationConfig, _arc_counts, _numerators, interval_indices, orbit_arcs
+from .circle import RotationConfig, _arc_counts, _numerators, _sweep, interval_indices
 from .errors import InvalidCandidate, NoConvergence
 from .numerics import DEFAULT_TOL, as_matrix, max_norm
 from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
@@ -55,6 +55,8 @@ __all__ = [
     "IntervalDefect",
     "invariance_defect",
     "PropagationResult",
+    "PROPAGATE_CHUNK",
+    "propagation_chunks",
     "propagate_constraint",
 ]
 
@@ -410,23 +412,99 @@ def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tup
     return tuple(elements), table, tuple(number[g] for g in generators)
 
 
-def _prefix_products(table: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """out[k] = word[k-1] ... word[1] word[0] for k = 0..len(word) (out[0] = 0,
-    the identity) over a numbered group of at most 256 elements, by
-    Hillis-Steele doubling: log2(len(word)) gathers from its product table."""
-    n, flat, out, shift = len(table), table.ravel(), np.insert(word.astype(np.uint16), 0, 0), 1
-    while shift < len(word):
+def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
+    """out[k] = word[k-1] ... word[1] word[0] first for k = 0..len(word) (out[0]
+    = first, by default 0, the identity) over a numbered group of at most 256
+    elements, by Hillis-Steele doubling: log2(len(word)) gathers from its
+    product table."""
+    n, flat, out, shift = len(table), table.ravel(), np.insert(word.astype(np.uint16), 0, first), 1
+    while shift < len(out):
         out[shift:] = flat.take(out[shift:] * n + out[:-shift])
         shift *= 2
     return out
 
 
-def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
-    """The interval and twist piece of t_0..t_(steps-1) on the exact orbit, from their arcs."""
+def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int, lo: int = 0):
+    """The interval and twist piece of t_lo..t_(lo+steps-1) on the exact orbit, from their arcs."""
     cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
-    arcs = orbit_arcs(t0, config, steps + 1, cuts)[1][:-1]
+    arcs = _sweep(t0, config, lo, lo + steps, cuts)
     tables = (interval_indices(cuts, config), field.piece_index(cuts))
     return tuple(table.astype(arcs.dtype).take(arcs) for table in tables)
+
+
+# Steps per chunk of propagation_chunks: each holds a few MB of temporaries.
+PROPAGATE_CHUNK = 1 << 16
+
+
+def propagation_chunks(
+    start: ReflectionParams,
+    t0: float,
+    config: RotationConfig,
+    field: PiecewiseMatrixField,
+    steps: int,
+):
+    """:func:`propagate_constraint` chunk by chunk: for steps lo..hi-1 of each
+    chunk, ``PROPAGATE_CHUNK`` at a time, yields their vectors, observed and
+    expected class places (``uint8``), and the mismatch and boundary steps
+    among them as integer arrays.  Between chunks it carries the twist-group
+    element (or, for the float loop, the vector), the class-group element,
+    the sign set at the last flip and the step offset."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    return _chunks(start, t0, config, field, steps)
+
+
+def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
+    rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
+    scan = all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot)
+    if scan:
+        # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
+        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
+        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
+        # one +/-x_j and two zero products, summed from +0.0 as in the loop
+        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
+        twist = 0
+    else:
+        rows, twist = rot.tolist(), tuple(x.tolist())
+    actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
+    class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
+    start_places = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))]
+    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
+    places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
+    cls, negative = 0, False
+    for lo in range(0, steps + 1, PROPAGATE_CHUNK):
+        hi = min(lo + PROPAGATE_CHUNK, steps + 1)
+        # the word of steps lo..hi-1 (one letter fewer in the last chunk) takes
+        # the carried elements from step lo to step hi
+        letters, pieces = _itinerary(t0, config, field, min(hi, steps) - lo, lo)
+        if scan:
+            index = _prefix_products(table, gens[pieces], twist)
+            twist = index[-1]
+        else:
+            x0, x1, x2 = twist
+            flat = array("d", twist)
+            for (a, b, c), (d, e, f), (g, h, i) in map(rows.__getitem__, pieces.tolist()):
+                # each sum starts at +0.0, as a matrix product's does: no component is -0.0
+                x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
+                flat.extend((x0, x1, x2))
+            images, index = np.frombuffer(flat).reshape(-1, 3), np.arange(len(pieces) + 1)
+            if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
+                raise NoConvergence(f"step {lo + past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
+            twist = (x0, x1, x2)
+        classes = _prefix_products(class_table, class_gens[letters - 1], cls)
+        cls, index, expected = classes[-1], index[: hi - lo], start_places[classes[: hi - lo]]
+        triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
+        observed = places[triples][index]
+        first = int(lo == 0)  # step 0 is never a boundary step
+        on_boundary = np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL
+        boundary = np.flatnonzero(on_boundary[index[first:]]) + first
+        flips = boundary[images[index[boundary], 0] != 0.0]
+        # every step keeps the sign set at the last flip before it, + before the first
+        signs_at = np.append(negative, images[index[flips], 0] < 0.0)
+        negative = bool(signs_at[-1])
+        vectors = images[index]
+        vectors[np.repeat(signs_at, np.diff(flips, prepend=0, append=hi - lo))] *= -1.0
+        yield vectors, observed, expected, np.flatnonzero(observed != expected) + lo, boundary + lo
 
 
 def propagate_constraint(
@@ -447,39 +525,7 @@ def propagate_constraint(
     raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
     The sign flips only on the diagonal boundary (e at most
     ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are logged.
+    The chunks of :func:`propagation_chunks`, concatenated.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    letters, pieces = _itinerary(t0, config, field, steps)
-    rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
-    if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
-        # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
-        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
-        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
-        index = _prefix_products(table, gens[pieces])
-        # one +/-x_j and two zero products, summed from +0.0 as in the loop
-        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
-    else:
-        x0, x1, x2 = flat = array("d", x.tolist())
-        for (a, b, c), (d, e, f), (g, h, i) in map(rot.tolist().__getitem__, pieces.tolist()):
-            # each sum starts at +0.0, as a matrix product's does: no component is -0.0
-            x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
-            flat.extend((x0, x1, x2))
-        images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
-        if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
-            raise NoConvergence(f"step {past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
-    actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
-    class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
-    word = class_gens[letters - 1]
-    expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
-    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
-    triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
-    observed = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
-    boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL)[index[1:]]) + 1
-    flips = boundary[images[index[boundary], 0] != 0.0]
-    # every step keeps the sign set at the last flip before it, + before the first
-    negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
-    vectors = images[index]
-    vectors[negative] *= -1.0
-    mismatches = tuple(np.flatnonzero(observed != expected).tolist())
-    return PropagationResult(vectors, observed, expected, mismatches, tuple(boundary.tolist()))
+    vectors, observed, expected, mismatches, boundary = map(np.concatenate, zip(*propagation_chunks(start, t0, config, field, steps)))
+    return PropagationResult(vectors, observed, expected, tuple(mismatches.tolist()), tuple(boundary.tolist()))

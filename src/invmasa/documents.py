@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -58,6 +60,7 @@ __all__ = [
     "projection_field_from_json",
     "make_report",
     "canonical_json",
+    "Written",
     "write_json",
     "file_digest",
 ]
@@ -274,44 +277,62 @@ def make_report(
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``,
     byte for byte, with lists of plain numbers filled into one template."""
-    parts: list[str] = []
-    _encode(obj, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return "".join([*_encode(obj, "\n"), "\n"])
 
 
-def _encode(obj, nl: str, out: list[str]) -> None:
-    """Append the canonical text of ``obj``, its lines indented by ``nl``."""
+# Rows of a Gathered list or an integer array in one slice of the text.
+REPORT_SLICE = 2048
+
+
+def _encode(obj, nl: str):
+    """Yield the canonical text of ``obj``, its lines indented by ``nl``, in slices."""
     inner = nl + "  "
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         lead = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, out)
+            yield lead + encode_basestring_ascii(key) + ": "
+            yield from _encode(value, inner)
             lead = "," + inner
-        out.append(nl + "}")
+        yield nl + "}"
     elif isinstance(obj, Gathered):
         # No number's repr holds a NUL, so it splits the table's row texts apart.
-        rows = obj.index.size and _number_rows(obj.table, inner, "\0")
-        if not rows:  # an empty list, or a table the template cannot render
-            return _encode(list(map(obj.table.__getitem__, obj.index.tolist())), nl, out)
+        rows = _number_rows(obj.table, inner, "\0")
+        if rows is None:  # a table the template cannot render
+            yield from _encode(list(map(obj.table.__getitem__, obj.index.tolist())), nl)
+            return
         texts = np.array(rows.split("\0"), dtype=object)
-        out += ("[" + inner, ("," + inner).join(texts[obj.index].tolist()), nl + "]")
+        yield from _slices(obj.index, lambda part: ("," + inner).join(texts[part].tolist()), nl)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        yield from _slices(obj, lambda part: _number_rows(part.tolist(), inner, "," + inner), nl)
     elif isinstance(obj, (list, tuple)) and obj:
         body = _number_rows(obj, inner, "," + inner)
         if body is not None:
-            out += ("[" + inner, body, nl + "]")
+            yield from ("[" + inner, body, nl + "]")
             return
         lead = "[" + inner
         for value in obj:
-            out.append(lead)
-            _encode(value, inner, out)
+            yield lead
+            yield from _encode(value, inner)
             lead = "," + inner
-        out.append(nl + "]")
+        yield nl + "]"
     else:
         # Scalars, empty containers and dicts with other keys.  ensure_ascii
         # escapes every newline inside strings, so each "\n" here is layout.
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _slices(index: np.ndarray, render, nl: str):
+    """Yield the list of ``len(index)`` rows whose texts ``render`` gives for
+    ``REPORT_SLICE`` of them at a time."""
+    if not index.size:
+        yield "[]"
+        return
+    lead = "[" + nl + "  "
+    for lo in range(0, index.size, REPORT_SLICE):
+        yield lead
+        yield render(index[lo : lo + REPORT_SLICE])
+        lead = "," + nl + "  "
+    yield nl + "]"
 
 
 def _number_rows(items, inner: str, sep: str) -> str | None:
@@ -335,13 +356,28 @@ def _number_rows(items, inner: str, sep: str) -> str | None:
     return None if "n" in text else text
 
 
-def write_json(obj, path=None) -> str:
-    """Serialise to the canonical form; write to ``path`` or return only."""
-    text = canonical_json(obj)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+@dataclass(frozen=True)
+class Written:
+    """What :func:`write_json` wrote: its ``path`` (None for stdout) and
+    ``size`` in bytes, which is also its ``len()``."""
+
+    path: object
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def write_json(obj, path=None) -> Written:
+    """Write the canonical form to ``path``, or to stdout, slice by slice as it
+    is encoded, so the whole text is never held in memory."""
+    size = 0
+    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
+        for text in chain(_encode(obj, "\n"), "\n"):
             fh.write(text)
-    return text
+            size += len(text)
+        fh.flush()
+    return Written(path, size)
 
 
 def file_digest(path) -> str:

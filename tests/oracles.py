@@ -10,12 +10,14 @@ subtraction per point, as :func:`invmasa.shift` does, and drifts off the
 exact one.  The defect references visit every orbit point, the stepped
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
-reference takes one numpy matrix-vector product per stepped orbit point.
+references take one numpy matrix-vector product per stepped orbit point,
+or run the chunked propagation over the whole orbit at once.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
 by value in dictionaries.
 """
 
+import itertools
 import math
 from array import array
 from bisect import bisect_right
@@ -36,15 +38,22 @@ from invmasa import (
     span_rows,
     validate_projection_field,
 )
-from invmasa.circle import _orbit_start, interval_indices, orbit_counts
+from invmasa.circle import _orbit_start, interval_indices, orbit_arcs, orbit_counts
 from invmasa.cocycle import (
+    _SIGNED_AXES,
+    BLOCH_LIMIT,
     DIAGONAL_BOUNDARY_TOL,
+    SIGN_ZERO_TOL,
     DefectReport,
     IntervalDefect,
+    PropagationResult,
+    _numbered_group,
+    _prefix_products,
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import DimensionMismatch, LengthMismatch, NotInvariant
+from invmasa.errors import DimensionMismatch, LengthMismatch, NoConvergence, NotInvariant
+from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, canonicalize, sign_profile
 
 # The block structures of the benchmark's factor workload (n = 48..96).
 FACTOR_SHAPES = (
@@ -279,6 +288,44 @@ def stepped_vectors(start, t0, config, field, steps):
             sign = float(np.sign(y[0]))
         out.append(sign * y)
     return np.array(out)
+
+
+def whole_propagate(start, t0, config, field, steps):
+    """``propagate_constraint`` over the whole orbit at once: one itinerary
+    of ``steps + 1`` points from ``orbit_arcs``, one prefix-product scan (or
+    one float loop) over every step, and one pass for the sign flips."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
+    arcs = orbit_arcs(t0, config, steps + 1, cuts)[1][:-1]
+    letters, pieces = (table.astype(arcs.dtype).take(arcs) for table in (interval_indices(cuts, config), field.piece_index(cuts)))
+    rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
+    if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
+        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
+        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
+        index = _prefix_products(table, gens[pieces])
+        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
+    else:
+        x0, x1, x2 = flat = array("d", x.tolist())
+        for (a, b, c), (d, e, f), (g, h, i) in map(rot.tolist().__getitem__, pieces.tolist()):
+            x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
+            flat.extend((x0, x1, x2))
+        images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
+        if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
+            raise NoConvergence(f"step {past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
+    actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
+    class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
+    word = class_gens[letters - 1]
+    expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
+    triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
+    observed = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
+    boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL)[index[1:]]) + 1
+    flips = boundary[images[index[boundary], 0] != 0.0]
+    negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
+    vectors = images[index]
+    vectors[negative] *= -1.0
+    mismatches = tuple(np.flatnonzero(observed != expected).tolist())
+    return PropagationResult(vectors, observed, expected, mismatches, tuple(boundary.tolist()))
 
 
 def fraction_witness(x):

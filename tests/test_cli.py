@@ -676,6 +676,39 @@ class TestCexCommands:
         assert doc["details"]["mismatch_steps"] == []
 
 
+def report_without_timestamp(path):
+    return re.sub(rb'\n  "timestamp": "[^"]*",\n', b"\n", Path(path).read_bytes())
+
+
+class TestChunkedCommands:
+    """``cex return-map`` and ``cex propagate`` write the same bytes whatever
+    their chunk sizes."""
+
+    @pytest.mark.parametrize("argv", [["--samples", "2500", "--seed", "4"], ["--samples", "1", "--seed", "0"]])
+    def test_return_map_chunks_draw_the_same_samples(self, tmp_path, monkeypatch, argv):
+        out = tmp_path / "rm.json"
+        assert main_cex(["return-map", "--a", A_STR, *argv, "--output", str(out)]) == 0
+        whole = report_without_timestamp(out)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(invmasa.cli, "RETURN_CHUNK", chunk)
+            assert main_cex(["return-map", "--a", A_STR, *argv, "--output", str(out)]) == 0
+            assert report_without_timestamp(out) == whole
+
+    @pytest.mark.parametrize("twist", ("standard", "identity"))
+    def test_propagate_chunks_write_the_same_report(self, tmp_path, monkeypatch, twist):
+        out = tmp_path / "propagate.json"
+        for start in (["--d", "0.3", "--e", "0.7", "--theta-arg", "0.4"], ["--d", "1.0", "--e", "1e-13"]):
+            argv = ["propagate", "--a", A_STR, "--t0", "0.03", *start, "--twist", twist, "--steps", "700"]
+            monkeypatch.undo()
+            assert main_cex(argv + ["--output", str(out)]) == 0
+            whole = report_without_timestamp(out)
+            for chunk in (1, 7, 64):
+                monkeypatch.setattr(invmasa.cocycle, "PROPAGATE_CHUNK", chunk)
+                monkeypatch.setattr(invmasa.documents, "REPORT_SLICE", chunk)
+                assert main_cex(argv + ["--output", str(out)]) == 0
+                assert report_without_timestamp(out) == whole
+
+
 class TestExitCodeMapping:
     def test_dispatch_classifies_error_families(self):
         from invmasa.cli import _dispatch
@@ -855,18 +888,31 @@ class TestConsoleEntryPoints:
     """The installed ``masa`` and ``cex`` scripts call ``masa_entry`` and
     ``cex_entry``; run them as a fresh interpreter would."""
 
-    def run_entry(self, entry, *argv):
+    def run_entry(self, entry, *argv, stdout=subprocess.PIPE):
         src = str(Path(invmasa.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = f"from invmasa.cli import {entry}; {entry}()"
         return subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+            [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
         )
 
     def test_cex_combinatorics_prints_the_golden_file(self):
         proc = self.run_entry("cex_entry", "combinatorics")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == GOLDEN.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("to", ("output", "stdout"))
+    def test_a_full_device_fails_the_write_with_exit_two(self, to):
+        # a 10 MB report: the device fills in the middle of the write
+        argv = ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--steps", "100000"]
+        if to == "output":
+            proc = self.run_entry("cex_entry", *argv, "--output", "/dev/full")
+        else:
+            with open("/dev/full", "wb") as full:
+                proc = self.run_entry("cex_entry", *argv, stdout=full)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
 
     def test_masa_missing_input_exits_two(self, tmp_path):
         proc = self.run_entry("masa_entry", "verify", "--input", str(tmp_path / "missing.json"))

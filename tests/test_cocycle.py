@@ -43,7 +43,7 @@ from invmasa.cocycle import (
 )
 from invmasa.errors import InvalidCandidate, NoConvergence
 from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
-from oracles import fraction_cut_defect, fraction_defect, sampled_defect, stepped_orbit, stepped_vectors
+from oracles import fraction_cut_defect, fraction_defect, sampled_defect, stepped_orbit, stepped_vectors, whole_propagate
 from test_circle import BATTERY, exact_point
 
 A = math.sqrt(2.0) / 8.0
@@ -768,6 +768,53 @@ class TestGroupScan:
         exact = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
         assert 0.0 < np.max(np.abs(got.vectors - exact.vectors)) <= 1e-5
         assert got.classes == exact.classes and got.agreement
+
+
+class TestChunkEdges:
+    """``propagate_constraint`` cut into chunks of 1, 2, 7 and 64 steps gives
+    the bytes of the whole-orbit propagation, whatever falls on a chunk edge."""
+
+    STARTS = (
+        ReflectionParams(0.3, 0.7, complex(math.cos(0.4), math.sin(0.4))),
+        ReflectionParams(0.0, 0.7, -1.0 + 0j),
+        # on the diagonal boundary: the sign flips, also across chunk edges
+        ReflectionParams(1.0, 0.0, 1.0 + 0j),
+        ReflectionParams(-1.0, 0.0, 1.0 + 0j),
+    )
+
+    @pytest.mark.parametrize("chunk", (1, 2, 7, 64))
+    @pytest.mark.parametrize("twist", ("standard", "identity", "near-permutation"))
+    def test_chunks_equal_the_whole_orbit(self, monkeypatch, twist, chunk):
+        cfg = RotationConfig(A)
+        field = near_permutation_twist(cfg, 1e-9) if twist == "near-permutation" else TWISTS[twist](cfg)
+        flips = 0
+        for start in self.STARTS:
+            for t0 in (0.0, 0.03):
+                for steps in (0, 1, 63, 64, 65, 300):
+                    want = whole_propagate(start, t0, cfg, field, steps)
+                    monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", chunk)
+                    got = propagate_constraint(start, t0, cfg, field, steps)
+                    monkeypatch.undo()
+                    assert got.vectors.tobytes() == want.vectors.tobytes()
+                    assert got.observed.tobytes() == want.observed.tobytes()
+                    assert got.expected.tobytes() == want.expected.tobytes()
+                    assert got.mismatches == want.mismatches and got.boundary_steps == want.boundary_steps
+                    flips += int(np.signbit(want.vectors[:, 0]).any())
+        if twist != "identity":
+            assert flips > 0
+
+    @pytest.mark.parametrize("chunk", (1, 2, 7, 64))
+    def test_the_float_loop_stops_at_the_same_step(self, monkeypatch, chunk):
+        cfg = RotationConfig(0.1)
+        start, field = ReflectionParams(cocycle.BLOCH_LIMIT, cocycle.BLOCH_LIMIT, 1j), near_permutation_twist(cfg, 1e-9)
+        with pytest.raises(NoConvergence) as want:
+            whole_propagate(start, 0.1, cfg, field, 500)
+        before = whole_propagate(start, 0.1, cfg, field, 9)
+        monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", chunk)
+        with pytest.raises(NoConvergence) as got:
+            propagate_constraint(start, 0.1, cfg, field, 500)
+        assert str(got.value) == str(want.value) and "step 10 takes" in str(want.value)
+        assert propagate_constraint(start, 0.1, cfg, field, 9).vectors.tobytes() == before.vectors.tobytes()
 
 
 def pool_candidate(index):

@@ -1,6 +1,8 @@
 """The canonical JSON encoder against its oracle, the stdlib's ``json.dumps``,
 and loads that keep every bit of what was written."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmasa.documents
+import invmasa.cli
 from invmasa.cli import main_cex, main_masa
 from invmasa.documents import Gathered, canonical_json
 
@@ -18,10 +21,12 @@ NAN, INF = float("nan"), float("inf")
 
 
 def expand(obj):
-    """A ``Gathered`` list as the plain list it stands for; any other value
-    raises the stdlib's own TypeError."""
+    """A ``Gathered`` list or a 1-D integer array as the plain list it stands
+    for; any other value raises the stdlib's own TypeError."""
     if isinstance(obj, Gathered):
         return [obj.table[int(k)] for k in obj.index]
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        return [int(k) for k in obj]
     return json.JSONEncoder().default(obj)
 
 
@@ -90,7 +95,20 @@ def test_traps_match_the_oracle(obj):
 
 
 @pytest.mark.parametrize(
-    "obj", [np.int64(3), [np.int64(3)], [[np.int64(3), 1]], {"a": np.int64(1)}, {1, 2}, {"a": 1, 2: 3}]
+    "obj",
+    [
+        np.int64(3),
+        [np.int64(3)],
+        [[np.int64(3), 1]],
+        {"a": np.int64(1)},
+        {1, 2},
+        {"a": 1, 2: 3},
+        # only 1-D integer arrays are lists
+        np.array([1.0]),
+        np.zeros((2, 2), dtype=int),
+        np.array([True]),
+        {"a": np.array([0.5])},
+    ],
 )
 def test_unserialisable_values_raise_like_the_oracle(obj):
     with pytest.raises(TypeError) as expected:
@@ -169,28 +187,25 @@ def test_generated_gathered_lists_match_the_oracle(table, picks):
     assert canonical_json(obj) == oracle(obj)
 
 
-# Every report kind the two CLIs write, on small inputs.
+# Every report kind the two CLIs write, on small inputs, without --output.
+# gen writes its instance to --output and its summary to stdout.
 REPORTS = {
-    "embed": lambda d: main_masa(["embed", "--input", d["instance"], "--output", d["out"]]),
-    "verify": lambda d: main_masa(
-        ["verify", "--input", d["instance"], "--algebra", d["result"], "--output", d["out"]]
+    "embed": (main_masa, lambda d: ["embed", "--input", d["instance"]]),
+    "verify": (main_masa, lambda d: ["verify", "--input", d["instance"], "--algebra", d["result"]]),
+    "factor": (main_masa, lambda d: ["factor", "--input", d["weighted"]]),
+    "gen": (
+        main_masa,
+        lambda d: ["gen", "--blocks", "2,1,2", "--cycles", "0,2;1", "--weights", "1,2,3,4,5", "--output", d["out"]],
     ),
-    "factor": lambda d: main_masa(["factor", "--input", d["weighted"], "--output", d["out"]]),
-    "gen": lambda d: main_masa(
-        ["gen", "--blocks", "2,1,2", "--cycles", "0,2;1", "--weights", "1,2,3,4,5", "--output", d["out"]]
+    "match": (main_masa, lambda d: ["match", "--f", d["f"], "--g", d["g"]]),
+    "orbit": (main_cex, lambda d: ["orbit", "--a", A_STR, "--t0", "0.1", "--steps", "500", "--stats"]),
+    "defect": (main_cex, lambda d: ["defect", "--a", A_STR, "--candidate", d["candidate"], "--steps", "500"]),
+    "propagate": (
+        main_cex,
+        lambda d: ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--t0", "0.2", "--steps", "500"],
     ),
-    "match": lambda d: main_masa(["match", "--f", d["f"], "--g", d["g"], "--output", d["out"]]),
-    "orbit": lambda d: main_cex(
-        ["orbit", "--a", A_STR, "--t0", "0.1", "--steps", "500", "--stats", "--output", d["out"]]
-    ),
-    "defect": lambda d: main_cex(
-        ["defect", "--a", A_STR, "--candidate", d["candidate"], "--steps", "500", "--output", d["out"]]
-    ),
-    "propagate": lambda d: main_cex(
-        ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--t0", "0.2", "--steps", "500", "--output", d["out"]]
-    ),
-    "return-map": lambda d: main_cex(["return-map", "--a", A_STR, "--samples", "200", "--output", d["out"]]),
-    "combinatorics": lambda d: main_cex(["combinatorics", "--output", d["out"]]),
+    "return-map": (main_cex, lambda d: ["return-map", "--a", A_STR, "--samples", "200"]),
+    "combinatorics": (main_cex, lambda d: ["combinatorics"]),
 }
 
 
@@ -220,23 +235,67 @@ def cli_inputs(tmp_path):
     return d
 
 
+@pytest.mark.parametrize("to_file", (True, False), ids=("output", "stdout"))
 @pytest.mark.parametrize("kind", sorted(REPORTS))
-def test_every_cli_report_matches_the_oracle(kind, cli_inputs, monkeypatch):
+def test_every_cli_report_matches_the_oracle(kind, to_file, cli_inputs, monkeypatch, capsys):
     written = []
-    encode = invmasa.documents.canonical_json
+    write = invmasa.documents.write_json
 
-    def spy(obj):
-        text = encode(obj)
-        written.append((oracle(obj), text))
-        return text
+    def spy(obj, path=None):
+        expected = oracle(obj)
+        record = write(obj, path)
+        assert len(record) == len(expected.encode())
+        written.append((path, expected))
+        return record
 
-    monkeypatch.setattr(invmasa.documents, "canonical_json", spy)
-    assert REPORTS[kind](cli_inputs) == 0
-    assert written
-    for expected, text in written:
-        assert text == expected
-    with open(cli_inputs["out"], encoding="utf-8") as fh:
-        assert fh.read() in {expected for expected, _ in written}
+    for module in (invmasa.cli, invmasa.documents):
+        monkeypatch.setattr(module, "write_json", spy)
+    main, argv = REPORTS[kind]
+    output = ["--output", cli_inputs["out"]] if to_file and kind != "gen" else []
+    capsys.readouterr()
+    assert main(argv(cli_inputs) + output) == 0
+    stdout = capsys.readouterr().out
+    paths = [path for path, _ in written]
+    assert paths == ([cli_inputs["out"], None] if kind == "gen" else [cli_inputs["out"] if to_file else None])
+    for path, expected in written:
+        if path is None:
+            assert stdout == expected
+        else:
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode()
+    assert stdout or to_file
+
+
+STEP_KINDS = st.sampled_from([np.uint8, np.uint32, np.int64])
+
+
+@pytest.mark.parametrize("size", (1, 2, 3))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_slices_join_to_the_oracle(size, data, tmp_path_factory):
+    # lists of 0 to 3 slices and one row, each slice boundary among them
+    lengths = st.integers(0, 3 * size + 1)
+    table = data.draw(st.sampled_from([CLASSES, (0.5, -0.0, 7, 1e300), ((1, 2), (NAN, 0))]))
+    picks = data.draw(lengths.flatmap(lambda n: st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)))
+    kind = data.draw(STEP_KINDS)
+    steps = data.draw(
+        lengths.flatmap(lambda n: st.lists(st.integers(0, int(np.iinfo(kind).max)), min_size=n, max_size=n))
+    )
+    obj = {
+        "classes": Gathered(table, np.array(picks, dtype=np.uint8)),
+        "nested": [{"steps": np.array(steps, dtype=kind)}, Gathered(CLASSES, np.array(picks, dtype=np.uint16) % 4)],
+        "steps": np.array(steps, dtype=kind),
+    }
+    path = tmp_path_factory.getbasetemp() / "slices.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invmasa.documents, "REPORT_SLICE", size)
+        expected = oracle(obj)
+        assert canonical_json(obj) == expected
+        assert len(invmasa.documents.write_json(obj, path)) == len(expected)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert len(invmasa.documents.write_json(obj)) == len(expected)
+    assert path.read_bytes() == expected.encode()
+    assert stdout.getvalue() == expected
 
 
 # Finite doubles with both zeros drawn often: re + 1j * im loses the sign of
