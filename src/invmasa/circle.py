@@ -242,11 +242,10 @@ def orbit_arcs(t0: float, config: RotationConfig, steps: int, cuts) -> tuple[np.
 
 
 def _sweep(t0: float, config: RotationConfig, lo: int, hi: int, cuts, points=None) -> np.ndarray:
-    """The arc [cuts[i], cuts[i + 1]) of each exact orbit point k in [lo, hi),
-    read from its integer x_k = (T + kA) mod 2^E over their denominator 2^E:
-    uint64 arithmetic up to E = 63 (its wraparound is mod 2^64), else Python
-    ints in chunks (4 to 8 times the cost of float steps).  Each point,
-    correctly rounded, goes into ``points`` when it is given."""
+    """The arc [cuts[i], cuts[i + 1]) of each exact orbit point k in [lo, hi), read from
+    its integer x_k = (T + kA) mod 2^E over their denominator 2^E: uint64 arithmetic up to
+    E = 63 (its wraparound is mod 2^64), else Python ints in chunks (4 to 8 times the cost
+    of float steps).  Each point, correctly rounded, goes into ``points`` if it is given."""
     den, t, step, bounds = _numerators(t0, config, cuts)
     dtype, chunk = (np.uint64, max(hi - lo, 1)) if den <= 2**63 else (object, ORBIT_CHUNK)
     bounds = np.array(bounds[1:], dtype=dtype)

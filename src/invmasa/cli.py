@@ -128,18 +128,9 @@ def _cmd_gen(args) -> int:
     if not report.invariant_equal:
         raise NoConvergence("generated instance failed its invariance self-check")
     dump_instance(generated.instance, args.output)
-    summary = make_report(
-        "gen",
-        passed=True,
-        seed=args.seed,
-        details={
-            "dimension": generated.instance.n,
-            "pi": list(generated.pi),
-            "output": str(args.output),
-            "invariance_residual": report.residual,
-        },
-    )
-    write_json(summary)
+    details = {"dimension": generated.instance.n, "pi": list(generated.pi), "output": str(args.output)}
+    details["invariance_residual"] = report.residual
+    write_json(make_report("gen", passed=True, seed=args.seed, details=details))
     return 0
 
 
@@ -152,10 +143,7 @@ def _cmd_verify(args) -> int:
     overall = True
     if args.mode in ("invariance", "both"):
         report = check_invariance(instance.algebra, instance.unitary, tol)
-        details["invariance"] = {
-            "invariant_subset": report.invariant_subset,
-            "invariant_equal": report.invariant_equal,
-        }
+        details["invariance"] = {"invariant_subset": report.invariant_subset, "invariant_equal": report.invariant_equal}
         residuals["invariance"] = report.residual
         overall = overall and report.invariant_equal
     if args.mode in ("masa", "both"):
@@ -164,19 +152,10 @@ def _cmd_verify(args) -> int:
             inputs["algebra"] = file_digest(args.algebra)
         else:
             check = block_masa_check(instance.algebra, tol)
-        details["masa"] = {
-            "ok": check.ok,
-            "rank": check.rank,
-            "commutant_dimension": check.commutant_dimension,
-        }
-        residuals["masa"] = max(
-            check.unital_residual, check.selfadjoint_residual, check.abelian_residual
-        )
+        details["masa"] = {"ok": check.ok, "rank": check.rank, "commutant_dimension": check.commutant_dimension}
+        residuals["masa"] = max(check.unital_residual, check.selfadjoint_residual, check.abelian_residual)
         overall = overall and check.ok
-    report_doc = make_report(
-        "verify", passed=overall, inputs=inputs, residuals=residuals, details=details
-    )
-    write_json(report_doc, args.output)
+    write_json(make_report("verify", passed=overall, inputs=inputs, residuals=residuals, details=details), args.output)
     return 0 if overall else 3
 
 
@@ -188,10 +167,7 @@ def _cmd_factor(args) -> int:
         "factor",
         passed=True,
         inputs={"instance": file_digest(args.input)},
-        residuals={
-            "factor": fact.factor_residual,
-            "block_diagonal": fact.block_residual,
-        },
+        residuals={"factor": fact.factor_residual, "block_diagonal": fact.block_residual},
         details={
             "pi": list(fact.pi),
             "cycles": [list(c.labels) for c in fact.cycles],
@@ -205,9 +181,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    f = load_values(args.f)
-    g = load_values(args.g)
-    sigma = multiplicity_match(f, g, value_tol=args.value_tol)
+    sigma = multiplicity_match(load_values(args.f), load_values(args.g), value_tol=args.value_tol)
     report = make_report(
         "match",
         passed=sigma is not None,
@@ -292,8 +266,7 @@ def _cmd_combinatorics(args) -> int:
     return 0
 
 
-# Samples per chunk of cex return-map: a few MB of temporaries.
-RETURN_CHUNK = 1 << 16
+RETURN_CHUNK = 1 << 16  # samples per chunk of cex return-map: a few MB of temporaries
 
 
 def _cmd_return_map(args) -> int:
@@ -371,14 +344,12 @@ def _cmd_propagate(args) -> int:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    chunks = cocycle.propagation_chunks(params, args.t0, config, field, args.steps)
-    # Each chunk's classes and steps are copied into place and its vectors
-    # dropped, but for the last.  A list of steps fills only the head of its
-    # row, and np.empty leaves the tail untouched, so it takes no memory.
-    observed, expected = np.empty((2, args.steps + 1), dtype=np.uint8)
-    mismatches, boundary = np.empty((2, args.steps + 1), dtype=np.min_scalar_type(args.steps))
+    # Chunks are copied into place (their vectors dropped): at most steps + 1 of each, and
+    # np.empty leaves unused tails untouched.  The first chunk rejects negative steps.
+    observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)
+    mismatches, boundary = np.empty((2, max(args.steps + 1, 0)), dtype=np.min_scalar_type(args.steps))
     lo = m = b = 0
-    for vectors, obs, exp, mis, bnd in chunks:
+    for vectors, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
         observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
         mismatches[m : m + len(mis)], boundary[b : b + len(bnd)] = mis, bnd
         lo, m, b = lo + len(obs), m + len(mis), b + len(bnd)

@@ -55,7 +55,6 @@ __all__ = [
     "IntervalDefect",
     "invariance_defect",
     "PropagationResult",
-    "PROPAGATE_CHUNK",
     "propagation_chunks",
     "propagate_constraint",
 ]
@@ -413,10 +412,9 @@ def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tup
 
 
 def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
-    """out[k] = word[k-1] ... word[1] word[0] first for k = 0..len(word) (out[0]
-    = first, by default 0, the identity) over a numbered group of at most 256
-    elements, by Hillis-Steele doubling: log2(len(word)) gathers from its
-    product table."""
+    """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0,
+    the identity) over a numbered group of at most 256 elements, by Hillis-Steele
+    doubling: log2(len(word)) gathers from its product table."""
     n, flat, out, shift = len(table), table.ravel(), np.insert(word.astype(np.uint16), 0, first), 1
     while shift < len(out):
         out[shift:] = flat.take(out[shift:] * n + out[:-shift])
@@ -432,29 +430,15 @@ def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, s
     return tuple(table.astype(arcs.dtype).take(arcs) for table in tables)
 
 
-# Steps per chunk of propagation_chunks: each holds a few MB of temporaries.
-PROPAGATE_CHUNK = 1 << 16
+PROPAGATE_CHUNK = 1 << 16  # steps per chunk of propagation_chunks: a few MB of temporaries
 
 
-def propagation_chunks(
-    start: ReflectionParams,
-    t0: float,
-    config: RotationConfig,
-    field: PiecewiseMatrixField,
-    steps: int,
-):
-    """:func:`propagate_constraint` chunk by chunk: for steps lo..hi-1 of each
-    chunk, ``PROPAGATE_CHUNK`` at a time, yields their vectors, observed and
-    expected class places (``uint8``), and the mismatch and boundary steps
-    among them as integer arrays.  Between chunks it carries the twist-group
-    element (or, for the float loop, the vector), the class-group element,
-    the sign set at the last flip and the step offset."""
+def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
+    """:func:`propagate_constraint` ``PROPAGATE_CHUNK`` steps at a time: yields each chunk's
+    vectors, observed and expected class places, and mismatch and boundary steps.  It carries
+    the group elements (or the float loop's vector), the last flip's sign and the step offset."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    return _chunks(start, t0, config, field, steps)
-
-
-def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
     scan = all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot)
     if scan:
@@ -463,9 +447,9 @@ def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: P
         elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
         # one +/-x_j and two zero products, summed from +0.0 as in the loop
         images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
-        twist = 0
+        carried = 0
     else:
-        rows, twist = rot.tolist(), tuple(x.tolist())
+        rows, carried = rot.tolist(), tuple(x.tolist())
     actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
     class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
     start_places = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))]
@@ -474,15 +458,14 @@ def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: P
     cls, negative = 0, False
     for lo in range(0, steps + 1, PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, steps + 1)
-        # the word of steps lo..hi-1 (one letter fewer in the last chunk) takes
-        # the carried elements from step lo to step hi
+        # steps lo..hi-1 (one fewer in the last chunk) take the carried elements to step hi
         letters, pieces = _itinerary(t0, config, field, min(hi, steps) - lo, lo)
         if scan:
-            index = _prefix_products(table, gens[pieces], twist)
-            twist = index[-1]
+            index = _prefix_products(table, gens[pieces], carried)
+            carried = index[-1]
         else:
-            x0, x1, x2 = twist
-            flat = array("d", twist)
+            x0, x1, x2 = carried
+            flat = array("d", carried)
             for (a, b, c), (d, e, f), (g, h, i) in map(rows.__getitem__, pieces.tolist()):
                 # each sum starts at +0.0, as a matrix product's does: no component is -0.0
                 x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
@@ -490,7 +473,7 @@ def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: P
             images, index = np.frombuffer(flat).reshape(-1, 3), np.arange(len(pieces) + 1)
             if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
                 raise NoConvergence(f"step {lo + past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
-            twist = (x0, x1, x2)
+            carried = (x0, x1, x2)
         classes = _prefix_products(class_table, class_gens[letters - 1], cls)
         cls, index, expected = classes[-1], index[: hi - lo], start_places[classes[: hi - lo]]
         triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
@@ -508,11 +491,7 @@ def _chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: P
 
 
 def propagate_constraint(
-    start: ReflectionParams,
-    t0: float,
-    config: RotationConfig,
-    field: PiecewiseMatrixField,
-    steps: int,
+    start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int
 ) -> PropagationResult:
     """Propagate the forced values of S forward along the orbit of t0.
 
@@ -525,7 +504,8 @@ def propagate_constraint(
     raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
     The sign flips only on the diagonal boundary (e at most
     ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are logged.
-    The chunks of :func:`propagation_chunks`, concatenated.
+    The result joins the chunks of :func:`propagation_chunks`.
     """
-    vectors, observed, expected, mismatches, boundary = map(np.concatenate, zip(*propagation_chunks(start, t0, config, field, steps)))
+    chunks = propagation_chunks(start, t0, config, field, steps)
+    vectors, observed, expected, mismatches, boundary = map(np.concatenate, zip(*chunks))
     return PropagationResult(vectors, observed, expected, tuple(mismatches.tolist()), tuple(boundary.tolist()))

@@ -25,7 +25,10 @@ non-empty list of plain ``int``/``float`` values, or of equal-width
 non-empty lists of them (matrix rows; a :class:`Gathered` list formats
 each row of its table once), from one ``%``-format template, and leaves
 everything else (strings, bools, None, NaN and infinities, float
-subclasses, other keys) to the ``json`` module.
+subclasses, other keys) to the ``json`` module.  A 1-D numpy integer array
+is written as the list of its values.  The text comes in slices, ``REPORT_SLICE``
+rows of a ``Gathered`` list or an integer array at a time: :func:`write_json` writes
+each as it comes, so no report is held whole, and :func:`canonical_json` joins them.
 """
 
 from __future__ import annotations
@@ -280,8 +283,7 @@ def canonical_json(obj) -> str:
     return "".join([*_encode(obj, "\n"), "\n"])
 
 
-# Rows of a Gathered list or an integer array in one slice of the text.
-REPORT_SLICE = 2048
+REPORT_SLICE = 2048  # rows of a Gathered list or an integer array in one slice of the text
 
 
 def _encode(obj, nl: str):
@@ -322,17 +324,10 @@ def _encode(obj, nl: str):
 
 
 def _slices(index: np.ndarray, render, nl: str):
-    """Yield the list of ``len(index)`` rows whose texts ``render`` gives for
-    ``REPORT_SLICE`` of them at a time."""
-    if not index.size:
-        yield "[]"
-        return
-    lead = "[" + nl + "  "
+    """Yield the list of ``len(index)`` rows, ``render`` giving ``REPORT_SLICE`` at a time."""
     for lo in range(0, index.size, REPORT_SLICE):
-        yield lead
-        yield render(index[lo : lo + REPORT_SLICE])
-        lead = "," + nl + "  "
-    yield nl + "]"
+        yield ("," if lo else "[") + nl + "  " + render(index[lo : lo + REPORT_SLICE])
+    yield nl + "]" if index.size else "[]"
 
 
 def _number_rows(items, inner: str, sep: str) -> str | None:
@@ -358,8 +353,7 @@ def _number_rows(items, inner: str, sep: str) -> str | None:
 
 @dataclass(frozen=True)
 class Written:
-    """What :func:`write_json` wrote: its ``path`` (None for stdout) and
-    ``size`` in bytes, which is also its ``len()``."""
+    """What :func:`write_json` wrote: its ``path`` (None: stdout) and ``size`` in bytes, its ``len()``."""
 
     path: object
     size: int
@@ -369,14 +363,13 @@ class Written:
 
 
 def write_json(obj, path=None) -> Written:
-    """Write the canonical form to ``path``, or to stdout, slice by slice as it
-    is encoded, so the whole text is never held in memory."""
+    """Write the canonical form to ``path``, or to stdout, each slice as it is encoded."""
     size = 0
     with open(path, "w", encoding="utf-8") if path is not None else nullcontext(sys.stdout) as fh:
         for text in chain(_encode(obj, "\n"), "\n"):
             fh.write(text)
             size += len(text)
-        fh.flush()
+        fh.flush()  # stdout too: a failed write raises here, inside the command
     return Written(path, size)
 
 
