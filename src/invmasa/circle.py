@@ -31,7 +31,6 @@ __all__ = [
     "first_return",
     "first_returns",
     "return_closed_form",
-    "RETURN_MAP_TOL",
     "orbit",
     "orbit_arcs",
     "orbit_counts",
@@ -188,12 +187,6 @@ def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, n
         if not live.size:
             return cur, steps, words_ok & (steps >= 4)
     raise NoConvergence(f"first return from t = {float(ts[live[0]])!r} exceeded its bound of {limit} steps")
-
-
-# Largest deviation of an iterated first return from the closed form that
-# ``cex return-map`` accepts.  Each of the at most int(1/a) + 3 steps rounds
-# by at most half an ulp of 1 (1.1e-16), so any a above ~1e-5 stays inside.
-RETURN_MAP_TOL = 1e-11
 
 
 def return_closed_form(t, config: RotationConfig):

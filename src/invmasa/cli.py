@@ -44,13 +44,16 @@ from .embedding import (
 )
 from .errors import REPORTED, NoConvergence, SchemaError, exit_code
 from .generate import build_instance
-from .numerics import DEFAULT_TOL, TolerancePolicy
+from .numerics import DEFAULT_TOL, RETURN_MAP_TOL, TolerancePolicy
 from .spaces import block_masa_check, masa_check, multiplicity_match
 
 
-def _dispatch(func) -> int:
+def _dispatch(args) -> int:
+    """Run a subcommand and write the report it returns: the one report write."""
     try:
-        return func()
+        code, report = args.func(args)
+        write_json(report, args.output)
+        return code
     except REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
@@ -74,7 +77,7 @@ def _add_orbit_flags(parser: argparse.ArgumentParser, steps: int) -> None:
 
 def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, output=None)
     if output:
         p.add_argument("--output", default=None)
     return p
@@ -84,7 +87,7 @@ def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> ar
 # masa subcommands
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> tuple[int, dict]:
     tol = _tolerance(args)
     instance = load_instance(args.input, tol)
     result = embed_invariant_masa(instance.algebra, instance.unitary, tol)
@@ -99,8 +102,7 @@ def _cmd_embed(args) -> int:
         "pass": result.certificate.passed,
         "inputs": {"instance": file_digest(args.input)},
     }
-    write_json(doc, args.output)
-    return 0 if result.certificate.passed else 4
+    return (0 if result.certificate.passed else 4), doc
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -110,7 +112,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise SchemaError(f"could not parse {what}: {text!r}") from exc
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, dict]:
     sizes = _parse_int_list(args.blocks, "--blocks")
     if any(s < 1 for s in sizes):
         raise SchemaError("block sizes must be positive")
@@ -127,14 +129,13 @@ def _cmd_gen(args) -> int:
     report = check_invariance(generated.instance.algebra, generated.instance.unitary)
     if not report.invariant_equal:
         raise NoConvergence("generated instance failed its invariance self-check")
-    dump_instance(generated.instance, args.output)
-    details = {"dimension": generated.instance.n, "pi": list(generated.pi), "output": str(args.output)}
+    dump_instance(generated.instance, args.instance)
+    details = {"dimension": generated.instance.n, "pi": list(generated.pi), "output": str(args.instance)}
     details["invariance_residual"] = report.residual
-    write_json(make_report("gen", passed=True, seed=args.seed, details=details))
-    return 0
+    return 0, make_report("gen", passed=True, seed=args.seed, details=details)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     tol = _tolerance(args)
     instance = load_instance(args.input, tol)
     inputs = {"instance": file_digest(args.input)}
@@ -155,15 +156,14 @@ def _cmd_verify(args) -> int:
         details["masa"] = {"ok": check.ok, "rank": check.rank, "commutant_dimension": check.commutant_dimension}
         residuals["masa"] = max(check.unital_residual, check.selfadjoint_residual, check.abelian_residual)
         overall = overall and check.ok
-    write_json(make_report("verify", passed=overall, inputs=inputs, residuals=residuals, details=details), args.output)
-    return 0 if overall else 3
+    return (0 if overall else 3), make_report("verify", passed=overall, inputs=inputs, residuals=residuals, details=details)
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[int, dict]:
     tol = _tolerance(args)
     instance = load_instance(args.input, tol)
     fact = factor_unitary(instance.algebra, instance.unitary, tol)
-    report = make_report(
+    return 0, make_report(
         "factor",
         passed=True,
         inputs={"instance": file_digest(args.input)},
@@ -176,20 +176,16 @@ def _cmd_factor(args) -> int:
             "v": matrix_to_json(fact.v),
         },
     )
-    write_json(report, args.output)
-    return 0
 
 
-def _cmd_match(args) -> int:
+def _cmd_match(args) -> tuple[int, dict]:
     sigma = multiplicity_match(load_values(args.f), load_values(args.g), value_tol=args.value_tol)
-    report = make_report(
+    return (0 if sigma is not None else 3), make_report(
         "match",
         passed=sigma is not None,
         inputs={"f": file_digest(args.f), "g": file_digest(args.g)},
         details={"bijection": None if sigma is None else list(sigma)},
     )
-    write_json(report, args.output)
-    return 0 if sigma is not None else 3
 
 
 def main_masa(argv=None) -> int:
@@ -207,7 +203,7 @@ def main_masa(argv=None) -> int:
     p.add_argument("--cycles", required=True, help="semicolon-separated label cycles, e.g. 0,1;2")
     p.add_argument("--weights", default=None, help="comma-separated point masses")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", dest="instance", metavar="OUTPUT", required=True)
 
     p = _subcommand(sub, "verify", _cmd_verify, "verify invariance and/or the masa property")
     _add_instance_flags(p)
@@ -223,7 +219,7 @@ def main_masa(argv=None) -> int:
     p.add_argument("--value-tol", type=float, default=0.0)
 
     args = parser.parse_args(argv)
-    return _dispatch(lambda: args.func(args))
+    return _dispatch(args)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +257,14 @@ def combinatorics_document() -> dict:
     }
 
 
-def _cmd_combinatorics(args) -> int:
-    write_json(combinatorics_document(), args.output)
-    return 0
+def _cmd_combinatorics(args) -> tuple[int, dict]:
+    return 0, combinatorics_document()
 
 
 RETURN_CHUNK = 1 << 16  # samples per chunk of cex return-map: a few MB of temporaries
 
 
-def _cmd_return_map(args) -> int:
+def _cmd_return_map(args) -> tuple[int, dict]:
     config = circle.RotationConfig(args.a)
     if args.samples < 1:
         raise SchemaError("--samples must be positive")
@@ -281,19 +276,17 @@ def _cmd_return_map(args) -> int:
         t_return, _, words = circle.first_returns(ts, config)
         max_dev = float(np.max(np.abs(t_return - circle.return_closed_form(ts, config)), initial=max_dev))
         words_ok = words_ok and bool(np.all(words))
-    report = make_report(
+    return 0, make_report(
         "return-map",
-        passed=bool(words_ok and max_dev <= circle.RETURN_MAP_TOL),
+        passed=bool(words_ok and max_dev <= RETURN_MAP_TOL),
         seed=args.seed,
         residuals={"max_deviation": max_dev},
         details={"a": config.a, "samples": int(args.samples), "words_ok": words_ok},
         warnings=config.warnings(),
     )
-    write_json(report, args.output)
-    return 0
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple[int, dict]:
     config = circle.RotationConfig(args.a)
     head = circle.orbit(args.t0, config, min(args.steps, 8))
     details = {"a": config.a, "t0": args.t0, "steps": int(args.steps), "head": head.tolist()}
@@ -302,9 +295,7 @@ def _cmd_orbit(args) -> int:
         stats = circle.EquidistributionStats.from_counts(counts, config)
         lengths = list(config.interval_lengths)
         details.update(frequencies=list(stats.frequencies), interval_lengths=lengths, discrepancy=stats.discrepancy)
-    report = make_report("orbit", details=details, warnings=config.warnings())
-    write_json(report, args.output)
-    return 0
+    return 0, make_report("orbit", details=details, warnings=config.warnings())
 
 
 def _twist(args, config: circle.RotationConfig) -> cocycle.PiecewiseMatrixField:
@@ -313,12 +304,12 @@ def _twist(args, config: circle.RotationConfig) -> cocycle.PiecewiseMatrixField:
     return cocycle.standard_twist(config)
 
 
-def _cmd_defect(args) -> int:
+def _cmd_defect(args) -> tuple[int, dict]:
     config = circle.RotationConfig(args.a)
     candidate = load_projection_field(args.candidate)
     field = _twist(args, config)
     report = cocycle.invariance_defect(candidate, config, field, args.t0, args.steps)
-    doc = make_report(
+    return 0, make_report(
         "defect",
         inputs={"candidate": file_digest(args.candidate)},
         residuals={"max_defect": report.max_defect, "mean_defect": report.mean_defect},
@@ -331,11 +322,9 @@ def _cmd_defect(args) -> int:
         },
         warnings=config.warnings(),
     )
-    write_json(doc, args.output)
-    return 0
 
 
-def _cmd_propagate(args) -> int:
+def _cmd_propagate(args) -> tuple[int, dict]:
     config = circle.RotationConfig(args.a)
     if args.e <= 0.0:
         raise SchemaError("--e must be positive")
@@ -344,33 +333,33 @@ def _cmd_propagate(args) -> int:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    # Chunks are copied into place (their vectors dropped): at most steps + 1 of each, and
-    # np.empty leaves unused tails untouched.  The first chunk rejects negative steps.
+    # Class places are copied into one byte per step (the vectors dropped); mismatch and boundary
+    # steps, in the smallest type that holds --steps, are kept per chunk and joined once, so only
+    # the class lists are sized by --steps.  The first chunk rejects negative steps.
     observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)
-    mismatches, boundary = np.empty((2, max(args.steps + 1, 0)), dtype=np.min_scalar_type(args.steps))
-    lo = m = b = 0
+    mismatches, boundary, lo = [], [], 0
     for vectors, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
         observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
-        mismatches[m : m + len(mis)], boundary[b : b + len(bnd)] = mis, bnd
-        lo, m, b = lo + len(obs), m + len(mis), b + len(bnd)
+        mismatches.append(mis.astype(np.min_scalar_type(args.steps)))
+        boundary.append(bnd.astype(np.min_scalar_type(args.steps)))
+        lo += len(obs)
+    mismatches, boundary = np.concatenate(mismatches), np.concatenate(boundary)
     final = cocycle.ReflectionParams.from_bloch(vectors[-1])
-    doc = make_report(
+    return 0, make_report(
         "propagate",
-        passed=not m,
+        passed=not mismatches.size,
         details={
             "a": config.a,
             "t0": args.t0,
             "steps": int(args.steps),
             "classes": Gathered(signs.ALL_CLASSES, observed),
             "expected_classes": Gathered(signs.ALL_CLASSES, expected),
-            "mismatch_steps": mismatches[:m],
-            "boundary_steps": boundary[:b],
+            "mismatch_steps": mismatches,
+            "boundary_steps": boundary,
             "final": {"d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag},
         },
         warnings=config.warnings(),
     )
-    write_json(doc, args.output)
-    return 0
 
 
 def main_cex(argv=None) -> int:
@@ -406,7 +395,7 @@ def main_cex(argv=None) -> int:
     p.add_argument("--twist", choices=("standard", "identity"), default="standard")
 
     args = parser.parse_args(argv)
-    return _dispatch(lambda: args.func(args))
+    return _dispatch(args)
 
 
 def masa_entry() -> None:

@@ -32,12 +32,10 @@ import numpy as np
 
 from .circle import RotationConfig, _arc_counts, _numerators, _sweep, interval_indices
 from .errors import InvalidCandidate, NoConvergence
-from .numerics import DEFAULT_TOL, as_matrix, max_norm
+from .numerics import DEFAULT_TOL, DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL, as_matrix, max_norm
 from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
 
 __all__ = [
-    "SIGN_ZERO_TOL",
-    "PROJECTION_TOL",
     "PiecewiseMatrixField",
     "standard_twist",
     "identity_twist",
@@ -59,29 +57,7 @@ __all__ = [
     "propagate_constraint",
 ]
 
-# Dead zone for signum on computed (propagated) values; analytic inputs
-# keep the exact-zero semantics of signs.sign_profile.
-SIGN_ZERO_TOL = 1e-10
-# Tolerance for the rank-one projection invariants of candidate fields.
-PROJECTION_TOL = 1e-10
-# Largest ||theta| - 1| at which ReflectionParams takes theta as unimodular.
-UNIMODULAR_TOL = 1e-12
 BLOCH_LIMIT = float(np.finfo(float).max) / 2.0  # largest Bloch component: bloch_vectors doubles it
-# Off-diagonal magnitude below which a parameterised matrix counts as
-# sitting on the diagonal boundary.
-DIAGONAL_BOUNDARY_TOL = 1e-12
-# Entrywise distance from a signed permutation within which a twist
-# piece's Bloch rotation is snapped to it (the standard twist's are an
-# ulp off the automaton's substitutions), making transport exact.
-ROTATION_SNAP_TOL = 1e-12
-# Off-diagonal modulus of a traceless 2x2 matrix at or below which
-# diagonalizer takes it as diagonal and returns the identity frame: a few
-# ulps of a scale-1 entry, below which the phase xi = b[1,0] / |b[1,0]| is
-# roundoff.
-DIAGONALIZER_ZERO_TOL = 1e-14
-# Smallest gap between neighbouring breakpoints of random_projection_field;
-# a closer draw is redrawn, so no piece is shorter than this.
-RANDOM_BREAKPOINT_GAP = 1e-12
 
 # sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
@@ -166,7 +142,7 @@ def random_projection_field(seed: int, max_pieces: int = 64) -> PiecewiseMatrixF
     pieces = int(rng.integers(1, max_pieces + 1))
     while True:
         bps = np.sort(rng.uniform(0.0, 1.0, size=pieces))
-        if pieces == 1 or np.min(np.diff(bps)) > RANDOM_BREAKPOINT_GAP:
+        if pieces == 1 or np.min(np.diff(bps)) > ROUNDOFF_FLOOR:
             break
     values = []
     for _ in range(pieces):
@@ -206,7 +182,7 @@ class ReflectionParams:
             raise ValueError("parameters must be finite")
         if self.e < 0.0:
             raise ValueError("e must be nonnegative")
-        if not abs(abs(self.theta) - 1.0) <= UNIMODULAR_TOL:
+        if not abs(abs(self.theta) - 1.0) <= ROUNDOFF_FLOOR:
             raise ValueError("theta must be unimodular")
         if max(abs(self.d), abs(self.theta.real) * self.e, abs(self.theta.imag) * self.e) > BLOCH_LIMIT:
             raise ValueError(f"d, Re(theta e) and Im(theta e) must be at most {BLOCH_LIMIT!r} in magnitude")
@@ -216,13 +192,13 @@ class ReflectionParams:
         return np.array([[self.d, np.conj(off)], [off, -self.d]], dtype=complex)
 
     @classmethod
-    def from_bloch(cls, x, zero_tol: float = DIAGONAL_BOUNDARY_TOL) -> "ReflectionParams":
+    def from_bloch(cls, x) -> "ReflectionParams":
         """Parameters of the matrix with Bloch vector x = (d, Re w, Im w);
-        theta is 1 when e is at most ``zero_tol``."""
+        theta is 1 when e is at most ``ROUNDOFF_FLOOR``."""
         d, re, im = (float(c) for c in x)
         off = complex(re, im)
         e = abs(off)
-        return cls(d=d, e=e, theta=off / e if e > zero_tol else 1.0 + 0.0j)
+        return cls(d=d, e=e, theta=off / e if e > ROUNDOFF_FLOOR else 1.0 + 0.0j)
 
 
 def matrix_sign_profile(m) -> SignClass:
@@ -246,12 +222,12 @@ def bloch_vectors(m) -> np.ndarray:
 def bloch_rotations(field: PiecewiseMatrixField) -> np.ndarray:
     """Rotation R_V of each piece V of a unitary twist, shape (pieces, 3, 3):
     V* S V has Bloch vector R_V x when S has x.  A rotation within
-    ``ROTATION_SNAP_TOL`` of a signed permutation is snapped to it."""
+    ``ROUNDOFF_FLOOR`` of a signed permutation is snapped to it."""
     v = np.stack(field.values)
     rot = 0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real
     for r in rot:
         snapped = np.rint(r)
-        if np.array_equal(snapped @ snapped.T, np.eye(3)) and np.max(np.abs(r - snapped)) <= ROTATION_SNAP_TOL:
+        if np.array_equal(snapped @ snapped.T, np.eye(3)) and np.max(np.abs(r - snapped)) <= ROUNDOFF_FLOOR:
             r[...] = snapped
     return rot
 
@@ -479,7 +455,7 @@ def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfi
         triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
         observed = places[triples][index]
         first = int(lo == 0)  # step 0 is never a boundary step
-        on_boundary = np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL
+        on_boundary = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
         boundary = np.flatnonzero(on_boundary[index[first:]]) + first
         flips = boundary[images[index[boundary], 0] != 0.0]
         # every step keeps the sign set at the last flip before it, + before the first
@@ -503,7 +479,7 @@ def propagate_constraint(
     of group numbers; other rotations take a per-step float loop, which
     raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
     The sign flips only on the diagonal boundary (e at most
-    ``DIAGONAL_BOUNDARY_TOL``), to make d nonnegative; such steps are logged.
+    ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
     The result joins the chunks of :func:`propagation_chunks`.
     """
     chunks = propagation_chunks(start, t0, config, field, steps)

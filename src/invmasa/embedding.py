@@ -117,6 +117,20 @@ class WeightedCompositionOperator:
         return np.eye(self.n, dtype=complex)[list(self.bijection)]
 
 
+def _block_bijection(blocks, pi) -> tuple[int, ...]:
+    """The point bijection that maps block j onto block pi[j] in ascending index
+    order; raises ``BlockSizeMismatch`` when the two sizes differ."""
+    phi = np.empty(sum(map(len, blocks)), dtype=int)
+    for j, k in enumerate(pi):
+        if len(blocks[j]) != len(blocks[k]):
+            raise BlockSizeMismatch(
+                f"blocks {j} and {k} are conjugate but have sizes "
+                f"{len(blocks[j])} != {len(blocks[k])}"
+            )
+        phi[list(blocks[j])] = blocks[k]
+    return tuple(phi.tolist())
+
+
 @dataclass(frozen=True)
 class Cycle:
     """Orbit of a block label under the induced permutation; ``labels[0]``
@@ -255,15 +269,7 @@ def factor_unitary(
             )
     if sorted(pi) != list(range(len(blocks))):
         raise NotInvariant("conjugation does not permute the blocks bijectively")
-    phi = np.empty(algebra.n, dtype=int)
-    for j, k in enumerate(pi):
-        if len(blocks[j]) != len(blocks[k]):
-            raise BlockSizeMismatch(
-                f"blocks {j} and {k} are conjugate but have sizes "
-                f"{len(blocks[j])} != {len(blocks[k])}"
-            )
-        phi[list(blocks[j])] = blocks[k]
-    w = WeightedCompositionOperator(tuple(phi.tolist()))
+    w = WeightedCompositionOperator(_block_bijection(blocks, pi))
     wm = w.matrix()
     v = u @ wm.conj().T
     block_residual = max_norm(v[labels[:, None] != labels[None, :]])

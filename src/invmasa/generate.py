@@ -5,8 +5,8 @@ permutation whose cycles pair equal-size blocks, draw a Haar-random block
 diagonal unitary V0, form the coordinate permutation W from the ascending
 within-block bijection, and emit U = V0 W.  By construction, conjugation
 by U maps the block algebra onto itself, and the factorisation routine
-recovers both the permutation and V0 exactly (the within-block convention
-matches).
+recovers both the permutation and V0 exactly: both build W with
+``embedding._block_bijection``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .documents import Instance
+from .embedding import WeightedCompositionOperator, _block_bijection
 from .errors import InconsistentSpec
 from .spaces import BlockPartition, DiscreteSpace
 
@@ -83,12 +84,7 @@ def build_instance(
     for block in partition.blocks:
         idx = list(block)
         v0[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
-    phi = np.empty(n, dtype=int)
-    for j, k in enumerate(pi):
-        for src, dst in zip(partition.blocks[j], partition.blocks[k]):
-            phi[src] = dst
-    w = np.eye(n, dtype=complex)[phi]
-    u = v0 @ w
+    u = v0 @ WeightedCompositionOperator(_block_bijection(partition.blocks, pi)).matrix()
     instance = Instance(space=space, partition=partition, unitary=u)
     return GeneratedInstance(instance=instance, pi=pi, seed=seed)
 

@@ -2,8 +2,11 @@
 
 Everything in this package runs on dense ``complex128`` square matrices of
 a few hundred rows at most, so the solvers here favour robustness and
-predictable tolerances over speed.  All comparisons are governed by a
-single :class:`TolerancePolicy` threaded through call sites.
+predictable tolerances over speed.  Settable comparisons are governed by a
+single :class:`TolerancePolicy` threaded through call sites.  Every fixed
+threshold of the package is a constant declared next to it, with its reason:
+``ROUNDOFF_FLOOR``, ``SIGN_ZERO_TOL``, ``PROJECTION_TOL``,
+``DIAGONALIZER_ZERO_TOL`` and ``RETURN_MAP_TOL``; no other module declares one.
 
 The Hermitian eigensolver, rank and null-space questions (numerical rank
 of a family, commutant of a family) are all delegated to LAPACK via numpy.
@@ -32,6 +35,9 @@ __all__ = [
     "numerical_rank",
     "COMMUTANT_SYSTEM_BUDGET",
     "ROUNDOFF_FLOOR",
+    "SIGN_ZERO_TOL",
+    "PROJECTION_TOL",
+    "RETURN_MAP_TOL",
     "commutant_basis",
     "commutant_dimension",
     "span_rows",
@@ -63,6 +69,27 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
+
+# The fixed thresholds.  Each is set by the size of what it compares, so none
+# is a TolerancePolicy field, a flag or a setting.
+# Roundoff on a quantity of scale 1: singular values and joint-eigenvalue gaps up
+# to this times the family's max norm (the eps_rank cutoff alone would count a
+# near-scalar family's noise as structure), ||theta| - 1|, the off-diagonal size
+# of the diagonal boundary, a twist rotation's distance from a signed permutation
+# and the smallest gap between random breakpoints.
+ROUNDOFF_FLOOR = 1e-12
+# Dead zone for signum on computed (propagated) values; analytic inputs keep the
+# exact-zero semantics of signs.sign_profile.
+SIGN_ZERO_TOL = 1e-10
+# Tolerance for the rank-one projection invariants of candidate fields.
+PROJECTION_TOL = 1e-10
+# Off-diagonal modulus of a traceless 2x2 matrix at or below which diagonalizer
+# takes it as diagonal: a few ulps of a scale-1 entry, below which its phase is roundoff.
+DIAGONALIZER_ZERO_TOL = 1e-14
+# Largest deviation of an iterated first return from the closed form that ``cex
+# return-map`` accepts: each of the at most int(1/a) + 3 steps rounds by at most
+# half an ulp of 1 (1.1e-16), so any a above ~1e-5 stays inside.
+RETURN_MAP_TOL = 1e-11
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -170,11 +197,6 @@ def _square_family(generators, n: int) -> np.ndarray:
 # three times as much again.  n = k = 24 (127 MB) fits; n = k = 32 (537 MB)
 # is refused with NoConvergence rather than left to fail with MemoryError.
 COMMUTANT_SYSTEM_BUDGET = 2**27
-
-# Singular values and joint-eigenvalue gaps no larger than this times the
-# family's max norm are roundoff: the eps_rank cutoff relative to the largest
-# one alone would count the noise of a (near-)scalar family as structure.
-ROUNDOFF_FLOOR = 1e-12
 
 
 def _zero_cutoff(top_sq: float, gens: np.ndarray, tol: TolerancePolicy) -> float:

@@ -42,8 +42,6 @@ from invmasa.circle import _orbit_start, interval_indices, orbit_arcs, orbit_cou
 from invmasa.cocycle import (
     _SIGNED_AXES,
     BLOCH_LIMIT,
-    DIAGONAL_BOUNDARY_TOL,
-    SIGN_ZERO_TOL,
     DefectReport,
     IntervalDefect,
     PropagationResult,
@@ -53,6 +51,7 @@ from invmasa.cocycle import (
     bloch_vectors,
 )
 from invmasa.errors import DimensionMismatch, LengthMismatch, NoConvergence, NotInvariant
+from invmasa.numerics import ROUNDOFF_FLOOR, SIGN_ZERO_TOL
 from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, canonicalize, sign_profile
 
 # The block structures of the benchmark's factor workload (n = 48..96).
@@ -276,7 +275,7 @@ def fraction_cut_defect(candidate, config, field, t0, steps):
 def stepped_vectors(start, t0, config, field, steps):
     """Forced Bloch vectors by one numpy product per step, y = R_V(t_k) y,
     with the global sign resolved as ``propagate_constraint`` does: it flips
-    only where (Re w, Im w) is within ``DIAGONAL_BOUNDARY_TOL`` of zero and
+    only where (Re w, Im w) is within ``ROUNDOFF_FLOOR`` of zero and
     d is nonzero, to make d positive, and holds until the next flip."""
     pts = stepped_orbit(t0, config, steps + 1)
     rot = bloch_rotations(field)
@@ -284,7 +283,7 @@ def stepped_vectors(start, t0, config, field, steps):
     sign, out = 1.0, [y]
     for piece in field.piece_index(pts[:-1]):
         y = rot[piece] @ y
-        if np.hypot(y[1], y[2]) <= DIAGONAL_BOUNDARY_TOL and y[0] != 0.0:
+        if np.hypot(y[1], y[2]) <= ROUNDOFF_FLOOR and y[0] != 0.0:
             sign = float(np.sign(y[0]))
         out.append(sign * y)
     return np.array(out)
@@ -319,7 +318,7 @@ def whole_propagate(start, t0, config, field, steps):
     expected = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))][_prefix_products(class_table, word)]
     triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
     observed = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])[triples][index]
-    boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= DIAGONAL_BOUNDARY_TOL)[index[1:]]) + 1
+    boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR)[index[1:]]) + 1
     flips = boundary[images[index[boundary], 0] != 0.0]
     negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
     vectors = images[index]

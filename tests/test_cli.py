@@ -1,5 +1,6 @@
 """End-to-end tests of the two command-line tools."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -517,7 +518,7 @@ class TestCexCommands:
         monkeypatch.setattr(
             invmasa.circle,
             "return_closed_form",
-            lambda t, config: closed_form(t, config) + scale * invmasa.circle.RETURN_MAP_TOL,
+            lambda t, config: closed_form(t, config) + scale * invmasa.numerics.RETURN_MAP_TOL,
         )
         out = tmp_path / "rm.json"
         assert main_cex(["return-map", "--a", A_STR, "--samples", "200", "--output", str(out)]) == 0
@@ -682,7 +683,7 @@ def report_without_timestamp(path):
 
 class TestChunkedCommands:
     """``cex return-map`` and ``cex propagate`` write the same bytes whatever
-    their chunk sizes."""
+    their chunk sizes, and only the class lists grow with ``--steps``."""
 
     @pytest.mark.parametrize("argv", [["--samples", "2500", "--seed", "4"], ["--samples", "1", "--seed", "0"]])
     def test_return_map_chunks_draw_the_same_samples(self, tmp_path, monkeypatch, argv):
@@ -708,17 +709,30 @@ class TestChunkedCommands:
                 assert main_cex(argv + ["--output", str(out)]) == 0
                 assert report_without_timestamp(out) == whole
 
+    def test_propagate_memory_does_not_reserve_the_step_lists(self):
+        # 10^6 standard-twist steps: the two one-byte class lists (2 MB), one chunk's
+        # temporaries and the writer's slices; the mismatch and boundary steps are
+        # kept as found, not reserved at steps + 1 entries each
+        argv = ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--steps", "1000000", "--output", os.devnull]
+        tracemalloc.start()
+        try:
+            assert main_cex(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestExitCodeMapping:
-    def test_dispatch_classifies_error_families(self):
+    def test_dispatch_classifies_error_families(self, capsys):
         from invmasa.cli import _dispatch
         from invmasa.errors import NoConvergence, NotInvariant, SchemaError
 
         def raising(exc):
-            def f():
+            def f(args):
                 raise exc
 
-            return f
+            return argparse.Namespace(func=f, output=None)
 
         assert _dispatch(raising(SchemaError("x"))) == 2
         assert _dispatch(raising(NotInvariant("x"))) == 3
@@ -727,7 +741,10 @@ class TestExitCodeMapping:
         assert _dispatch(raising(FileNotFoundError("x"))) == 2
         assert _dispatch(raising(np.linalg.LinAlgError("x"))) == 4
         assert _dispatch(raising(MemoryError("x"))) == 4
-        assert _dispatch(lambda: 0) == 0
+        capsys.readouterr()
+        # a command returns its exit code and its report, and _dispatch writes the report
+        assert _dispatch(argparse.Namespace(func=lambda args: (3, {"pass": False}), output=None)) == 3
+        assert capsys.readouterr().out == '{\n  "pass": false\n}\n'
 
     def test_every_error_class_carries_its_exit_code(self):
         classes = [
@@ -903,16 +920,33 @@ class TestConsoleEntryPoints:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("to", ("output", "stdout"))
-    def test_a_full_device_fails_the_write_with_exit_two(self, to):
-        # a 10 MB report: the device fills in the middle of the write
-        argv = ["propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--steps", "100000"]
-        if to == "output":
-            proc = self.run_entry("cex_entry", *argv, "--output", "/dev/full")
-        else:
-            with open("/dev/full", "wb") as full:
-                proc = self.run_entry("cex_entry", *argv, stdout=full)
-        lines = proc.stderr.decode().splitlines()
-        assert proc.returncode == 2 and len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    def test_a_full_device_fails_the_write_with_exit_two(self, tmp_path, to):
+        # one command of each report kind; gen's report always goes to stdout, and
+        # propagate's 10 MB report fills the device in the middle of the write
+        instance, cand, values = tmp_path / "instance.json", tmp_path / "cand.json", tmp_path / "values.json"
+        assert main_masa(["gen", "--blocks", "2,2", "--cycles", "0,1", "--output", str(instance)]) == 0
+        write_json(cand, {"breakpoints": [0.0], "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]])]})
+        write_json(values, {"re": [1.0, 2.0], "im": [0.0, 0.0]})
+        runs = [
+            ("masa_entry", "embed", "--input", str(instance)),
+            ("masa_entry", "verify", "--input", str(instance)),
+            ("masa_entry", "factor", "--input", str(instance)),
+            ("masa_entry", "match", "--f", str(values), "--g", str(values)),
+            ("masa_entry", "gen", "--blocks", "1", "--cycles", "0", "--output", str(tmp_path / "gen.json")),
+            ("cex_entry", "combinatorics"),
+            ("cex_entry", "orbit", "--a", A_STR, "--steps", "10"),
+            ("cex_entry", "defect", "--a", A_STR, "--candidate", str(cand), "--steps", "10"),
+            ("cex_entry", "return-map", "--a", A_STR, "--samples", "10"),
+            ("cex_entry", "propagate", "--a", A_STR, "--d", "0.3", "--e", "0.7", "--steps", "100000"),
+        ]
+        for entry, *argv in runs:
+            if to == "output" and argv[0] != "gen":
+                proc = self.run_entry(entry, *argv, "--output", "/dev/full")
+            else:
+                with open("/dev/full", "wb") as full:
+                    proc = self.run_entry(entry, *argv, stdout=full)
+            lines = proc.stderr.decode().splitlines()
+            assert proc.returncode == 2 and len(lines) == 1 and lines[0].startswith("error: "), (argv, proc.stderr)
 
     def test_masa_missing_input_exits_two(self, tmp_path):
         proc = self.run_entry("masa_entry", "verify", "--input", str(tmp_path / "missing.json"))

@@ -33,15 +33,9 @@ from invmasa import (
     validate_projection_field,
 )
 from invmasa.circle import interval_indices
-from invmasa.cocycle import (
-    DIAGONAL_BOUNDARY_TOL,
-    RANDOM_BREAKPOINT_GAP,
-    ROTATION_SNAP_TOL,
-    SIGN_ZERO_TOL,
-    bloch_rotations,
-    bloch_vectors,
-)
+from invmasa.cocycle import bloch_rotations, bloch_vectors
 from invmasa.errors import InvalidCandidate, NoConvergence
+from invmasa.numerics import DIAGONALIZER_ZERO_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
 from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
 from oracles import fraction_cut_defect, fraction_defect, sampled_defect, stepped_orbit, stepped_vectors, whole_propagate
 from test_circle import BATTERY, exact_point
@@ -134,7 +128,7 @@ class TestReflectionParams:
     @pytest.mark.parametrize("arg", [0.0, 1.1])
     def test_unimodular_gate(self, scale, accepted, arg):
         # |theta| off 1 by a multiple of the gate decides acceptance
-        theta = (1.0 + scale * cocycle.UNIMODULAR_TOL) * complex(math.cos(arg), math.sin(arg))
+        theta = (1.0 + scale * ROUNDOFF_FLOOR) * complex(math.cos(arg), math.sin(arg))
         if accepted:
             assert ReflectionParams(d=0.0, e=1.0, theta=theta).theta == theta
         else:
@@ -242,7 +236,7 @@ class TestDiagonalizer:
     def test_zero_tol_role(self, factor):
         # an off-diagonal entry at or below DIAGONALIZER_ZERO_TOL is taken
         # as diagonal; above it, the balanced frame of [[0, b], [b, 0]]
-        b = factor * cocycle.DIAGONALIZER_ZERO_TOL
+        b = factor * DIAGONALIZER_ZERO_TOL
         res = diagonalizer(np.array([[0.0, b], [b, 0.0]], dtype=complex))
         s = 1.0 / math.sqrt(2.0)
         expected = np.eye(2) if factor < 1.0 else s * np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -318,7 +312,7 @@ class TestInvarianceDefect:
     @pytest.mark.parametrize("scale, kept", [(0.5, False), (2.0, True)])
     def test_breakpoint_gap(self, monkeypatch, scale, kept):
         # breakpoints closer than the gap are redrawn; farther ones are kept
-        close = [0.5, 0.5 + scale * RANDOM_BREAKPOINT_GAP]
+        close = [0.5, 0.5 + scale * ROUNDOFF_FLOOR]
 
         class ScriptedRng:
             draws = iter([close, [0.25, 0.75]])
@@ -377,17 +371,17 @@ class TestPropagation:
 # harness replaced.
 
 
-def resolve_sign(m, zero_tol=DIAGONAL_BOUNDARY_TOL):
+def resolve_sign(m):
     """Deterministic sign resolution for a matrix defined up to +/-.
 
     The off-diagonal modulus is sign-blind, so e >= 0 holds either way and
-    the + branch is kept; on the diagonal boundary (e below ``zero_tol``)
+    the + branch is kept; on the diagonal boundary (e below ``ROUNDOFF_FLOOR``)
     the sign making d nonnegative is chosen instead.
     """
     m = np.asarray(m, dtype=complex)
     x = np.array([m[0, 0].real, m[1, 0].real, m[1, 0].imag])
-    sign = 1 if abs(complex(m[1, 0])) > zero_tol or x[0] >= 0.0 else -1
-    return sign, ReflectionParams.from_bloch(sign * x, zero_tol)
+    sign = 1 if abs(complex(m[1, 0])) > ROUNDOFF_FLOOR or x[0] >= 0.0 else -1
+    return sign, ReflectionParams.from_bloch(sign * x)
 
 
 def loop_propagate(start, t0, config, field, steps):
@@ -413,7 +407,7 @@ def loop_propagate(start, t0, config, field, steps):
         expected.append(interval_action(j, expected[-1]))
         if cls != expected[-1]:
             mismatches.append(k + 1)
-        if p.e <= DIAGONAL_BOUNDARY_TOL:
+        if p.e <= ROUNDOFF_FLOOR:
             boundary.append(k + 1)
     return params, tuple(classes), tuple(expected), tuple(mismatches), tuple(boundary)
 
@@ -504,11 +498,11 @@ class TestBlochRepresentation:
             v = np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
             return PiecewiseMatrixField(breakpoints=(0.0,), values=(v,))
 
-        snapped = bloch_rotations(twist(0.1 * ROTATION_SNAP_TOL))[0]
+        snapped = bloch_rotations(twist(0.1 * ROUNDOFF_FLOOR))[0]
         assert np.array_equal(snapped, np.eye(3))
-        kept = bloch_rotations(twist(100.0 * ROTATION_SNAP_TOL))[0]
+        kept = bloch_rotations(twist(100.0 * ROUNDOFF_FLOOR))[0]
         assert not np.array_equal(kept, np.eye(3))
-        assert np.max(np.abs(kept - np.eye(3))) <= 1e3 * ROTATION_SNAP_TOL
+        assert np.max(np.abs(kept - np.eye(3))) <= 1e3 * ROUNDOFF_FLOOR
 
     def test_reflection_params_round_trip_through_bloch(self):
         p = ReflectionParams(d=-0.2, e=0.9, theta=complex(math.cos(2.0), math.sin(2.0)))
@@ -754,7 +748,7 @@ class TestGroupScan:
         cfg = RotationConfig(A)
         field = near_permutation_twist(cfg, 1e-9)
         rot = bloch_rotations(field)
-        assert ROTATION_SNAP_TOL < np.max(np.abs(rot[0] - SUBSTITUTION_MATRICES[1])) < 1e-8
+        assert ROUNDOFF_FLOOR < np.max(np.abs(rot[0] - SUBSTITUTION_MATRICES[1])) < 1e-8
         assert np.array_equal(rot[1:], [SUBSTITUTION_MATRICES[2], SUBSTITUTION_MATRICES[3]])
         seen = numbered_groups(monkeypatch)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))

@@ -1,7 +1,9 @@
 """The package root: every public name of every module, declared once."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import invmasa
 
@@ -59,3 +61,15 @@ def test_root_exports_exactly_the_modules_lists():
         for name in exported:
             assert getattr(invmasa, name) is getattr(source, name), name
 
+
+def test_only_numerics_declares_tolerances():
+    # every fixed comparison threshold is a numerics constant, next to TolerancePolicy
+    declared = []
+    for path in sorted(Path(invmasa.__file__).parent.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+            declared += [f"{path.stem}.{name}" for name in names if name.endswith(("_TOL", "_FLOOR", "_GAP"))]
+    assert declared == []
