@@ -24,7 +24,6 @@ __all__ = [
     "RotationConfig",
     "RationalWitness",
     "shift",
-    "shift_array",
     "interval_index",
     "interval_indices",
     "FirstReturn",
@@ -122,12 +121,6 @@ def shift(t: float, config: RotationConfig) -> float:
     return s - 1.0 if s >= 1.0 else s
 
 
-def shift_array(ts, config: RotationConfig) -> np.ndarray:
-    """:func:`shift` of every entry of an array, by the same IEEE operations."""
-    s = np.asarray(ts, dtype=float) + config.a
-    return np.where(s >= 1.0, s - 1.0, s)
-
-
 def interval_index(t: float, config: RotationConfig) -> int:
     """Index of the half-open interval containing t: 1, 2 or 3."""
     return 1 if t < config.a else 2 if t < 4.0 * config.a else 3
@@ -169,24 +162,34 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
 
 
 def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`first_return` of a 1-D array of starts in [0,a): landing
-    points, step counts, and whether each itinerary was 1 2 2 2 3...3.
-    Unreturned orbits step together through :func:`shift_array`, so all
-    three match the scalar results bit for bit, as does the step bound."""
-    a, cur = config.a, np.array(ts, dtype=float)
-    if not np.all((0.0 <= cur) & (cur < a)):
+    """:func:`first_return` of a 1-D array of starts in [0,a), bit for bit: landing points,
+    step counts, and whether each itinerary was 1 2 2 2 3...3.  Before its wrap an orbit
+    s_n = fl(s_(n-1) + a) grows with n and with its start, so all step in place until the
+    smallest start wraps; each returns at its first s_n >= 1 to s_n - 1, and its word is right
+    exactly when s_3 < 4a <= s_4.  A landing at a itself (a rounding tie at a dyadic a) or a
+    start still unwrapped past the bound takes the scalar map, and its ``NoConvergence``."""
+    a, start = config.a, np.asarray(ts, dtype=float)
+    if not np.all((0.0 <= start) & (start < a)):
         raise NotInBaseInterval(f"a start is not in [0, {a!r})")
-    steps, words_ok, live = np.zeros(cur.shape, dtype=int), np.ones(cur.shape, dtype=bool), np.arange(cur.size)
-    limit = int(1.0 / a) + 3
-    for n in range(1, limit + 2):
-        words_ok[live] &= interval_indices(cur[live], config) == (1 if n == 1 else 2 if n <= 4 else 3)
-        cur[live] = shift_array(cur[live], config)
-        back = cur[live] < a
-        steps[live[back]] = n
-        live = live[~back]
-        if not live.size:
-            return cur, steps, words_ok & (steps >= 4)
-    raise NoConvergence(f"first return from t = {float(ts[live[0]])!r} exceeded its bound of {limit} steps")
+    s3, limit, n = start + a + a + a, int(1.0 / a) + 3, 0
+    cur, steps, words_ok = start.copy(), np.zeros(start.shape, dtype=int), (s3 < 4.0 * a) & (s3 + a >= 4.0 * a)
+    if start.size:
+        first, last = start.argmax(), start.argmin()  # the first start to wrap, and the last
+        while cur[first] < 1.0 and n <= limit:
+            cur += a
+            n += 1
+        steps += n
+        stepping = cur < 1.0
+        while cur[last] < 1.0 and n <= limit:
+            np.add(cur, a, out=cur, where=stepping)
+            steps += stepping
+            np.less(cur, 1.0, out=stepping)
+            n += 1
+    cur -= 1.0
+    for i in np.flatnonzero(~((0.0 <= cur) & (cur < a))).tolist():
+        ret = first_return(float(start[i]), config)
+        cur[i], steps[i], words_ok[i] = ret.t_return, ret.steps, ret.word[:4] == (1, 2, 2, 2) and set(ret.word[4:]) <= {3}
+    return cur, steps, words_ok
 
 
 def return_closed_form(t, config: RotationConfig):

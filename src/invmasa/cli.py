@@ -333,18 +333,19 @@ def _cmd_propagate(args) -> tuple[int, dict]:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    # Class places are copied into one byte per step (the vectors dropped); mismatch and boundary
+    # Class places are copied into one byte per step (no vector is built); mismatch and boundary
     # steps, in the smallest type that holds --steps, are kept per chunk and joined once, so only
     # the class lists are sized by --steps.  The first chunk rejects negative steps.
     observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)
     mismatches, boundary, lo = [], [], 0
-    for vectors, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
+    for parts, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
         observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
         mismatches.append(mis.astype(np.min_scalar_type(args.steps)))
         boundary.append(bnd.astype(np.min_scalar_type(args.steps)))
         lo += len(obs)
     mismatches, boundary = np.concatenate(mismatches), np.concatenate(boundary)
-    final = cocycle.ReflectionParams.from_bloch(vectors[-1])
+    images, index, _, negated = parts  # the last step's vector is its image, with the carried sign
+    final = cocycle.ReflectionParams.from_bloch(-images[index[-1]] if negated[-1] else images[index[-1]])
     return 0, make_report(
         "propagate",
         passed=not mismatches.size,

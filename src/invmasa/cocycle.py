@@ -388,14 +388,25 @@ def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tup
 
 
 def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
-    """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0,
-    the identity) over a numbered group of at most 256 elements, by Hillis-Steele
-    doubling: log2(len(word)) gathers from its product table."""
-    n, flat, out, shift = len(table), table.ravel(), np.insert(word.astype(np.uint16), 0, first), 1
-    while shift < len(out):
-        out[shift:] = flat.take(out[shift:] * n + out[:-shift])
-        shift *= 2
-    return out
+    """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0, the
+    identity) over a numbered group of at most 256 elements, by gathers from its product table.
+    Words of 64 blocks or more take a blocked scan, O(len(word)) (Blelloch 1990): products along
+    blocks of ``SCAN_BLOCK``, a scan of the block totals, and one gather of each block's prefix.
+    Shorter ones take Hillis-Steele doubling: log2(len(word)) gathers of the whole word."""
+    n, flat, size = len(table), table.ravel(), len(word) + 1
+    # the identity (0) pads the word to whole blocks, and changes no product before it
+    out = np.zeros(size + -size % SCAN_BLOCK, dtype=np.uint16)
+    out[0], out[1:size] = first, word
+    if len(out) >= 64 * SCAN_BLOCK:
+        blocks = out.reshape(-1, SCAN_BLOCK)
+        for c in range(1, SCAN_BLOCK):
+            blocks[:, c] = flat.take(blocks[:, c] * n + blocks[:, c - 1])
+        before = _prefix_products(table, blocks[:-1, -1])
+        blocks[1:] = flat.take(blocks[1:] * n + before[1:, None])
+    else:
+        for shift in (1 << k for k in range((size - 1).bit_length())):
+            out[shift:] = flat.take(out[shift:] * n + out[:-shift])
+    return out[:size]
 
 
 def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int, lo: int = 0):
@@ -407,12 +418,15 @@ def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, s
 
 
 PROPAGATE_CHUNK = 1 << 16  # steps per chunk of propagation_chunks: a few MB of temporaries
+SCAN_BLOCK = 8  # steps per block of _prefix_products' blocked scan
 
 
 def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
     """:func:`propagate_constraint` ``PROPAGATE_CHUNK`` steps at a time: yields each chunk's
-    vectors, observed and expected class places, and mismatch and boundary steps.  It carries
-    the group elements (or the float loop's vector), the last flip's sign and the step offset."""
+    vector parts, observed and expected class places, and mismatch and boundary steps.  It
+    carries the group elements (or the float loop's vector), the last flip's sign and the step
+    offset.  The parts (images, index, flips, negated) give step k the vector images[index[k]],
+    negated from each flip on where ``negated`` says so (``negated[0]``: before the first)."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
@@ -458,12 +472,9 @@ def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfi
         on_boundary = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
         boundary = np.flatnonzero(on_boundary[index[first:]]) + first
         flips = boundary[images[index[boundary], 0] != 0.0]
-        # every step keeps the sign set at the last flip before it, + before the first
-        signs_at = np.append(negative, images[index[flips], 0] < 0.0)
-        negative = bool(signs_at[-1])
-        vectors = images[index]
-        vectors[np.repeat(signs_at, np.diff(flips, prepend=0, append=hi - lo))] *= -1.0
-        yield vectors, observed, expected, np.flatnonzero(observed != expected) + lo, boundary + lo
+        negated = np.append(negative, images[index[flips], 0] < 0.0)
+        negative = bool(negated[-1])
+        yield (images, index, flips, negated), observed, expected, np.flatnonzero(observed != expected) + lo, boundary + lo
 
 
 def propagate_constraint(
@@ -482,6 +493,9 @@ def propagate_constraint(
     ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
     The result joins the chunks of :func:`propagation_chunks`.
     """
-    chunks = propagation_chunks(start, t0, config, field, steps)
-    vectors, observed, expected, mismatches, boundary = map(np.concatenate, zip(*chunks))
+    parts, *chunks = zip(*propagation_chunks(start, t0, config, field, steps))
+    observed, expected, mismatches, boundary = map(np.concatenate, chunks)
+    vectors = np.concatenate([images[index] for images, index, _, _ in parts])
+    negated = [np.repeat(neg, np.diff(flips, prepend=0, append=len(index))) for _, index, flips, neg in parts]
+    vectors[np.concatenate(negated)] *= -1.0
     return PropagationResult(vectors, observed, expected, tuple(mismatches.tolist()), tuple(boundary.tolist()))

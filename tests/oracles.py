@@ -7,7 +7,8 @@ work on spans of flattened matrices one member at a time, so they cost up
 to O(k^2 n^4) and serve only as differential oracles for small and medium
 n.  The stepped orbit takes one float addition and conditional
 subtraction per point, as :func:`invmasa.shift` does, and drifts off the
-exact one.  The defect references visit every orbit point, the stepped
+exact one; the stepped first returns take the same step for every start
+that has not returned yet.  The defect references visit every orbit point, the stepped
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
 references take one numpy matrix-vector product per stepped orbit point,
@@ -50,7 +51,7 @@ from invmasa.cocycle import (
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import DimensionMismatch, LengthMismatch, NoConvergence, NotInvariant
+from invmasa.errors import DimensionMismatch, LengthMismatch, NoConvergence, NotInBaseInterval, NotInvariant
 from invmasa.numerics import ROUNDOFF_FLOOR, SIGN_ZERO_TOL
 from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, canonicalize, sign_profile
 
@@ -165,6 +166,32 @@ def member_masa_check(basis, n, tol):
         abelian_residual=abelian,
         eps_eq=tol.eps_eq,
     )
+
+
+def shift_array(ts, config):
+    """:func:`invmasa.shift` of every entry of an array, by the same IEEE operations."""
+    s = np.asarray(ts, dtype=float) + config.a
+    return np.where(s >= 1.0, s - 1.0, s)
+
+
+def stepped_first_returns(ts, config):
+    """``first_returns`` by stepping the starts that have not returned together through
+    :func:`shift_array`, gathering them afresh at every step, and checking the interval
+    of each point against the word 1 2 2 2 3...3."""
+    a, cur = config.a, np.array(ts, dtype=float)
+    if not np.all((0.0 <= cur) & (cur < a)):
+        raise NotInBaseInterval(f"a start is not in [0, {a!r})")
+    steps, words_ok, live = np.zeros(cur.shape, dtype=int), np.ones(cur.shape, dtype=bool), np.arange(cur.size)
+    limit = int(1.0 / a) + 3
+    for n in range(1, limit + 2):
+        words_ok[live] &= interval_indices(cur[live], config) == (1 if n == 1 else 2 if n <= 4 else 3)
+        cur[live] = shift_array(cur[live], config)
+        back = cur[live] < a
+        steps[live[back]] = n
+        live = live[~back]
+        if not live.size:
+            return cur, steps, words_ok & (steps >= 4)
+    raise NoConvergence(f"first return from t = {float(ts[live[0]])!r} exceeded its bound of {limit} steps")
 
 
 def stepped_orbit(t0, config, steps):

@@ -1,6 +1,7 @@
 """Tests for the rotation dynamics over the three-interval partition."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,9 @@ from invmasa import (
     return_closed_form,
     shift,
 )
-from invmasa.circle import ORBIT_CHUNK, _numerators, first_returns, orbit_arcs, shift_array
+from invmasa.circle import ORBIT_CHUNK, _numerators, first_returns, orbit_arcs
 from invmasa.errors import NoConvergence, NotInBaseInterval
-from oracles import fraction_witness, stepped_orbit
+from oracles import fraction_witness, shift_array, stepped_first_returns, stepped_orbit
 
 SQRT2_OVER_8 = math.sqrt(2.0) / 8.0
 BATTERY = (SQRT2_OVER_8, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012)
@@ -125,21 +126,44 @@ class TestFirstReturn:
             assert abs(cur - expected) <= 1e-11
 
 
+def scalar_returns(ts, cfg):
+    """:func:`first_return` of each start, as the three arrays ``first_returns`` gives."""
+    scalar = [first_return(float(t), cfg) for t in ts]
+    words = [r.word[:4] == (1, 2, 2, 2) and set(r.word[4:]) <= {3} for r in scalar]
+    return np.array([r.t_return for r in scalar]), np.array([r.steps for r in scalar], dtype=int), np.array(words, dtype=bool)
+
+
+def outcome(returns, ts, cfg):
+    """What ``returns(ts, cfg)`` gives: its arrays as bytes, or the text of its ``NoConvergence``."""
+    try:
+        return [(x.dtype.str, x.tobytes()) for x in returns(ts, cfg)]
+    except NoConvergence as exc:
+        return str(exc)
+
+
+# a = 1/8, 1/16 and 3/16 are dyadic: from these starts the last step before the wrap
+# is a rounding tie that lands on a itself, so the scalar map steps on past its bound
+DYADIC_TIES = ((0.125, 0.125 - 2.0**-53), (0.0625, 0.0625 - 2.0**-53), (0.1875, 0.0625 - 2.0**-53))
+
+
 class TestFirstReturns:
-    @pytest.mark.parametrize("a", BATTERY)
+    @pytest.mark.parametrize("a", BATTERY + (0.1, 0.125, 0.2, 0.24, 1e-3))
     def test_array_equals_scalar_bit_for_bit(self, a):
         cfg = RotationConfig(a)
-        ts = np.random.default_rng(3).uniform(0.0, cfg.a, size=10_000)
-        t_return, steps, words_ok = first_returns(ts, cfg)
-        scalar = [first_return(float(t), cfg) for t in ts]
-        assert t_return.tobytes() == np.array([r.t_return for r in scalar]).tobytes()
-        assert steps.tolist() == [r.steps for r in scalar]
-        assert words_ok.tolist() == [
-            len(r.word) >= 4 and r.word[:4] == (1, 2, 2, 2) and set(r.word[4:]) <= {3} for r in scalar
-        ]
-        assert words_ok.all()
+        draws = np.random.default_rng(3).uniform(0.0, cfg.a, size=10_000 if a > 0.01 else 300)
+        ts = np.concatenate([[0.0, np.nextafter(cfg.a, 0.0)], draws])
+        want = outcome(scalar_returns, ts, cfg)
+        assert isinstance(want, list) and outcome(first_returns, ts, cfg) == want
+        if a in BATTERY[:2]:
+            assert first_returns(ts, cfg)[2].all()
         closed = return_closed_form(ts, cfg)
         assert closed.tobytes() == np.array([return_closed_form(float(t), cfg) for t in ts]).tobytes()
+
+    def test_stepping_oracle_agrees_on_large_batches(self):
+        for a in BATTERY + (0.125,):
+            cfg = RotationConfig(a)
+            ts = np.random.default_rng(5).uniform(0.0, cfg.a, size=100_000)
+            assert outcome(first_returns, ts, cfg) == outcome(stepped_first_returns, ts, cfg)
 
     def test_shift_array_matches_shift(self):
         cfg = RotationConfig(SQRT2_OVER_8)
@@ -154,18 +178,27 @@ class TestFirstReturns:
         t_return, steps, words_ok = first_returns([], cfg)
         assert t_return.size == steps.size == words_ok.size == 0
 
-    def test_wrong_itinerary_is_flagged(self, monkeypatch):
-        cfg = RotationConfig(SQRT2_OVER_8)
-        monkeypatch.setattr(
-            "invmasa.circle.interval_indices", lambda ts, config: np.full(np.shape(ts), 3)
-        )
-        assert not first_returns([0.01, 0.1], cfg)[2].any()
+    def test_wrong_itinerary_is_flagged(self):
+        # just below a, the third step already reaches 4a: the word is 1 2 2 3...
+        for a in (0.2012012012012012, 0.1, 0.24, 0.125, 0.2):
+            cfg = RotationConfig(a)
+            start = float(np.nextafter(a, 0.0))
+            assert first_return(start, cfg).word[:4] == (1, 2, 2, 3)
+            assert not first_returns([start, start], cfg)[2].any()
+            assert first_returns([0.0, start], cfg)[2].tolist() == [True, False]
 
-    def test_stalled_orbit_hits_the_scalar_bound(self, monkeypatch):
-        cfg = RotationConfig(SQRT2_OVER_8)
-        monkeypatch.setattr("invmasa.circle.shift_array", lambda ts, config: np.full(np.shape(ts), config.a))
-        with pytest.raises(NoConvergence, match=f"bound of {int(1.0 / cfg.a) + 3} steps"):
-            first_returns([0.0, 0.1], cfg)
+    def test_stalled_orbit_hits_the_scalar_bound(self):
+        for a, t in DYADIC_TIES:
+            cfg = RotationConfig(a)
+            assert shift(float(np.nextafter(1.0, 0.0)), cfg) == a
+            message = f"first return from t = {t!r} exceeded its bound of {int(1.0 / cfg.a) + 3} steps"
+            with pytest.raises(NoConvergence, match=re.escape(message)):
+                first_return(t, cfg)
+            # the tie start stalls among starts that return, wherever it stands
+            for ts in ([t], [0.0, t], [t, 0.0, t], [0.01 * a, a / 2, t]):
+                with pytest.raises(NoConvergence, match=re.escape(message)):
+                    first_returns(ts, cfg)
+                assert outcome(scalar_returns, ts, cfg) == outcome(stepped_first_returns, ts, cfg) == message
 
 
 class TestReturnWordsFeedTheAutomaton:

@@ -480,11 +480,19 @@ class TestCexCommands:
         assert len(read_json(out)["warnings"]) > 0
 
     def test_stalled_first_return_exits_four(self, monkeypatch, capsys):
-        # an orbit that never re-enters [0, a) hits the step bound
-        monkeypatch.setattr(invmasa.circle, "shift_array", lambda ts, config: np.full(np.shape(ts), config.a))
-        assert main_cex(["return-map", "--a", A_STR, "--samples", "3"]) == 4
+        # at a = 1/8 the orbit of 1/8 - 2^-53 lands on a itself by a rounding tie, so it
+        # never re-enters [0, a) and hits the step bound; the draw is made to yield it
+        tie = 0.125 - 2.0**-53
+
+        class TieDraws:
+            def uniform(self, low, high, size):
+                return np.full(size, tie)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TieDraws())
+        assert main_cex(["return-map", "--a", "0.125", "--samples", "3"]) == 4
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert f"first return from t = {tie!r} exceeded its bound of 11 steps" in err
 
     @pytest.mark.parametrize("t0", ("nan", "inf", "-inf"))
     @pytest.mark.parametrize("command", ("orbit", "defect", "propagate"))
@@ -698,16 +706,36 @@ class TestChunkedCommands:
     @pytest.mark.parametrize("twist", ("standard", "identity"))
     def test_propagate_chunks_write_the_same_report(self, tmp_path, monkeypatch, twist):
         out = tmp_path / "propagate.json"
+        # chunks of 300 steps take the doubling scan, one of 700 the blocked scan
+        assert 300 < 64 * invmasa.cocycle.SCAN_BLOCK <= 700
         for start in (["--d", "0.3", "--e", "0.7", "--theta-arg", "0.4"], ["--d", "1.0", "--e", "1e-13"]):
             argv = ["propagate", "--a", A_STR, "--t0", "0.03", *start, "--twist", twist, "--steps", "700"]
             monkeypatch.undo()
             assert main_cex(argv + ["--output", str(out)]) == 0
             whole = report_without_timestamp(out)
-            for chunk in (1, 7, 64):
+            for chunk in (1, 7, 64, 300, 700):
                 monkeypatch.setattr(invmasa.cocycle, "PROPAGATE_CHUNK", chunk)
                 monkeypatch.setattr(invmasa.documents, "REPORT_SLICE", chunk)
                 assert main_cex(argv + ["--output", str(out)]) == 0
                 assert report_without_timestamp(out) == whole
+
+    @pytest.mark.parametrize("twist", ("standard", "identity"))
+    def test_propagate_final_is_the_last_vector(self, tmp_path, monkeypatch, twist):
+        # on the diagonal boundary the sign flips, and the final vector carries the last one
+        cfg = invmasa.RotationConfig(float(A_STR))
+        field = invmasa.standard_twist(cfg) if twist == "standard" else invmasa.identity_twist()
+        out, negated = tmp_path / "propagate.json", 0
+        for steps, chunk in ((5, 3), (6, 2), (700, 1 << 16), (700, 64)):
+            monkeypatch.setattr(invmasa.cocycle, "PROPAGATE_CHUNK", chunk)
+            argv = ["propagate", "--a", A_STR, "--t0", "0.03", "--d", "1.0", "--e", "1e-13", "--twist", twist]
+            assert main_cex(argv + ["--steps", str(steps), "--output", str(out)]) == 0
+            want = invmasa.propagate_constraint(invmasa.ReflectionParams(1.0, 1e-13, 1.0 + 0j), 0.03, cfg, field, steps)
+            final = invmasa.ReflectionParams.from_bloch(want.vectors[-1])
+            assert read_json(out)["details"]["final"] == {
+                "d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag
+            }
+            negated += int(want.vectors[-1][0] < 0.0)
+        assert negated == (2 if twist == "standard" else 0)
 
     def test_propagate_memory_does_not_reserve_the_step_lists(self):
         # 10^6 standard-twist steps: the two one-byte class lists (2 MB), one chunk's

@@ -722,6 +722,20 @@ class TestGroupScan:
         got = cocycle._prefix_products(table, word)
         assert got.shape == (length + 1,) and got.tolist() == want
 
+    B = cocycle.SCAN_BLOCK
+
+    @pytest.mark.parametrize("length", (0, 1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 63 * B - 1, 63 * B, 65_537))
+    def test_blocked_scan_is_the_left_fold(self, length):
+        # from 63 B steps on the word and its start fill 64 blocks and take the blocked scan
+        _, table, gens = self.class_group()
+        for first in (5, 23):
+            word = gens[np.random.default_rng(length).integers(0, 3, size=length)]
+            want, acc = [first], first
+            for g in word.tolist():
+                acc = int(table[g, acc])
+                want.append(acc)
+            assert cocycle._prefix_products(table, word, first).tolist() == want
+
     @pytest.mark.parametrize("twist", sorted(TWISTS))
     @pytest.mark.parametrize("steps", (0, 1))
     def test_shortest_runs_match_the_oracles(self, twist, steps):
