@@ -141,12 +141,12 @@ class FirstReturn:
 def first_return(t: float, config: RotationConfig) -> FirstReturn:
     """Iterate the rotation from t in [0,a) until it re-enters [0,a).
 
-    The itinerary (interval index before each step) is always 1 2 2 2
-    followed by zero or more 3s: starting below a, the next three points
-    sweep [a,4a) in steps of a, and the remaining steps cross [4a,1) until
-    the wrap.  The landing point equals ``return_closed_form(t, config)``
-    up to accumulated ulps.  An orbit still outside [0,a) after
-    int(1/a) + 3 steps raises ``NoConvergence``.
+    In exact arithmetic the itinerary (interval index before each step) is
+    1 2 2 2 and then 3s, and the landing point is ``return_closed_form``.
+    In floats the landing agrees up to accumulated ulps, but a start an ulp
+    below a can round its third point up to 4a (word 1 2 2 3...), and at a
+    dyadic a the wrap can round onto a itself, so the orbit steps on until
+    it raises ``NoConvergence`` past int(1/a) + 3 steps.
     """
     a = config.a
     if not (0.0 <= t < a):

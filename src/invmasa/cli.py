@@ -333,7 +333,7 @@ def _cmd_propagate(args) -> tuple[int, dict]:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    # Class places are copied into one byte per step (no vector is built); mismatch and boundary
+    # Class places are copied into one byte per step (only the last vector is built); mismatch and boundary
     # steps, in the smallest type that holds --steps, are kept per chunk and joined once, so only
     # the class lists are sized by --steps.  The first chunk rejects negative steps.
     observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)

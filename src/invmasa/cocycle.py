@@ -390,8 +390,8 @@ def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tup
 def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
     """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0, the
     identity) over a numbered group of at most 256 elements, by gathers from its product table.
-    Words of 64 blocks or more take a blocked scan, O(len(word)) (Blelloch 1990): products along
-    blocks of ``SCAN_BLOCK``, a scan of the block totals, and one gather of each block's prefix.
+    A word that fills 64 blocks or more with ``first`` takes a blocked scan, O(len(word)) (Blelloch 1990):
+    products along blocks of ``SCAN_BLOCK``, a scan of the block totals, one gather of the prefixes.
     Shorter ones take Hillis-Steele doubling: log2(len(word)) gathers of the whole word."""
     n, flat, size = len(table), table.ravel(), len(word) + 1
     # the identity (0) pads the word to whole blocks, and changes no product before it
