@@ -338,14 +338,13 @@ def _cmd_propagate(args) -> tuple[int, dict]:
     # the class lists are sized by --steps.  The first chunk rejects negative steps.
     observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)
     mismatches, boundary, lo = [], [], 0
-    for parts, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
+    for _, last, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
         observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
         mismatches.append(mis.astype(np.min_scalar_type(args.steps)))
         boundary.append(bnd.astype(np.min_scalar_type(args.steps)))
         lo += len(obs)
     mismatches, boundary = np.concatenate(mismatches), np.concatenate(boundary)
-    images, index, _, negated = parts  # the last step's vector is its image, with the carried sign
-    final = cocycle.ReflectionParams.from_bloch(-images[index[-1]] if negated[-1] else images[index[-1]])
+    final = cocycle.ReflectionParams.from_bloch(last)
     return 0, make_report(
         "propagate",
         passed=not mismatches.size,

@@ -389,23 +389,19 @@ def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tup
 
 def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
     """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0, the
-    identity) over a numbered group of at most 256 elements, by gathers from its product table.
-    A word that fills 64 blocks or more with ``first`` takes a blocked scan, O(len(word)) (Blelloch 1990):
-    products along blocks of ``SCAN_BLOCK``, a scan of the block totals, one gather of the prefixes.
-    Shorter ones take Hillis-Steele doubling: log2(len(word)) gathers of the whole word."""
+    identity) over a numbered group of at most 256 elements, by gathers from its product table: a
+    blocked scan, O(len(word)) (Blelloch 1990), of products along blocks of ``SCAN_BLOCK``, a scan
+    of the block totals (the same scan, down to one block) and one gather of the prefixes."""
     n, flat, size = len(table), table.ravel(), len(word) + 1
     # the identity (0) pads the word to whole blocks, and changes no product before it
     out = np.zeros(size + -size % SCAN_BLOCK, dtype=np.uint16)
     out[0], out[1:size] = first, word
-    if len(out) >= 64 * SCAN_BLOCK:
-        blocks = out.reshape(-1, SCAN_BLOCK)
-        for c in range(1, SCAN_BLOCK):
-            blocks[:, c] = flat.take(blocks[:, c] * n + blocks[:, c - 1])
+    blocks = out.reshape(-1, SCAN_BLOCK)
+    for c in range(1, SCAN_BLOCK):
+        blocks[:, c] = flat.take(blocks[:, c] * n + blocks[:, c - 1])
+    if len(blocks) > 1:
         before = _prefix_products(table, blocks[:-1, -1])
         blocks[1:] = flat.take(blocks[1:] * n + before[1:, None])
-    else:
-        for shift in (1 << k for k in range((size - 1).bit_length())):
-            out[shift:] = flat.take(out[shift:] * n + out[:-shift])
     return out[:size]
 
 
@@ -422,8 +418,8 @@ SCAN_BLOCK = 8  # steps per block of _prefix_products' blocked scan
 
 
 def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
-    """:func:`propagate_constraint` ``PROPAGATE_CHUNK`` steps at a time: yields each chunk's
-    vector parts, observed and expected class places, and mismatch and boundary steps.  It
+    """:func:`propagate_constraint` ``PROPAGATE_CHUNK`` steps at a time: yields each chunk's vector
+    parts, last vector, observed and expected class places, and mismatch and boundary steps.  It
     carries the group elements (or the float loop's vector), the last flip's sign and the step
     offset.  The parts (images, index, flips, negated) give step k the vector images[index[k]],
     negated from each flip on where ``negated`` says so (``negated[0]``: before the first)."""
@@ -473,8 +469,9 @@ def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfi
         boundary = np.flatnonzero(on_boundary[index[first:]]) + first
         flips = boundary[images[index[boundary], 0] != 0.0]
         negated = np.append(negative, images[index[flips], 0] < 0.0)
-        negative = bool(negated[-1])
-        yield (images, index, flips, negated), observed, expected, np.flatnonzero(observed != expected) + lo, boundary + lo
+        negative, last = bool(negated[-1]), images[index[-1]]
+        mismatches = np.flatnonzero(observed != expected) + lo
+        yield (images, index, flips, negated), -last if negative else last, observed, expected, mismatches, boundary + lo
 
 
 def propagate_constraint(
@@ -493,7 +490,7 @@ def propagate_constraint(
     ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
     The result joins the chunks of :func:`propagation_chunks`.
     """
-    parts, *chunks = zip(*propagation_chunks(start, t0, config, field, steps))
+    parts, _, *chunks = zip(*propagation_chunks(start, t0, config, field, steps))
     observed, expected, mismatches, boundary = map(np.concatenate, chunks)
     vectors = np.concatenate([images[index] for images, index, _, _ in parts])
     negated = [np.repeat(neg, np.diff(flips, prepend=0, append=len(index))) for _, index, flips, neg in parts]

@@ -724,9 +724,9 @@ class TestGroupScan:
 
     B = cocycle.SCAN_BLOCK
 
-    @pytest.mark.parametrize("length", (0, 1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 63 * B - 1, 63 * B, 65_537))
+    @pytest.mark.parametrize("length", (0, 1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 65_537))
     def test_blocked_scan_is_the_left_fold(self, length):
-        # from 63 B steps on the word and its start fill 64 blocks and take the blocked scan
+        # the word and its start fill one block up to B - 1 steps; 65,537 steps scan at six levels
         _, table, gens = self.class_group()
         for first in (5, 23):
             word = gens[np.random.default_rng(length).integers(0, 3, size=length)]
