@@ -63,24 +63,36 @@ def _tolerance(args) -> TolerancePolicy:
     return TolerancePolicy(eps_eq=args.tol, eps_rank=args.rank_tol)
 
 
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_eq, help="entrywise equality tolerance")
-    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")
+def _run(prog: str, commands: dict, argv, description: str) -> int:
+    """Parse ``argv`` (default: the process's arguments) with a fresh parser and dispatch.  ``commands`` maps each
+    subcommand to its function, help and flags; only the one ``argv[0]`` names gets a parser (all, if it names none)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    one = argv[:1] if argv[:1] and argv[0] in commands else []
+    # with one subcommand, the usage line of an error of unrecognized arguments still names them all
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(commands) if one else None)
+    for name in one or commands:
+        func, help_text, flags = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, output=None)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+    return _dispatch(parser.parse_args(argv))
 
 
-def _add_orbit_flags(parser: argparse.ArgumentParser, steps: int) -> None:
-    parser.add_argument("--a", type=float, required=True)
-    parser.add_argument("--t0", type=float, default=0.0)
-    parser.add_argument("--steps", type=int, default=steps)
+_OUTPUT = ("--output", dict(default=None))
+_INSTANCE = (
+    _OUTPUT,
+    ("--input", dict(required=True)),
+    ("--tol", dict(type=float, default=DEFAULT_TOL.eps_eq, help="entrywise equality tolerance")),
+    ("--rank-tol", dict(type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")),
+)
+_ANGLE = ("--a", dict(type=float, required=True))
+_TWIST = ("--twist", dict(choices=("standard", "identity"), default="standard"))
 
 
-def _subcommand(sub, name: str, func, help_text: str, output: bool = True) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
-    p.set_defaults(func=func, output=None)
-    if output:
-        p.add_argument("--output", default=None)
-    return p
+def _orbit_flags(steps: int) -> tuple:
+    return _ANGLE, ("--t0", dict(type=float, default=0.0)), ("--steps", dict(type=int, default=steps))
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +200,30 @@ def _cmd_match(args) -> tuple[int, dict]:
     )
 
 
+MASA_COMMANDS = {
+    "embed": (_cmd_embed, "run the embedding pipeline on an instance", _INSTANCE),
+    "gen": (_cmd_gen, "generate a structured instance", (
+        ("--blocks", dict(required=True, help="comma-separated block sizes, e.g. 2,2,1")),
+        ("--cycles", dict(required=True, help="semicolon-separated label cycles, e.g. 0,1;2")),
+        ("--weights", dict(default=None, help="comma-separated point masses")),
+        ("--seed", dict(type=int, default=0)),
+        ("--output", dict(dest="instance", metavar="OUTPUT", required=True)),
+    )),
+    "verify": (_cmd_verify, "verify invariance and/or the masa property", (
+        *_INSTANCE,
+        ("--algebra", dict(default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")),
+        ("--mode", dict(choices=("masa", "invariance", "both"), default="both")),
+    )),
+    "factor": (_cmd_factor, "factor the unitary into block-diagonal and permutation parts", _INSTANCE),
+    "match": (_cmd_match, "match two functions by value multiplicities", (
+        _OUTPUT, ("--f", dict(required=True)), ("--g", dict(required=True)), ("--value-tol", dict(type=float, default=0.0))
+    )),
+}
+
+
 def main_masa(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="masa",
-        description="Factor a block-preserving unitary and embed the block "
-        "algebra into a conjugation-invariant maximal abelian algebra.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_instance_flags(_subcommand(sub, "embed", _cmd_embed, "run the embedding pipeline on an instance"))
-
-    p = _subcommand(sub, "gen", _cmd_gen, "generate a structured instance", output=False)
-    p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2,1")
-    p.add_argument("--cycles", required=True, help="semicolon-separated label cycles, e.g. 0,1;2")
-    p.add_argument("--weights", default=None, help="comma-separated point masses")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", dest="instance", metavar="OUTPUT", required=True)
-
-    p = _subcommand(sub, "verify", _cmd_verify, "verify invariance and/or the masa property")
-    _add_instance_flags(p)
-    p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")
-    p.add_argument("--mode", choices=("masa", "invariance", "both"), default="both")
-
-    p = _subcommand(sub, "factor", _cmd_factor, "factor the unitary into block-diagonal and permutation parts")
-    _add_instance_flags(p)
-
-    p = _subcommand(sub, "match", _cmd_match, "match two functions by value multiplicities")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--value-tol", type=float, default=0.0)
-
-    args = parser.parse_args(argv)
-    return _dispatch(args)
+    return _run("masa", MASA_COMMANDS, argv, "Factor a block-preserving unitary and embed the block algebra into a "
+                "conjugation-invariant maximal abelian algebra.")
 
 
 # ---------------------------------------------------------------------------
@@ -362,40 +366,27 @@ def _cmd_propagate(args) -> tuple[int, dict]:
     )
 
 
+CEX_COMMANDS = {
+    "combinatorics": (_cmd_combinatorics, "dump the exact automaton tables", (_OUTPUT,)),
+    "return-map": (_cmd_return_map, "compare iterated and closed-form first returns", (
+        _OUTPUT, _ANGLE, ("--samples", dict(type=int, default=10000)), ("--seed", dict(type=int, default=0)),
+    )),
+    "orbit": (_cmd_orbit, "rotation orbit and interval statistics", (
+        _OUTPUT, *_orbit_flags(100000), ("--stats", dict(action="store_true")),
+    )),
+    "defect": (_cmd_defect, "invariance defect of a candidate projection field", (
+        _OUTPUT, *_orbit_flags(10000), ("--candidate", dict(required=True)), _TWIST,
+    )),
+    "propagate": (_cmd_propagate, "propagate the forced parameter trajectory", (
+        _OUTPUT, ("--theta-arg", dict(type=float, default=0.0, help="phase angle of theta, radians")), *_orbit_flags(100),
+        ("--d", dict(type=float, required=True)), ("--e", dict(type=float, required=True)), _TWIST,
+    )),
+}
+
+
 def main_cex(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cex",
-        description="Circle-rotation harness: sign-class automaton tables, "
-        "first-return checks, orbit statistics, and the invariance-defect "
-        "falsifier for candidate projection fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(sub, "combinatorics", _cmd_combinatorics, "dump the exact automaton tables")
-
-    p = _subcommand(sub, "return-map", _cmd_return_map, "compare iterated and closed-form first returns")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = _subcommand(sub, "orbit", _cmd_orbit, "rotation orbit and interval statistics")
-    _add_orbit_flags(p, steps=100000)
-    p.add_argument("--stats", action="store_true")
-
-    p = _subcommand(sub, "defect", _cmd_defect, "invariance defect of a candidate projection field")
-    _add_orbit_flags(p, steps=10000)
-    p.add_argument("--candidate", required=True)
-    p.add_argument("--twist", choices=("standard", "identity"), default="standard")
-
-    p = _subcommand(sub, "propagate", _cmd_propagate, "propagate the forced parameter trajectory")
-    p.add_argument("--theta-arg", type=float, default=0.0, help="phase angle of theta, radians")
-    _add_orbit_flags(p, steps=100)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--e", type=float, required=True)
-    p.add_argument("--twist", choices=("standard", "identity"), default="standard")
-
-    args = parser.parse_args(argv)
-    return _dispatch(args)
+    return _run("cex", CEX_COMMANDS, argv, "Circle-rotation harness: sign-class automaton tables, first-return checks, "
+                "orbit statistics, and the invariance-defect falsifier for candidate projection fields.")
 
 
 def masa_entry() -> None:

@@ -71,11 +71,12 @@ class PiecewiseMatrixField:
 
     ``breakpoints`` are strictly increasing values in [0,1); piece ``i``
     covers [breakpoints[i], breakpoints[i+1]) and the last piece wraps
-    around through 1 back to breakpoints[0].
+    around through 1 back to breakpoints[0].  ``values`` is one read-only
+    complex array of shape (pieces, 2, 2).
     """
 
     breakpoints: tuple[float, ...]
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         bps = tuple(float(b) for b in self.breakpoints)
@@ -85,18 +86,16 @@ class PiecewiseMatrixField:
             raise ValueError("breakpoints must lie in [0, 1)")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.values) != len(bps):
+        values = np.array(self.values, dtype=complex)  # a copy, made read-only below
+        if len(values) != len(bps):
             raise ValueError("one matrix per piece required")
-        vals = []
-        for v in self.values:
-            m = np.asarray(v, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"field values must be 2x2, got shape {m.shape}")
-            m = as_matrix(m).copy()
-            m.setflags(write=False)
-            vals.append(m)
+        if values.shape[1:] != (2, 2):
+            raise ValueError(f"field values must be 2x2, got shape {values.shape[1:]}")
+        if not np.isfinite(values).all():
+            raise ValueError("matrix entries must be finite")
+        values.setflags(write=False)
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "values", values)
 
     def piece_index(self, t):
         """Index of the piece containing t, or of each entry of an array."""
@@ -107,7 +106,7 @@ class PiecewiseMatrixField:
 
     def values_at(self, points) -> np.ndarray:
         """Stacked values at an array of points, shape (len(points), 2, 2)."""
-        return np.stack(self.values)[self.piece_index(points)]
+        return self.values[self.piece_index(points)]
 
 
 def standard_twist(config: RotationConfig) -> PiecewiseMatrixField:
@@ -120,11 +119,7 @@ def standard_twist(config: RotationConfig) -> PiecewiseMatrixField:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     v1 = inv_sqrt2 * np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
     v2 = inv_sqrt2 * np.array([[-1.0, -1.0], [-1.0j, 1.0j]], dtype=complex)
-    v3 = np.eye(2, dtype=complex)
-    return PiecewiseMatrixField(
-        breakpoints=(0.0, config.a, 4.0 * config.a),
-        values=(v1, v2, v3),
-    )
+    return PiecewiseMatrixField(breakpoints=(0.0, config.a, 4.0 * config.a), values=(v1, v2, np.eye(2)))
 
 
 def identity_twist() -> PiecewiseMatrixField:
@@ -154,12 +149,17 @@ def random_projection_field(seed: int, max_pieces: int = 64) -> PiecewiseMatrixF
 
 def validate_projection_field(field: PiecewiseMatrixField) -> None:
     """Check the rank-one projection invariants of every piece, within
-    ``PROJECTION_TOL``."""
-    for i, p in enumerate(field.values):
-        if max_norm(p @ p - p) > PROJECTION_TOL or max_norm(p - p.conj().T) > PROJECTION_TOL:
+    ``PROJECTION_TOL``, in one pass: the first failing piece is named, its
+    projection check before its trace check."""
+    p = field.values
+    off = np.maximum(np.abs(p @ p - p), np.abs(p - p.conj().transpose(0, 2, 1))).max(axis=(1, 2))
+    not_projection = off > PROJECTION_TOL
+    bad = not_projection | (np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > PROJECTION_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not_projection[i]:
             raise InvalidCandidate(f"piece {i} is not a projection within {PROJECTION_TOL:g}")
-        if abs(np.trace(p) - 1.0) > PROJECTION_TOL:
-            raise InvalidCandidate(f"piece {i} does not have unit trace (rank one)")
+        raise InvalidCandidate(f"piece {i} does not have unit trace (rank one)")
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def bloch_rotations(field: PiecewiseMatrixField) -> np.ndarray:
     """Rotation R_V of each piece V of a unitary twist, shape (pieces, 3, 3):
     V* S V has Bloch vector R_V x when S has x.  A rotation within
     ``ROUNDOFF_FLOOR`` of a signed permutation is snapped to it."""
-    v = np.stack(field.values)
+    v = field.values
     rot = 0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real
     for r in rot:
         snapped = np.rint(r)
@@ -330,7 +330,7 @@ def invariance_defect(
     betas, twist = bps[: len(candidate.breakpoints)], bps[len(candidate.breakpoints) :]
     cuts = sorted({0, a, 4 * a, *twist, *betas, *((b - a) % den for b in betas)})
     # an arc's pieces are those of its left end; index -1 is the wrapping last piece
-    x_pieces = bloch_vectors(2.0 * np.stack(candidate.values) - np.eye(2))
+    x_pieces = bloch_vectors(2.0 * candidate.values - np.eye(2))
     x, x_next = (x_pieces[[bisect_right(betas, (c + s) % den) - 1 for c in cuts]] for s in (0, a))
     moved = np.einsum("kij,kj->ki", bloch_rotations(field)[[bisect_right(twist, c) - 1 for c in cuts]], x)
     sq = np.minimum(np.sum((x_next - moved) ** 2, axis=1), np.sum((x_next + moved) ** 2, axis=1))

@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .cocycle import PiecewiseMatrixField, validate_projection_field
+from .cocycle import PiecewiseMatrixField
 from .errors import SchemaError
 from .numerics import DEFAULT_TOL, TolerancePolicy, is_unitary
 from .spaces import BlockAlgebra, BlockPartition, DiscreteSpace
@@ -235,20 +235,28 @@ def dump_instance(instance: Instance, path) -> None:
 
 
 def projection_field_from_json(obj) -> PiecewiseMatrixField:
+    """A candidate field, its pieces decoded as one (pieces, 2, 2) array: every
+    're' grid in one call and every 'im' grid in another.  It is not checked
+    to be a field of projections (``cocycle.validate_projection_field``)."""
     if not isinstance(obj, dict) or "breakpoints" not in obj or "projections" not in obj:
         raise SchemaError("candidate document needs 'breakpoints' and 'projections'")
-    breakpoints = _numbers(obj["breakpoints"], 1, "breakpoints")
-    values = _matrices(obj["projections"], "projections")
+    breakpoints, pieces = _numbers(obj["breakpoints"], 1, "breakpoints"), obj["projections"]
     try:
-        return PiecewiseMatrixField(breakpoints=tuple(breakpoints.tolist()), values=tuple(values))
+        if type(pieces) is not list:
+            raise TypeError
+        values = _complex({key: [m[key] for m in pieces] for key in ("re", "im")}, 3, "projections")
+    except (SchemaError, TypeError, KeyError):
+        _matrices(pieces, "projections")  # names the first bad piece, as a decode piece by piece does
+        raise
+    try:
+        return PiecewiseMatrixField(breakpoints=tuple(breakpoints.tolist()), values=values)
     except ValueError as exc:
         raise SchemaError(f"malformed candidate document: {exc}") from exc
 
 
 def load_projection_field(path) -> PiecewiseMatrixField:
-    field = projection_field_from_json(_read_json(path))
-    validate_projection_field(field)
-    return field
+    """The candidate field in the file at ``path``, not validated (see :func:`projection_field_from_json`)."""
+    return projection_field_from_json(_read_json(path))
 
 
 def make_report(

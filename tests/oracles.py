@@ -15,9 +15,12 @@ references take one numpy matrix-vector product per stepped orbit point,
 or run the chunked propagation over the whole orbit at once.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
-by value in dictionaries.
+by value in dictionaries.  The candidate check tests one 2x2 piece at a
+time.  The eager parsers build every subcommand's parser on every call, as
+the command-line programs did before each call built only the one it runs.
 """
 
+import argparse
 import itertools
 import math
 from array import array
@@ -39,6 +42,7 @@ from invmasa import (
     span_rows,
     validate_projection_field,
 )
+from invmasa import cli
 from invmasa.circle import _orbit_start, interval_indices, orbit_arcs, orbit_counts
 from invmasa.cocycle import (
     _SIGNED_AXES,
@@ -51,8 +55,15 @@ from invmasa.cocycle import (
     bloch_rotations,
     bloch_vectors,
 )
-from invmasa.errors import DimensionMismatch, LengthMismatch, NoConvergence, NotInBaseInterval, NotInvariant
-from invmasa.numerics import ROUNDOFF_FLOOR, SIGN_ZERO_TOL
+from invmasa.errors import (
+    DimensionMismatch,
+    InvalidCandidate,
+    LengthMismatch,
+    NoConvergence,
+    NotInBaseInterval,
+    NotInvariant,
+)
+from invmasa.numerics import DEFAULT_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
 from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, canonicalize, sign_profile
 
 # The block structures of the benchmark's factor workload (n = 48..96).
@@ -422,3 +433,101 @@ def bucket_match(f, g, value_tol=0.0):
         for gi, fi in zip(g_idx, f_idx):
             sigma[gi] = fi
     return tuple(sigma)
+
+
+def piecewise_validate(field):
+    """``cocycle.validate_projection_field`` one 2x2 piece at a time: the first
+    failing piece is named, its projection check before its trace check."""
+    for i, p in enumerate(field.values):
+        if max_norm(p @ p - p) > PROJECTION_TOL or max_norm(p - p.conj().T) > PROJECTION_TOL:
+            raise InvalidCandidate(f"piece {i} is not a projection within {PROJECTION_TOL:g}")
+        if abs(np.trace(p) - 1.0) > PROJECTION_TOL:
+            raise InvalidCandidate(f"piece {i} does not have unit trace (rank one)")
+
+
+def _add_instance_flags(parser):
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_eq, help="entrywise equality tolerance")
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical rank cutoff")
+
+
+def _add_orbit_flags(parser, steps):
+    parser.add_argument("--a", type=float, required=True)
+    parser.add_argument("--t0", type=float, default=0.0)
+    parser.add_argument("--steps", type=int, default=steps)
+
+
+def _subcommand(sub, name, func, help_text, output=True):
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func, output=None)
+    if output:
+        p.add_argument("--output", default=None)
+    return p
+
+
+def eager_masa_parser():
+    """The ``masa`` parser with all five subcommands, each declared by hand."""
+    parser = argparse.ArgumentParser(
+        prog="masa",
+        description="Factor a block-preserving unitary and embed the block "
+        "algebra into a conjugation-invariant maximal abelian algebra.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _add_instance_flags(_subcommand(sub, "embed", cli._cmd_embed, "run the embedding pipeline on an instance"))
+
+    p = _subcommand(sub, "gen", cli._cmd_gen, "generate a structured instance", output=False)
+    p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2,1")
+    p.add_argument("--cycles", required=True, help="semicolon-separated label cycles, e.g. 0,1;2")
+    p.add_argument("--weights", default=None, help="comma-separated point masses")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", dest="instance", metavar="OUTPUT", required=True)
+
+    p = _subcommand(sub, "verify", cli._cmd_verify, "verify invariance and/or the masa property")
+    _add_instance_flags(p)
+    p.add_argument("--algebra", default=None, help="JSON with a 'basis' list of matrices or a 'frame' matrix")
+    p.add_argument("--mode", choices=("masa", "invariance", "both"), default="both")
+
+    p = _subcommand(sub, "factor", cli._cmd_factor, "factor the unitary into block-diagonal and permutation parts")
+    _add_instance_flags(p)
+
+    p = _subcommand(sub, "match", cli._cmd_match, "match two functions by value multiplicities")
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--value-tol", type=float, default=0.0)
+    return parser
+
+
+def eager_cex_parser():
+    """The ``cex`` parser with all five subcommands, each declared by hand."""
+    parser = argparse.ArgumentParser(
+        prog="cex",
+        description="Circle-rotation harness: sign-class automaton tables, "
+        "first-return checks, orbit statistics, and the invariance-defect "
+        "falsifier for candidate projection fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _subcommand(sub, "combinatorics", cli._cmd_combinatorics, "dump the exact automaton tables")
+
+    p = _subcommand(sub, "return-map", cli._cmd_return_map, "compare iterated and closed-form first returns")
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = _subcommand(sub, "orbit", cli._cmd_orbit, "rotation orbit and interval statistics")
+    _add_orbit_flags(p, steps=100000)
+    p.add_argument("--stats", action="store_true")
+
+    p = _subcommand(sub, "defect", cli._cmd_defect, "invariance defect of a candidate projection field")
+    _add_orbit_flags(p, steps=10000)
+    p.add_argument("--candidate", required=True)
+    p.add_argument("--twist", choices=("standard", "identity"), default="standard")
+
+    p = _subcommand(sub, "propagate", cli._cmd_propagate, "propagate the forced parameter trajectory")
+    p.add_argument("--theta-arg", type=float, default=0.0, help="phase angle of theta, radians")
+    _add_orbit_flags(p, steps=100)
+    p.add_argument("--d", type=float, required=True)
+    p.add_argument("--e", type=float, required=True)
+    p.add_argument("--twist", choices=("standard", "identity"), default="standard")
+    return parser

@@ -21,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmasa
-from invmasa import errors
+from invmasa import cli, documents, errors
+from invmasa.circle import RotationConfig
 from invmasa.cli import main_cex, main_masa
+from invmasa.cocycle import invariance_defect, standard_twist
+from oracles import eager_cex_parser, eager_masa_parser
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
 # A 3000-step standard-twist propagation report; its timestamp is "".
@@ -980,6 +983,57 @@ class TestConsoleEntryPoints:
         assert b"error:" in proc.stderr and b"Traceback" not in proc.stderr
 
 
+class TestParserText:
+    """Each call builds the parser of the one subcommand that ``argv[0]`` names.
+    Every help, usage and error text, and every exit code, must still be that
+    of the eager parser with all subcommands (``oracles.eager_*_parser``) on
+    the same Python, whose argparse wording differs between versions."""
+
+    PROGRAMS = {"masa": (main_masa, cli.MASA_COMMANDS, eager_masa_parser), "cex": (main_cex, cli.CEX_COMMANDS, eager_cex_parser)}
+
+    @staticmethod
+    def required(commands, name):
+        return [flag for flag, options in commands[name][2] if options.get("required")]
+
+    @classmethod
+    def cases(cls, prog):
+        commands = cls.PROGRAMS[prog][1]
+        yield from (["--help"], ["-h"], [], ["nosuch"], ["nosuch", "--help"], ["--bogus", next(iter(commands))])
+        for name in commands:
+            required = cls.required(commands, name)
+            filled = [x for flag in required for x in (flag, "1")]
+            yield from ([name, "--help"], [name, "--bogus"], [name, *filled, "--bogus"], [name, *filled, "extra"])
+            for flag in required:
+                yield [name, *(x for other in required if other != flag for x in (other, "1"))]
+        if prog == "cex":
+            yield ["propagate", "--t", "1"]
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("prog", ["masa", "cex"])
+    def test_every_text_is_the_eager_parsers(self, prog):
+        main, _, eager = self.PROGRAMS[prog]
+        cases = list(self.cases(prog))
+        for argv in cases:
+            assert self.outcome(main, argv) == self.outcome(lambda a: eager().parse_args(a), argv), argv
+        assert len(cases) > 20
+
+    @pytest.mark.parametrize("prog", ["masa", "cex"])
+    def test_every_subcommand_parses_to_the_eager_namespace(self, prog, monkeypatch):
+        main, commands, eager = self.PROGRAMS[prog]
+        parsed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(vars(args)) or 0)
+        for name in commands:
+            argv = [name, *(x for flag in self.required(commands, name) for x in (flag, "1"))]
+            assert main(argv) == 0
+            assert parsed.pop() == vars(eager().parse_args(argv)), argv
+
+
 # ---------------------------------------------------------------------------
 # Malformed JSON input: every document the tools read, broken in one place.
 
@@ -1162,3 +1216,61 @@ class TestMalformedInput:
             assert main_masa(["embed", "--input", str(tmp_path / name)]) == 2
             err = capsys.readouterr().err
             assert "not valid JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "projections, breakpoints",
+        [
+            ([_matrix([[1.0, 0.0], [0.0, 0.0]]), [[1.0, 0.0], [0.0, 0.0]]], [0.0, 0.5]),
+            ([_matrix([[1.0, 0.0], [0.0, 0.0]]), {"re": [[1.0, 0.0], [0.0, 0.0]]}], [0.0, 0.5]),
+            ([_matrix([[1.0, 0.0], [0.0, 0.0]]), _matrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])], [0.0, 0.5]),
+            ([], [0.0]),
+            ([_matrix([[1.0, 0.0], [0.0, 0.0]])] * 2, [0.0, 0.25, 0.5]),
+        ],
+        ids=["non-object-piece", "piece-without-im", "2x3-among-2x2", "no-pieces", "more-breakpoints"],
+    )
+    def test_malformed_candidate_exits_two_with_one_line(self, projections, breakpoints):
+        main, argv = COMMANDS["candidate"][0]
+        code, err = run_command(main, argv, {"breakpoints": breakpoints, "projections": projections})
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("bad", ["re", "im"])
+    def test_a_bad_entry_is_named_by_its_piece(self, bad):
+        # a candidate is decoded in two batched calls; a failing one is decoded
+        # again piece by piece, so that the message names the piece
+        doc = copy.deepcopy(VALID_INPUTS["candidate"])
+        doc["projections"][1][bad][0][1] = "1.0"
+        main, argv = COMMANDS["candidate"][0]
+        code, err = run_command(main, argv, doc)
+        assert code == 2 and err == f"error: projections[1] '{bad}' entries must be JSON numbers, got '1.0'\n", err
+
+    def test_loading_costs_the_same_decoder_calls_at_any_piece_count(self, tmp_path, monkeypatch):
+        calls = []
+        numbers = documents._numbers
+        monkeypatch.setattr(documents, "_numbers", lambda *args: calls.append(args[2]) or numbers(*args))
+        counts = []
+        for pieces in (1, 64, 10**4):
+            path = tmp_path / f"cand-{pieces}.json"
+            write_json(path, {"breakpoints": np.linspace(0.0, 1.0, pieces, endpoint=False).tolist(),
+                              "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]])] * pieces})
+            calls.clear()
+            field = documents.load_projection_field(path)
+            assert field.values.shape == (pieces, 2, 2)
+            counts.append(len(calls))
+        assert counts == [3, 3, 3]
+
+    def test_load_does_not_validate_and_defect_validates_once(self, tmp_path, monkeypatch):
+        # the candidate is checked in invariance_defect only; loading an
+        # invalid one succeeds and the defect run rejects it with exit 3
+        from invmasa import cocycle
+
+        path = tmp_path / "cand.json"
+        write_json(path, {"breakpoints": [0.0], "projections": [_matrix([[2.0, 0.0], [0.0, -1.0]])]})
+        assert documents.load_projection_field(path).values.shape == (1, 2, 2)
+        seen = []
+        validate = cocycle.validate_projection_field
+        monkeypatch.setattr(cocycle, "validate_projection_field", lambda field: seen.append(field) or validate(field))
+        assert main_cex(["defect", "--a", A_STR, "--candidate", str(path), "--steps", "10"]) == 3
+        write_json(path, VALID_INPUTS["candidate"])
+        assert main_cex(["defect", "--a", A_STR, "--candidate", str(path), "--steps", "10", "--output", str(tmp_path / "d.json")]) == 0
+        assert len(seen) == 2

@@ -2,6 +2,7 @@
 invariance-defect harness."""
 
 import math
+import re
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -35,9 +36,17 @@ from invmasa import (
 from invmasa.circle import interval_indices
 from invmasa.cocycle import bloch_rotations, bloch_vectors
 from invmasa.errors import InvalidCandidate, NoConvergence
-from invmasa.numerics import DIAGONALIZER_ZERO_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
+from invmasa.numerics import DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
 from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
-from oracles import fraction_cut_defect, fraction_defect, sampled_defect, stepped_orbit, stepped_vectors, whole_propagate
+from oracles import (
+    fraction_cut_defect,
+    fraction_defect,
+    piecewise_validate,
+    sampled_defect,
+    stepped_orbit,
+    stepped_vectors,
+    whole_propagate,
+)
 from test_circle import BATTERY, exact_point
 
 A = math.sqrt(2.0) / 8.0
@@ -68,6 +77,34 @@ def random_reflection(rng, allow_zero=True):
     return ReflectionParams(d=d, e=float(rng.uniform(0.1, 2.0)), theta=theta)
 
 
+# Perturbations of a rank-one projection P by s, each scaled so that one
+# invariant is off by about s: not idempotent and trace 1 + s ("scale"), not
+# Hermitian ("skew"), not idempotent with trace 1 ("offdiag"), and projections
+# of rank 0 or 2, off by about s, whose trace is off by 1 ("rank0", "rank2").
+PERTURBATIONS = {
+    "scale": lambda p, s: (1.0 + s) * p,
+    "skew": lambda p, s: p + s * np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "offdiag": lambda p, s: p + s * np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "rank0": lambda p, s: s * E11,
+    "rank2": lambda p, s: np.eye(2) + s * E11,
+}
+
+
+@st.composite
+def perturbed_candidates(draw):
+    """A field of 1 to 64 random rank-one projections, with up to four of its
+    pieces perturbed by 0.5, 0.99, 1.01 or 2 times ``PROJECTION_TOL``."""
+    pieces = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((pieces, 2)) + 1j * rng.standard_normal((pieces, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    values = np.einsum("pi,pj->pij", z, z.conj())
+    bad = st.tuples(st.integers(0, pieces - 1), st.sampled_from(sorted(PERTURBATIONS)), st.sampled_from((0.5, 0.99, 1.01, 2.0)))
+    for i, kind, scale in draw(st.lists(bad, max_size=4)):
+        values[i] = PERTURBATIONS[kind](values[i], scale * PROJECTION_TOL)
+    return PiecewiseMatrixField(breakpoints=tuple(np.arange(pieces) / pieces), values=values)
+
+
 class TestPiecewiseField:
     def test_lookup_with_wrap(self):
         field = PiecewiseMatrixField(
@@ -85,6 +122,27 @@ class TestPiecewiseField:
             PiecewiseMatrixField(breakpoints=(0.5, 0.5), values=(np.eye(2), np.eye(2)))
         with pytest.raises(ValueError):
             PiecewiseMatrixField(breakpoints=(1.5,), values=(np.eye(2),))
+
+    def test_values_are_one_read_only_copy(self):
+        given_values = np.array([np.eye(2), 2 * np.eye(2)])
+        field = PiecewiseMatrixField(breakpoints=(0.25, 0.75), values=given_values)
+        assert field.values.shape == (2, 2, 2) and field.values.dtype == complex
+        assert not field.values.flags.writeable and not field.value_at(0.3).flags.writeable
+        given_values[0] = 5.0
+        assert field.values[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((np.eye(2),), "one matrix per piece required"),
+            (np.eye(2)[None].repeat(2, 0)[:, :1], "field values must be 2x2, got shape (1, 2)"),
+            ((np.eye(2), np.full((2, 2), np.nan)), "matrix entries must be finite"),
+        ],
+        ids=["count", "shape", "finite"],
+    )
+    def test_values_are_checked_once(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PiecewiseMatrixField(breakpoints=(0.25, 0.75), values=values)
 
 
 class TestStandardTwist:
@@ -303,6 +361,30 @@ class TestInvarianceDefect:
         )
         with pytest.raises(InvalidCandidate):
             invariance_defect(bad, cfg, standard(cfg), 0.0, 10)
+
+    def test_invalid_candidate_is_named_by_its_first_bad_piece(self):
+        cfg = RotationConfig(A)
+        values = np.array([E11, np.eye(2), 2.0 * E11, E11])
+        field = PiecewiseMatrixField(breakpoints=(0.0, 0.25, 0.5, 0.75), values=values)
+        with pytest.raises(InvalidCandidate, match=r"^piece 1 does not have unit trace \(rank one\)$"):
+            invariance_defect(field, cfg, standard(cfg), 0.0, 10)
+        field = PiecewiseMatrixField(breakpoints=(0.0, 0.25, 0.5, 0.75), values=values[::-1])
+        with pytest.raises(InvalidCandidate, match=r"^piece 1 is not a projection within 1e-10$"):
+            invariance_defect(field, cfg, standard(cfg), 0.0, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_candidates())
+    def test_batched_check_is_the_per_piece_check(self, case):
+        field = case
+
+        def verdict(check):
+            try:
+                check(field)
+            except InvalidCandidate as exc:
+                return str(exc)
+            return None
+
+        assert verdict(validate_projection_field) == verdict(piecewise_validate)
 
     def test_random_candidates_are_valid_fields(self):
         for seed in range(10):
@@ -654,7 +736,7 @@ def near_permutation_twist(config, eps):
     Bloch axis: its rotation is eps off a signed permutation."""
     field = standard(config)
     turn = np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
-    return PiecewiseMatrixField(field.breakpoints, (field.values[0] @ turn,) + field.values[1:])
+    return PiecewiseMatrixField(field.breakpoints, np.concatenate([field.values[:1] @ turn, field.values[1:]]))
 
 
 def near_rationals(lo, hi):
