@@ -152,7 +152,8 @@ def validate_projection_field(field: PiecewiseMatrixField) -> None:
     ``PROJECTION_TOL``, in one pass: the first failing piece is named, its
     projection check before its trace check."""
     p = field.values
-    off = np.maximum(np.abs(p @ p - p), np.abs(p - p.conj().transpose(0, 2, 1))).max(axis=(1, 2))
+    # einsum, not matmul: faster on 2x2 pieces, and cex defect then never touches BLAS's complex GEMM buffers
+    off = np.maximum(np.abs(np.einsum("pij,pjk->pik", p, p) - p), np.abs(p - p.conj().transpose(0, 2, 1))).max(axis=(1, 2))
     not_projection = off > PROJECTION_TOL
     bad = not_projection | (np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > PROJECTION_TOL)
     if bad.any():

@@ -373,10 +373,8 @@ class TestInvarianceDefect:
             invariance_defect(field, cfg, standard(cfg), 0.0, 10)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=perturbed_candidates())
-    def test_batched_check_is_the_per_piece_check(self, case):
-        field = case
-
+    @given(field=perturbed_candidates())
+    def test_batched_check_is_the_per_piece_check(self, field):
         def verdict(check):
             try:
                 check(field)
