@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 
 import invmasa
 from invmasa import cli, documents, errors
-from invmasa.circle import RotationConfig
 from invmasa.cli import main_cex, main_masa
-from invmasa.cocycle import invariance_defect, standard_twist
 from oracles import eager_cex_parser, eager_masa_parser
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
@@ -1262,14 +1260,12 @@ class TestMalformedInput:
     def test_load_does_not_validate_and_defect_validates_once(self, tmp_path, monkeypatch):
         # the candidate is checked in invariance_defect only; loading an
         # invalid one succeeds and the defect run rejects it with exit 3
-        from invmasa import cocycle
-
         path = tmp_path / "cand.json"
         write_json(path, {"breakpoints": [0.0], "projections": [_matrix([[2.0, 0.0], [0.0, -1.0]])]})
         assert documents.load_projection_field(path).values.shape == (1, 2, 2)
         seen = []
-        validate = cocycle.validate_projection_field
-        monkeypatch.setattr(cocycle, "validate_projection_field", lambda field: seen.append(field) or validate(field))
+        validate = invmasa.cocycle.validate_projection_field
+        monkeypatch.setattr(invmasa.cocycle, "validate_projection_field", lambda field: seen.append(field) or validate(field))
         assert main_cex(["defect", "--a", A_STR, "--candidate", str(path), "--steps", "10"]) == 3
         write_json(path, VALID_INPUTS["candidate"])
         assert main_cex(["defect", "--a", A_STR, "--candidate", str(path), "--steps", "10", "--output", str(tmp_path / "d.json")]) == 0
