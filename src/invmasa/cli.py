@@ -337,29 +337,19 @@ def _cmd_propagate(args) -> tuple[int, dict]:
             raise SchemaError(f"{flag} must be finite and at most {cocycle.BLOCH_LIMIT!r} in magnitude")
     params = cocycle.ReflectionParams(d=args.d, e=args.e, theta=cmath.exp(1j * args.theta_arg))
     field = _twist(args, config)
-    # Class places are copied into one byte per step (only the last vector is built); mismatch and boundary
-    # steps, in the smallest type that holds --steps, are kept per chunk and joined once, so only
-    # the class lists are sized by --steps.  The first chunk rejects negative steps.
-    observed, expected = np.empty((2, max(args.steps + 1, 0)), dtype=np.uint8)
-    mismatches, boundary, lo = [], [], 0
-    for _, last, obs, exp, mis, bnd in cocycle.propagation_chunks(params, args.t0, config, field, args.steps):
-        observed[lo : lo + len(obs)], expected[lo : lo + len(exp)] = obs, exp
-        mismatches.append(mis.astype(np.min_scalar_type(args.steps)))
-        boundary.append(bnd.astype(np.min_scalar_type(args.steps)))
-        lo += len(obs)
-    mismatches, boundary = np.concatenate(mismatches), np.concatenate(boundary)
-    final = cocycle.ReflectionParams.from_bloch(last)
+    result = cocycle.propagate_constraint(params, args.t0, config, field, args.steps)
+    final = cocycle.ReflectionParams.from_bloch(result.final)
     return 0, make_report(
         "propagate",
-        passed=not mismatches.size,
+        passed=not result.mismatches.size,
         details={
             "a": config.a,
             "t0": args.t0,
             "steps": int(args.steps),
-            "classes": Gathered(signs.ALL_CLASSES, observed),
-            "expected_classes": Gathered(signs.ALL_CLASSES, expected),
-            "mismatch_steps": mismatches,
-            "boundary_steps": boundary,
+            "classes": Gathered(signs.ALL_CLASSES, result.observed),
+            "expected_classes": Gathered(signs.ALL_CLASSES, result.expected),
+            "mismatch_steps": result.mismatches,
+            "boundary_steps": result.boundary_steps,
             "final": {"d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag},
         },
         warnings=config.warnings(),

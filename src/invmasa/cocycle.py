@@ -53,7 +53,6 @@ __all__ = [
     "IntervalDefect",
     "invariance_defect",
     "PropagationResult",
-    "propagation_chunks",
     "propagate_constraint",
 ]
 
@@ -349,30 +348,16 @@ def invariance_defect(
 
 @dataclass(frozen=True, eq=False)
 class PropagationResult:
-    """Forced Bloch-vector trajectory along an orbit, with its sign classes and
-    those the interval automaton predicts as places in ``ALL_CLASSES``."""
+    """Sign classes of the forced Bloch-vector trajectory along an orbit and those the
+    interval automaton predicts, as places in ``ALL_CLASSES`` (one byte per step), the
+    steps where they differ and the boundary steps (in the smallest type that holds the
+    step count), and the last forced vector, its sign resolved."""
 
-    vectors: np.ndarray
     observed: np.ndarray
     expected: np.ndarray
-    mismatches: tuple[int, ...]
-    boundary_steps: tuple[int, ...]
-
-    @property
-    def classes(self) -> tuple[SignClass, ...]:
-        return tuple(map(ALL_CLASSES.__getitem__, self.observed.tolist()))
-
-    @property
-    def expected_classes(self) -> tuple[SignClass, ...]:
-        return tuple(map(ALL_CLASSES.__getitem__, self.expected.tolist()))
-
-    @property
-    def parameters(self) -> tuple[ReflectionParams, ...]:
-        return tuple(ReflectionParams.from_bloch(x) for x in self.vectors)
-
-    @property
-    def agreement(self) -> bool:
-        return not self.mismatches
+    mismatches: np.ndarray
+    boundary_steps: np.ndarray
+    final: np.ndarray
 
 
 @functools.cache
@@ -414,16 +399,28 @@ def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, s
     return tuple(table.astype(arcs.dtype).take(arcs) for table in tables)
 
 
-PROPAGATE_CHUNK = 1 << 16  # steps per chunk of propagation_chunks: a few MB of temporaries
+PROPAGATE_CHUNK = 1 << 16  # steps per chunk of propagate_constraint: a few MB of temporaries
 SCAN_BLOCK = 8  # steps per block of _prefix_products' blocked scan
 
 
-def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int):
-    """:func:`propagate_constraint` ``PROPAGATE_CHUNK`` steps at a time: yields each chunk's vector
-    parts, last vector, observed and expected class places, and mismatch and boundary steps.  It
-    carries the group elements (or the float loop's vector), the last flip's sign and the step
-    offset.  The parts (images, index, flips, negated) give step k the vector images[index[k]],
-    negated from each flip on where ``negated`` says so (``negated[0]``: before the first)."""
+def propagate_constraint(
+    start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int
+) -> PropagationResult:
+    """Propagate the forced values of S forward along the orbit of t0.
+
+    Step k rotates the Bloch vector by R_V of the twist piece at t_k and
+    steps the predicted sign class by the automaton's table
+    (``signs.INTERVAL_ACTIONS``) of the interval at t_k, on the exact orbit.
+    The tables generate a small group, as do rotations that are all signed
+    permutations (the CLI's twists'), so both recurrences are prefix products
+    of group numbers; other rotations take a per-step float loop, which
+    raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
+    The sign flips only on the diagonal boundary (e at most
+    ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
+    The work goes ``PROPAGATE_CHUNK`` steps at a time, carrying the group
+    elements (or the float loop's vector), the class and the last flip's sign;
+    only the classes are kept per step, so no vector list is built.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
@@ -442,6 +439,8 @@ def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfi
     start_places = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))]
     # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
     places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
+    observed, expected = np.empty((2, steps + 1), dtype=np.uint8)
+    mismatches, boundary, step_type = [], [], np.min_scalar_type(steps)
     cls, negative = 0, False
     for lo in range(0, steps + 1, PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, steps + 1)
@@ -462,38 +461,16 @@ def propagation_chunks(start: ReflectionParams, t0: float, config: RotationConfi
                 raise NoConvergence(f"step {lo + past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
             carried = (x0, x1, x2)
         classes = _prefix_products(class_table, class_gens[letters - 1], cls)
-        cls, index, expected = classes[-1], index[: hi - lo], start_places[classes[: hi - lo]]
+        cls, index = classes[-1], index[: hi - lo]
+        expected[lo:hi] = start_places[classes[: hi - lo]]
         triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
-        observed = places[triples][index]
+        observed[lo:hi] = places[triples][index]
         first = int(lo == 0)  # step 0 is never a boundary step
-        on_boundary = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
-        boundary = np.flatnonzero(on_boundary[index[first:]]) + first
-        flips = boundary[images[index[boundary], 0] != 0.0]
-        negated = np.append(negative, images[index[flips], 0] < 0.0)
-        negative, last = bool(negated[-1]), images[index[-1]]
-        mismatches = np.flatnonzero(observed != expected) + lo
-        yield (images, index, flips, negated), -last if negative else last, observed, expected, mismatches, boundary + lo
-
-
-def propagate_constraint(
-    start: ReflectionParams, t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int
-) -> PropagationResult:
-    """Propagate the forced values of S forward along the orbit of t0.
-
-    Step k rotates the Bloch vector by R_V of the twist piece at t_k and
-    steps the predicted sign class by the automaton's table
-    (``signs.INTERVAL_ACTIONS``) of the interval at t_k, on the exact orbit.
-    The tables generate a small group, as do rotations that are all signed
-    permutations (the CLI's twists'), so both recurrences are prefix products
-    of group numbers; other rotations take a per-step float loop, which
-    raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
-    The sign flips only on the diagonal boundary (e at most
-    ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
-    The result joins the chunks of :func:`propagation_chunks`.
-    """
-    parts, _, *chunks = zip(*propagation_chunks(start, t0, config, field, steps))
-    observed, expected, mismatches, boundary = map(np.concatenate, chunks)
-    vectors = np.concatenate([images[index] for images, index, _, _ in parts])
-    negated = [np.repeat(neg, np.diff(flips, prepend=0, append=len(index))) for _, index, flips, neg in parts]
-    vectors[np.concatenate(negated)] *= -1.0
-    return PropagationResult(vectors, observed, expected, tuple(mismatches.tolist()), tuple(boundary.tolist()))
+        on_boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR)[index[first:]]) + first
+        boundary.append((on_boundary + lo).astype(step_type))
+        flips = on_boundary[images[index[on_boundary], 0] != 0.0]
+        if flips.size:
+            negative = bool(images[index[flips[-1]], 0] < 0.0)
+        mismatches.append((np.flatnonzero(observed[lo:hi] != expected[lo:hi]) + lo).astype(step_type))
+    last = images[index[-1]]
+    return PropagationResult(observed, expected, np.concatenate(mismatches), np.concatenate(boundary), -last if negative else last)

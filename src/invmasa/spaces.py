@@ -30,7 +30,6 @@ __all__ = [
     "DiscreteSpace",
     "BlockPartition",
     "BlockAlgebra",
-    "multiplication_operator",
     "MasaCheck",
     "masa_check",
     "block_masa_check",
@@ -120,16 +119,6 @@ class BlockAlgebra:
     @property
     def n(self) -> int:
         return self.space.n
-
-
-def multiplication_operator(values, space: DiscreteSpace) -> np.ndarray:
-    """Multiplication by a bounded function, as a diagonal matrix."""
-    f = np.asarray(values, dtype=complex)
-    if f.ndim != 1 or f.shape[0] != space.n:
-        raise LengthMismatch(f"function has {f.shape} values, space has {space.n} points")
-    if not (np.all(np.isfinite(f.real)) and np.all(np.isfinite(f.imag))):
-        raise ValueError("function values must be finite")
-    return np.diag(f)
 
 
 @dataclass(frozen=True)

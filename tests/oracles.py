@@ -12,10 +12,12 @@ that has not returned yet.  The defect references visit every orbit point, the s
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
 references take one numpy matrix-vector product per stepped orbit point,
-or run the chunked propagation over the whole orbit at once.
+or run the chunked propagation over the whole orbit at once and keep every
+step's vector.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
-by value in dictionaries.  The candidate check tests one 2x2 piece at a
+by value in dictionaries; multiplication by a function is its diagonal
+matrix.  The candidate check tests one 2x2 piece at a
 time.  The eager parsers build every subcommand's parser on every call, as
 the command-line programs did before each call built only the one it runs.
 """
@@ -25,11 +27,13 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from invmasa import (
+    DiscreteSpace,
     MasaCheck,
     RationalWitness,
     as_matrix,
@@ -49,7 +53,6 @@ from invmasa.cocycle import (
     BLOCH_LIMIT,
     DefectReport,
     IntervalDefect,
-    PropagationResult,
     _numbered_group,
     _prefix_products,
     bloch_rotations,
@@ -327,6 +330,18 @@ def stepped_vectors(start, t0, config, field, steps):
     return np.array(out)
 
 
+@dataclass(frozen=True, eq=False)
+class WholePropagation:
+    """The fields of a ``PropagationResult`` with every step's forced Bloch
+    vector, sign resolved, in place of the last one."""
+
+    vectors: np.ndarray
+    observed: np.ndarray
+    expected: np.ndarray
+    mismatches: np.ndarray
+    boundary_steps: np.ndarray
+
+
 def whole_propagate(start, t0, config, field, steps):
     """``propagate_constraint`` over the whole orbit at once: one itinerary
     of ``steps + 1`` points from ``orbit_arcs``, one prefix-product scan (or
@@ -361,8 +376,9 @@ def whole_propagate(start, t0, config, field, steps):
     negative = np.repeat(np.append(False, images[index[flips], 0] < 0.0), np.diff(flips, prepend=0, append=steps + 1))
     vectors = images[index]
     vectors[negative] *= -1.0
-    mismatches = tuple(np.flatnonzero(observed != expected).tolist())
-    return PropagationResult(vectors, observed, expected, mismatches, tuple(boundary.tolist()))
+    mismatches = np.flatnonzero(observed != expected)
+    step_type = np.min_scalar_type(steps)
+    return WholePropagation(vectors, observed, expected, mismatches.astype(step_type), boundary.astype(step_type))
 
 
 def fraction_witness(x):
@@ -400,6 +416,16 @@ def _cluster_keys(values, value_tol):
         keys[pos] = cluster
         prev = v
     return keys
+
+
+def multiplication_operator(values, space: DiscreteSpace) -> np.ndarray:
+    """Multiplication by a bounded function, as a diagonal matrix."""
+    f = np.asarray(values, dtype=complex)
+    if f.ndim != 1 or f.shape[0] != space.n:
+        raise LengthMismatch(f"function has {f.shape} values, space has {space.n} points")
+    if not (np.all(np.isfinite(f.real)) and np.all(np.isfinite(f.imag))):
+        raise ValueError("function values must be finite")
+    return np.diag(f)
 
 
 def bucket_match(f, g, value_tol=0.0):

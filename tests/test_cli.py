@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import invmasa
 from invmasa import cli, documents, errors
 from invmasa.cli import main_cex, main_masa
-from oracles import eager_cex_parser, eager_masa_parser
+from oracles import eager_cex_parser, eager_masa_parser, whole_propagate
 
 GOLDEN = Path(__file__).parent / "golden" / "combinatorics.json"
 # A 3000-step standard-twist propagation report; its timestamp is "".
@@ -728,7 +728,7 @@ class TestChunkedCommands:
             monkeypatch.setattr(invmasa.cocycle, "PROPAGATE_CHUNK", chunk)
             argv = ["propagate", "--a", A_STR, "--t0", "0.03", "--d", "1.0", "--e", "1e-13", "--twist", twist]
             assert main_cex(argv + ["--steps", str(steps), "--output", str(out)]) == 0
-            want = invmasa.propagate_constraint(invmasa.ReflectionParams(1.0, 1e-13, 1.0 + 0j), 0.03, cfg, field, steps)
+            want = whole_propagate(invmasa.ReflectionParams(1.0, 1e-13, 1.0 + 0j), 0.03, cfg, field, steps)
             final = invmasa.ReflectionParams.from_bloch(want.vectors[-1])
             assert read_json(out)["details"]["final"] == {
                 "d": final.d, "e": final.e, "theta_re": final.theta.real, "theta_im": final.theta.imag

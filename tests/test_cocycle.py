@@ -37,7 +37,7 @@ from invmasa.circle import interval_indices
 from invmasa.cocycle import bloch_rotations, bloch_vectors
 from invmasa.errors import InvalidCandidate, NoConvergence
 from invmasa.numerics import DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
-from invmasa.signs import INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
+from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
 from oracles import (
     fraction_cut_defect,
     fraction_defect,
@@ -208,13 +208,14 @@ class TestReflectionParams:
         for start in (ReflectionParams(limit, limit, 1.0 + 0j), ReflectionParams(-limit, limit, 1j), off_axes):
             assert np.isfinite(bloch_vectors(start.matrix())).all()
             # a signed permutation moves components, so every step's parameters stay in range
-            assert len(propagate_constraint(start, 0.1, cfg, standard(cfg), 500).parameters) == 501
+            _, vectors = propagate_with_vectors(start, 0.1, cfg, standard(cfg), 500)
+            assert len([ReflectionParams.from_bloch(x) for x in vectors]) == 501
             if start.d < 0.0:
                 # 1e-9 off a signed permutation, the first step turns a component past the limit
                 with pytest.raises(NoConvergence, match="step 1 takes"):
                     propagate_constraint(start, 0.1, cfg, near, 500)
             else:
-                assert np.isfinite(propagate_constraint(start, 0.1, cfg, near, 500).vectors).all()
+                assert np.isfinite(propagate_with_vectors(start, 0.1, cfg, near, 500)[1]).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_loop_that_passes_the_limit_names_its_first_step(self):
@@ -223,7 +224,8 @@ class TestReflectionParams:
         with pytest.raises(NoConvergence, match=r"step 10 takes a Bloch component past 8\.988465674311579e\+307"):
             propagate_constraint(start, 0.1, cfg, near_permutation_twist(cfg, 1e-9), 500)
         # the first 9 steps stay within the limit, so their parameters exist
-        assert len(propagate_constraint(start, 0.1, cfg, near_permutation_twist(cfg, 1e-9), 9).parameters) == 10
+        _, vectors = propagate_with_vectors(start, 0.1, cfg, near_permutation_twist(cfg, 1e-9), 9)
+        assert len([ReflectionParams.from_bloch(x) for x in vectors]) == 10
 
 
 class TestConjugateStep:
@@ -418,13 +420,13 @@ class TestPropagation:
         start = ReflectionParams(d=0.4, e=0.6, theta=1j)
         t0 = 4.0 * cfg.a + 0.01
         result = propagate_constraint(start, t0, cfg, standard(cfg), 1)
-        assert result.parameters[1] == start
+        assert ReflectionParams.from_bloch(result.final) == start
 
     def test_diagonal_start_leaves_the_boundary(self):
         cfg = RotationConfig(A)
         start = ReflectionParams(d=1.0, e=0.0, theta=1.0 + 0j)
         result = propagate_constraint(start, 0.0, cfg, standard(cfg), 1)
-        assert result.parameters[1].e > 0.01
+        assert ReflectionParams.from_bloch(result.final).e > 0.01
 
     def test_full_return_loop_acts_like_interval_one(self):
         cfg = RotationConfig(A)
@@ -434,16 +436,16 @@ class TestPropagation:
             start = random_reflection(rng, allow_zero=False)
             t0 = float(rng.uniform(0.0, cfg.a))
             loop = first_return(t0, cfg)
-            result = propagate_constraint(start, t0, cfg, field, loop.steps)
-            assert result.classes[-1] == interval_action(1, result.classes[0])
+            classes = class_names(propagate_constraint(start, t0, cfg, field, loop.steps).observed)
+            assert classes[-1] == interval_action(1, classes[0])
 
     def test_long_run_agrees_with_automaton(self):
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
-        result = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
-        assert result.agreement
-        assert result.boundary_steps == ()
-        assert all(p.e >= 0.0 for p in result.parameters)
+        result, vectors = propagate_with_vectors(start, 0.02, cfg, standard(cfg), 2000)
+        assert result.mismatches.size == 0
+        assert result.boundary_steps.size == 0
+        assert all(ReflectionParams.from_bloch(x).e >= 0.0 for x in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +492,31 @@ def loop_propagate(start, t0, config, field, steps):
         if p.e <= ROUNDOFF_FLOOR:
             boundary.append(k + 1)
     return params, tuple(classes), tuple(expected), tuple(mismatches), tuple(boundary)
+
+
+def class_names(places):
+    """The sign classes at places in ``ALL_CLASSES``."""
+    return tuple(ALL_CLASSES[i] for i in places.tolist())
+
+
+def assert_same_propagation(got, want, steps):
+    """``got`` (a ``PropagationResult``) is ``want`` (the oracle's record) cut at
+    ``steps``: the same class, mismatch and boundary bytes, and the last vector
+    bit for bit, sign bits included."""
+    for name in ("observed", "expected", "mismatches", "boundary_steps"):
+        kept = getattr(want, name)
+        kept = kept[: steps + 1] if name in ("observed", "expected") else kept[kept <= steps]
+        assert getattr(got, name).dtype == kept.dtype and getattr(got, name).tobytes() == kept.tobytes(), name
+    assert got.final.tobytes() == want.vectors[steps].tobytes()
+
+
+def propagate_with_vectors(start, t0, config, field, steps):
+    """``propagate_constraint``'s result, checked byte for byte against the
+    whole-orbit oracle's, with the oracle's vector at every step."""
+    got = propagate_constraint(start, t0, config, field, steps)
+    want = whole_propagate(start, t0, config, field, steps)
+    assert_same_propagation(got, want, steps)
+    return got, want.vectors
 
 
 def einsum_defect(candidate, config, field, t0, steps):
@@ -605,15 +632,15 @@ class TestPropagationOracle:
         for _ in range(12):
             start = random_reflection(rng)
             t0 = float(rng.uniform(0.0, 1.0))
-            got = propagate_constraint(start, t0, cfg, field, 1500)
+            got, vectors = propagate_with_vectors(start, t0, cfg, field, 1500)
             params, classes, expected, mismatches, boundary = loop_propagate(start, t0, cfg, field, 1500)
-            assert got.classes == classes
-            assert got.expected_classes == expected
-            assert got.mismatches == mismatches
-            assert got.boundary_steps == boundary
+            assert class_names(got.observed) == classes
+            assert class_names(got.expected) == expected
+            assert tuple(got.mismatches.tolist()) == mismatches
+            assert tuple(got.boundary_steps.tolist()) == boundary
             want = np.array([param_bloch(p) for p in params])
-            assert np.max(np.abs(got.vectors - want)) <= 1e-10
-            final = got.parameters[-1]
+            assert np.max(np.abs(vectors - want)) <= 1e-10
+            final = ReflectionParams.from_bloch(got.final)
             assert abs(final.d - params[-1].d) <= 1e-10 and abs(final.e - params[-1].e) <= 1e-10
             assert abs(final.theta - params[-1].theta) <= 1e-10
 
@@ -623,15 +650,15 @@ class TestPropagationOracle:
         cfg = RotationConfig(A)
         field = TWISTS[twist](cfg)
         start = ReflectionParams(d=d, e=0.0, theta=1.0 + 0j)
-        got = propagate_constraint(start, 0.03, cfg, field, 2000)
+        got, vectors = propagate_with_vectors(start, 0.03, cfg, field, 2000)
         params, classes, expected, mismatches, boundary = loop_propagate(start, 0.03, cfg, field, 2000)
-        assert got.boundary_steps == boundary and len(boundary) > 100
-        assert got.classes == classes
-        assert got.expected_classes == expected
-        assert got.mismatches == mismatches
+        assert tuple(got.boundary_steps.tolist()) == boundary and len(boundary) > 100
+        assert class_names(got.observed) == classes
+        assert class_names(got.expected) == expected
+        assert tuple(got.mismatches.tolist()) == mismatches
         # resolved signs agree: on the boundary d is made nonnegative
-        assert np.max(np.abs(got.vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
-        assert all(got.vectors[k, 0] >= 0.0 for k in boundary)
+        assert np.max(np.abs(vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
+        assert all(vectors[k, 0] >= 0.0 for k in boundary)
 
     def test_matches_loop_on_a_generic_su2_twist(self):
         # rotations far from any signed permutation: the per-step float loop fallback
@@ -642,15 +669,15 @@ class TestPropagationOracle:
             rot = bloch_rotations(field)
             assert all(np.max(np.abs(r - np.rint(r))) > 1e-3 for r in rot)
             start = random_reflection(rng, allow_zero=False)
-            got = propagate_constraint(start, 0.2, cfg, field, 3000)
+            got, vectors = propagate_with_vectors(start, 0.2, cfg, field, 3000)
             params, classes, expected, _, boundary = loop_propagate(start, 0.2, cfg, field, 3000)
             want = np.array([param_bloch(p) for p in params])
-            assert np.max(np.abs(got.vectors - want)) <= 1e-10
-            assert got.expected_classes == expected
-            assert got.boundary_steps == boundary
+            assert np.max(np.abs(vectors - want)) <= 1e-10
+            assert class_names(got.expected) == expected
+            assert tuple(got.boundary_steps.tolist()) == boundary
             clear = np.all(np.abs(want) > 1e3 * SIGN_ZERO_TOL, axis=1)
             assert clear.sum() > 2000
-            assert [c for c, ok in zip(got.classes, clear) if ok] == [c for c, ok in zip(classes, clear) if ok]
+            assert [c for c, ok in zip(class_names(got.observed), clear) if ok] == [c for c, ok in zip(classes, clear) if ok]
 
     @pytest.mark.parametrize("twist", sorted(TWISTS))
     @pytest.mark.parametrize("t0", (0.0, 0.3, 0.9))
@@ -667,7 +694,7 @@ class TestPropagationOracle:
             ReflectionParams(d=-0.6, e=0.0, theta=1.0 + 0j),
         )
         for start in starts:
-            got = propagate_constraint(start, t0, cfg, field, 3000).vectors
+            got = propagate_with_vectors(start, t0, cfg, field, 3000)[1]
             want = stepped_vectors(start, t0, cfg, field, 3000)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -676,42 +703,48 @@ class TestPropagationOracle:
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
         whole = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
-        assert whole.agreement
+        assert whole.mismatches.size == 0
         one, two = INTERVAL_ACTIONS[1], INTERVAL_ACTIONS[2]
         monkeypatch.setitem(INTERVAL_ACTIONS, 1, two)
         monkeypatch.setitem(INTERVAL_ACTIONS, 2, one)
         swapped = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
-        assert swapped.classes == whole.classes
-        assert not swapped.agreement
+        assert np.array_equal(swapped.observed, whole.observed)
+        assert swapped.mismatches.size > 0
 
-    def test_memory_is_a_few_copies_of_the_vectors(self):
+    def test_memory_is_a_few_copies_of_the_kept_arrays(self):
+        # 10^6 steps: the two one-byte class lists, the mismatch and boundary steps
+        # (most steps mismatch under the identity twist) and one chunk's temporaries
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
-        propagate_constraint(start, 0.1, cfg, standard(cfg), 10)
-        tracemalloc.start()
-        try:
-            result = propagate_constraint(start, 0.1, cfg, standard(cfg), 100_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * result.vectors.nbytes
+        for field in (standard(cfg), identity_twist()):
+            propagate_constraint(start, 0.1, cfg, field, 10)
+            tracemalloc.start()
+            try:
+                result = propagate_constraint(start, 0.1, cfg, field, 1_000_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(getattr(result, name).nbytes for name in ("observed", "expected", "mismatches", "boundary_steps", "final"))
+            assert kept >= 2 * 1_000_001
+            assert peak <= 2 * kept + 4 * 2**20
 
     def test_standard_twist_propagation_is_exact(self):
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
-        result = propagate_constraint(start, 0.1, cfg, standard(cfg), 100_000)
+        result, vectors = propagate_with_vectors(start, 0.1, cfg, standard(cfg), 100_000)
         x0 = bloch_vectors(start.matrix())
         assert len(set(np.abs(x0))) == 3
-        assert is_signed_permutation_image(result.vectors[-1], x0)
-        assert np.array_equal(np.sort(np.abs(result.vectors), axis=1), np.tile(np.sort(np.abs(x0)), (100_001, 1)))
-        assert result.agreement and result.boundary_steps == ()
+        assert is_signed_permutation_image(result.final, x0)
+        assert np.array_equal(np.sort(np.abs(vectors), axis=1), np.tile(np.sort(np.abs(x0)), (100_001, 1)))
+        assert result.mismatches.size == 0 and result.boundary_steps.size == 0
 
     def test_zero_steps(self):
         cfg = RotationConfig(A)
         start = ReflectionParams(d=0.3, e=0.7, theta=1j)
-        result = propagate_constraint(start, 0.1, cfg, standard(cfg), 0)
-        assert result.vectors.shape == (1, 3)
-        assert result.classes == result.expected_classes and result.mismatches == ()
+        result, vectors = propagate_with_vectors(start, 0.1, cfg, standard(cfg), 0)
+        assert vectors.shape == (1, 3) and result.final.shape == (3,)
+        assert result.observed.shape == (1,) and np.array_equal(result.observed, result.expected)
+        assert result.mismatches.size == 0
 
 
 def numbered_groups(monkeypatch):
@@ -823,13 +856,13 @@ class TestGroupScan:
         field = TWISTS[twist](cfg)
         for start in (ReflectionParams(0.0, 0.7, -1.0 + 0j), ReflectionParams(-0.3, 0.7, 1j)):
             for t0 in (0.0, 0.05, 0.5):
-                got = propagate_constraint(start, t0, cfg, field, steps)
+                got, vectors = propagate_with_vectors(start, t0, cfg, field, steps)
                 params, classes, expected, mismatches, boundary = loop_propagate(start, t0, cfg, field, steps)
                 want = stepped_vectors(start, t0, cfg, field, steps)
-                assert got.vectors.shape == (steps + 1, 3)
-                assert np.array_equal(got.vectors, want) and np.array_equal(np.signbit(got.vectors), np.signbit(want))
-                assert got.classes == classes and got.expected_classes == expected
-                assert got.mismatches == mismatches and got.boundary_steps == boundary
+                assert vectors.shape == (steps + 1, 3)
+                assert np.array_equal(vectors, want) and np.array_equal(np.signbit(vectors), np.signbit(want))
+                assert class_names(got.observed) == classes and class_names(got.expected) == expected
+                assert tuple(got.mismatches.tolist()) == mismatches and tuple(got.boundary_steps.tolist()) == boundary
 
     @pytest.mark.parametrize("twist", sorted(TWISTS))
     def test_signed_permutation_twists_take_the_scan(self, monkeypatch, twist):
@@ -846,21 +879,22 @@ class TestGroupScan:
         assert np.array_equal(rot[1:], [SUBSTITUTION_MATRICES[2], SUBSTITUTION_MATRICES[3]])
         seen = numbered_groups(monkeypatch)
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
-        got = propagate_constraint(start, 0.02, cfg, field, 2000)
+        got, vectors = propagate_with_vectors(start, 0.02, cfg, field, 2000)
         assert seen == [14]
         params, classes, expected, mismatches, boundary = loop_propagate(start, 0.02, cfg, field, 2000)
-        assert np.max(np.abs(got.vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
-        assert got.classes == classes and got.expected_classes == expected
-        assert got.mismatches == mismatches and got.boundary_steps == boundary
+        assert np.max(np.abs(vectors - np.array([param_bloch(p) for p in params]))) <= 1e-10
+        assert class_names(got.observed) == classes and class_names(got.expected) == expected
+        assert tuple(got.mismatches.tolist()) == mismatches and tuple(got.boundary_steps.tolist()) == boundary
         # the vectors drift off the exact signed permutation images of the start
-        exact = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
-        assert 0.0 < np.max(np.abs(got.vectors - exact.vectors)) <= 1e-5
-        assert got.classes == exact.classes and got.agreement
+        exact, exact_vectors = propagate_with_vectors(start, 0.02, cfg, standard(cfg), 2000)
+        assert 0.0 < np.max(np.abs(vectors - exact_vectors)) <= 1e-5
+        assert np.array_equal(got.observed, exact.observed) and got.mismatches.size == 0
 
 
 class TestChunkEdges:
     """``propagate_constraint`` cut into chunks of 1, 2, 7 and 64 steps gives
-    the bytes of the whole-orbit propagation, whatever falls on a chunk edge."""
+    the bytes of the whole-orbit propagation, whatever falls on a chunk edge:
+    the class, mismatch and boundary arrays, and the last vector at every step."""
 
     STARTS = (
         ReflectionParams(0.3, 0.7, complex(math.cos(0.4), math.sin(0.4))),
@@ -883,13 +917,26 @@ class TestChunkEdges:
                     monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", chunk)
                     got = propagate_constraint(start, t0, cfg, field, steps)
                     monkeypatch.undo()
-                    assert got.vectors.tobytes() == want.vectors.tobytes()
-                    assert got.observed.tobytes() == want.observed.tobytes()
-                    assert got.expected.tobytes() == want.expected.tobytes()
-                    assert got.mismatches == want.mismatches and got.boundary_steps == want.boundary_steps
+                    assert_same_propagation(got, want, steps)
                     flips += int(np.signbit(want.vectors[:, 0]).any())
         if twist != "identity":
             assert flips > 0
+
+    @pytest.mark.parametrize("chunk", (1, 7, 64, cocycle.PROPAGATE_CHUNK))
+    @pytest.mark.parametrize("twist", ("standard", "identity", "near-permutation"))
+    def test_final_is_the_whole_orbit_vector_at_every_step(self, monkeypatch, twist, chunk):
+        # the sign of the last flip is carried across chunk edges into the final vector
+        cfg = RotationConfig(A)
+        field = near_permutation_twist(cfg, 1e-9) if twist == "near-permutation" else TWISTS[twist](cfg)
+        monkeypatch.setattr(cocycle, "PROPAGATE_CHUNK", chunk)
+        negated = 0
+        for start in self.STARTS:
+            want = whole_propagate(start, 0.03, cfg, field, 130)
+            for k in range(131):
+                assert_same_propagation(propagate_constraint(start, 0.03, cfg, field, k), want, k)
+            negated += int(np.signbit(want.vectors[:, 0]).sum())
+        if twist != "identity":
+            assert negated > 0
 
     @pytest.mark.parametrize("chunk", (1, 2, 7, 64))
     def test_the_float_loop_stops_at_the_same_step(self, monkeypatch, chunk):
@@ -902,7 +949,8 @@ class TestChunkEdges:
         with pytest.raises(NoConvergence) as got:
             propagate_constraint(start, 0.1, cfg, field, 500)
         assert str(got.value) == str(want.value) and "step 10 takes" in str(want.value)
-        assert propagate_constraint(start, 0.1, cfg, field, 9).vectors.tobytes() == before.vectors.tobytes()
+        for k in range(10):
+            assert_same_propagation(propagate_constraint(start, 0.1, cfg, field, k), before, k)
 
 
 def pool_candidate(index):

@@ -13,7 +13,6 @@ from invmasa import (
     block_masa_check,
     embed_invariant_masa,
     masa_check,
-    multiplication_operator,
     multiplicity_match,
 )
 from invmasa.errors import DimensionMismatch, LengthMismatch
@@ -25,6 +24,7 @@ from oracles import (
     bucket_match,
     frame_projections,
     member_masa_check,
+    multiplication_operator,
     shaped_instance,
 )
 
