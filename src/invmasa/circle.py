@@ -31,7 +31,6 @@ __all__ = [
     "first_returns",
     "return_closed_form",
     "orbit",
-    "orbit_arcs",
     "orbit_counts",
     "orbit_anchor",
     "EquidistributionStats",
@@ -60,8 +59,11 @@ def rational_witness(x: float) -> RationalWitness | None:
 
     Walks the (exact, terminating) continued fraction of the binary float
     ``x`` and returns the best convergent with denominator at most 10^6 if
-    its quality |x - p/q| q^2 is below 1e-3, else ``None``.
+    its quality |x - p/q| q^2 is below 1e-3, else ``None`` (also for an
+    infinite or NaN ``x``, such as 4/a - 16 at a subnormal a).
     """
+    if not math.isfinite(x):
+        return None
     n, d = num, den = float(x).as_integer_ratio()
     h1, h2, k1, k2 = 1, 0, 0, 1
     best: RationalWitness | None = None
@@ -138,6 +140,13 @@ class FirstReturn:
     word: tuple[int, ...]
 
 
+def _return_bound(a: float) -> int:
+    """The first-return step bound int(1/a) + 3; ``NoConvergence`` when 1/a overflows."""
+    if math.isinf(1.0 / a):
+        raise NoConvergence(f"first returns at a = {a!r} have no step bound: 1/a overflows")
+    return int(1.0 / a) + 3
+
+
 def first_return(t: float, config: RotationConfig) -> FirstReturn:
     """Iterate the rotation from t in [0,a) until it re-enters [0,a).
 
@@ -146,12 +155,13 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
     In floats the landing agrees up to accumulated ulps, but a start an ulp
     below a can round its third point up to 4a (word 1 2 2 3...), and at a
     dyadic a the wrap can round onto a itself, so the orbit steps on until
-    it raises ``NoConvergence`` past int(1/a) + 3 steps.
+    it raises ``NoConvergence`` past int(1/a) + 3 steps (at once if 1/a
+    overflows).
     """
-    a = config.a
+    a, limit = config.a, _return_bound(config.a)
     if not (0.0 <= t < a):
         raise NotInBaseInterval(f"t = {t!r} is not in [0, {a!r})")
-    word, cur, steps, limit = [], t, 0, int(1.0 / a) + 3
+    word, cur, steps = [], t, 0
     while True:
         word.append(interval_index(cur, config))
         cur, steps = shift(cur, config), steps + 1
@@ -168,10 +178,10 @@ def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, n
     smallest start wraps; each returns at its first s_n >= 1 to s_n - 1, and its word is right
     exactly when s_3 < 4a <= s_4.  A landing at a itself (a rounding tie at a dyadic a) or a
     start still unwrapped past the bound takes the scalar map, and its ``NoConvergence``."""
-    a, start = config.a, np.asarray(ts, dtype=float)
+    a, start, limit = config.a, np.asarray(ts, dtype=float), _return_bound(config.a)
     if not np.all((0.0 <= start) & (start < a)):
         raise NotInBaseInterval(f"a start is not in [0, {a!r})")
-    s3, limit, n = start + a + a + a, int(1.0 / a) + 3, 0
+    s3, n = start + a + a + a, 0
     cur, steps, words_ok = start.copy(), np.zeros(start.shape, dtype=int), (s3 < 4.0 * a) & (s3 + a >= 4.0 * a)
     if start.size:
         first, last = start.argmax(), start.argmin()  # the first start to wrap, and the last
@@ -221,20 +231,7 @@ def _numerators(t0: float, config: RotationConfig, cuts) -> tuple[int, int, int,
     return den, t, step, bounds
 
 
-ORBIT_CHUNK = 1 << 14  # points per Python-int chunk of orbit_arcs: a few MB of temporaries
-
-
-def orbit_arcs(t0: float, config: RotationConfig, steps: int, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """Points (t0 + k a) mod 1, k < steps, of the exact orbit of the reduced
-    start, correctly rounded, and the arc [cuts[i], cuts[i + 1]) of each, as
-    in :func:`orbit_counts` (see :func:`_sweep`).  A point within 2^-54 of 1
-    rounds to 1.0 and reads 0.0."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    points = np.empty(steps)
-    arcs = _sweep(t0, config, 0, steps, cuts, points)
-    points[points == 1.0] = 0.0
-    return points, arcs
+ORBIT_CHUNK = 1 << 14  # points per Python-int chunk of _sweep: a few MB of temporaries
 
 
 def _sweep(t0: float, config: RotationConfig, lo: int, hi: int, cuts, points=None) -> np.ndarray:
@@ -260,8 +257,15 @@ def _sweep(t0: float, config: RotationConfig, lo: int, hi: int, cuts, points=Non
 
 
 def orbit(t0: float, config: RotationConfig, steps: int) -> np.ndarray:
-    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a] mod 1, exact (see :func:`orbit_arcs`)."""
-    return orbit_arcs(t0, config, steps, (0.0,))[0]
+    """Rotation orbit [t0, t0+a, ..., t0+(steps-1)a] mod 1: the points of the exact orbit of
+    the reduced start, correctly rounded (see :func:`_sweep`).  A point within 2^-54 of 1
+    rounds to 1.0 and reads 0.0."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    points = np.empty(steps)
+    _sweep(t0, config, 0, steps, (0.0,), points)
+    points[points == 1.0] = 0.0
+    return points
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

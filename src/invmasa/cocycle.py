@@ -24,14 +24,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import RotationConfig, _arc_counts, _numerators, _sweep, interval_indices
-from .errors import InvalidCandidate, NoConvergence
+from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL, as_matrix, max_norm
 from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
 
@@ -411,66 +410,52 @@ def propagate_constraint(
     Step k rotates the Bloch vector by R_V of the twist piece at t_k and
     steps the predicted sign class by the automaton's table
     (``signs.INTERVAL_ACTIONS``) of the interval at t_k, on the exact orbit.
-    The tables generate a small group, as do rotations that are all signed
-    permutations (the CLI's twists'), so both recurrences are prefix products
-    of group numbers; other rotations take a per-step float loop, which
-    raises ``NoConvergence`` when it takes a component past ``BLOCH_LIMIT``.
+    The tables generate a small group, as do the rotations when every one is
+    a signed permutation (after :func:`bloch_rotations`' snap, as for both
+    CLI twists), so both recurrences are prefix products of group numbers;
+    a twist with any other piece raises ``ValueError`` naming the piece.
     The sign flips only on the diagonal boundary (e at most
     ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
-    The work goes ``PROPAGATE_CHUNK`` steps at a time, carrying the group
-    elements (or the float loop's vector), the class and the last flip's sign;
-    only the classes are kept per step, so no vector list is built.
+    The work goes ``PROPAGATE_CHUNK`` steps at a time, carrying the two group
+    elements and the last flip's sign; only the classes are kept per step,
+    so no vector list is built.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
-    scan = all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot)
-    if scan:
-        # signed permutations: rotation p sends signed axis b to signed axis perms[p, b]
-        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
-        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
-        # one +/-x_j and two zero products, summed from +0.0 as in the loop
-        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
-        carried = 0
-    else:
-        rows, carried = rot.tolist(), tuple(x.tolist())
+    if bad := [i for i, r in enumerate(rot) if not (np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)))]:
+        raise ValueError(f"twist piece {bad[0]} is not a signed permutation of the Bloch axes")
+    # rotation p sends signed axis b to signed axis perms[p, b]
+    perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
+    elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
+    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
+    places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
+    # per element: its image of x (one +/-x_j and two zero products, summed from +0.0 as a
+    # matrix product is), that image's class place and whether it is on the diagonal boundary
+    images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
+    image_places = places[np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13]
+    diagonal = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
     actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
     class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
     start_places = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))]
-    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
-    places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
     observed, expected = np.empty((2, steps + 1), dtype=np.uint8)
     mismatches, boundary, step_type = [], [], np.min_scalar_type(steps)
-    cls, negative = 0, False
+    element, cls, negative = 0, 0, False
     for lo in range(0, steps + 1, PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, steps + 1)
         # steps lo..hi-1 (one fewer in the last chunk) take the carried elements to step hi
         letters, pieces = _itinerary(t0, config, field, min(hi, steps) - lo, lo)
-        if scan:
-            index = _prefix_products(table, gens[pieces], carried)
-            carried = index[-1]
-        else:
-            x0, x1, x2 = carried
-            flat = array("d", carried)
-            for (a, b, c), (d, e, f), (g, h, i) in map(rows.__getitem__, pieces.tolist()):
-                # each sum starts at +0.0, as a matrix product's does: no component is -0.0
-                x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
-                flat.extend((x0, x1, x2))
-            images, index = np.frombuffer(flat).reshape(-1, 3), np.arange(len(pieces) + 1)
-            if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
-                raise NoConvergence(f"step {lo + past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
-            carried = (x0, x1, x2)
+        index = _prefix_products(table, gens[pieces], element)
         classes = _prefix_products(class_table, class_gens[letters - 1], cls)
-        cls, index = classes[-1], index[: hi - lo]
+        element, cls, index = index[-1], classes[-1], index[: hi - lo]
         expected[lo:hi] = start_places[classes[: hi - lo]]
-        triples = np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13
-        observed[lo:hi] = places[triples][index]
+        observed[lo:hi] = image_places[index]
         first = int(lo == 0)  # step 0 is never a boundary step
-        on_boundary = np.flatnonzero((np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR)[index[first:]]) + first
+        on_boundary = np.flatnonzero(diagonal[index[first:]]) + first
         boundary.append((on_boundary + lo).astype(step_type))
         flips = on_boundary[images[index[on_boundary], 0] != 0.0]
         if flips.size:
             negative = bool(images[index[flips[-1]], 0] < 0.0)
         mismatches.append((np.flatnonzero(observed[lo:hi] != expected[lo:hi]) + lo).astype(step_type))
-    last = images[index[-1]]
+    last = images[element]
     return PropagationResult(observed, expected, np.concatenate(mismatches), np.concatenate(boundary), -last if negative else last)

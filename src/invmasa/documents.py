@@ -60,7 +60,6 @@ __all__ = [
     "load_values",
     "matrix_to_json",
     "matrix_from_json",
-    "projection_field_from_json",
     "make_report",
     "canonical_json",
     "Written",
@@ -234,10 +233,11 @@ def dump_instance(instance: Instance, path) -> None:
     write_json(instance.to_json(), path)
 
 
-def projection_field_from_json(obj) -> PiecewiseMatrixField:
-    """A candidate field, its pieces decoded as one (pieces, 2, 2) array: every
-    're' grid in one call and every 'im' grid in another.  It is not checked
+def load_projection_field(path) -> PiecewiseMatrixField:
+    """The candidate field in the file at ``path``, its pieces decoded as one (pieces, 2, 2)
+    array: every 're' grid in one call and every 'im' grid in another.  It is not checked
     to be a field of projections (``cocycle.validate_projection_field``)."""
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "breakpoints" not in obj or "projections" not in obj:
         raise SchemaError("candidate document needs 'breakpoints' and 'projections'")
     breakpoints, pieces = _numbers(obj["breakpoints"], 1, "breakpoints"), obj["projections"]
@@ -252,11 +252,6 @@ def projection_field_from_json(obj) -> PiecewiseMatrixField:
         return PiecewiseMatrixField(breakpoints=tuple(breakpoints.tolist()), values=values)
     except ValueError as exc:
         raise SchemaError(f"malformed candidate document: {exc}") from exc
-
-
-def load_projection_field(path) -> PiecewiseMatrixField:
-    """The candidate field in the file at ``path``, not validated (see :func:`projection_field_from_json`)."""
-    return projection_field_from_json(_read_json(path))
 
 
 def make_report(

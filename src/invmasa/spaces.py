@@ -55,10 +55,6 @@ class DiscreteSpace:
     def n(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def counting(cls, n: int) -> "DiscreteSpace":
-        return cls((1.0,) * n)
-
 
 @dataclass(frozen=True)
 class BlockPartition:

@@ -12,13 +12,13 @@ that has not returned yet.  The defect references visit every orbit point, the s
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
 references take one numpy matrix-vector product per stepped orbit point,
-or run the chunked propagation over the whole orbit at once and keep every
-step's vector.
+or run the chunked signed-permutation scan over the whole orbit at once and
+keep every step's vector.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
 by value in dictionaries; multiplication by a function is its diagonal
-matrix.  The candidate check tests one 2x2 piece at a
-time.  The eager parsers build every subcommand's parser on every call, as
+matrix, and the counting measure puts mass 1 on every point.  The
+candidate check tests one 2x2 piece at a time.  The eager parsers build every subcommand's parser on every call, as
 the command-line programs did before each call built only the one it runs.
 """
 
@@ -47,10 +47,9 @@ from invmasa import (
     validate_projection_field,
 )
 from invmasa import cli
-from invmasa.circle import _orbit_start, interval_indices, orbit_arcs, orbit_counts
+from invmasa.circle import _orbit_start, _sweep, interval_indices, orbit_counts
 from invmasa.cocycle import (
     _SIGNED_AXES,
-    BLOCH_LIMIT,
     DefectReport,
     IntervalDefect,
     _numbered_group,
@@ -343,28 +342,20 @@ class WholePropagation:
 
 
 def whole_propagate(start, t0, config, field, steps):
-    """``propagate_constraint`` over the whole orbit at once: one itinerary
-    of ``steps + 1`` points from ``orbit_arcs``, one prefix-product scan (or
-    one float loop) over every step, and one pass for the sign flips."""
+    """``propagate_constraint`` over the whole orbit at once, for a twist of
+    signed permutations: one itinerary of ``steps`` points from the exact
+    orbit's arcs, one prefix-product scan over every step, and one pass for
+    the sign flips."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
-    arcs = orbit_arcs(t0, config, steps + 1, cuts)[1][:-1]
+    arcs = _sweep(t0, config, 0, steps, cuts)
     letters, pieces = (table.astype(arcs.dtype).take(arcs) for table in (interval_indices(cuts, config), field.piece_index(cuts)))
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
-    if all(np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)) for r in rot):
-        perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
-        elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
-        index = _prefix_products(table, gens[pieces])
-        images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
-    else:
-        x0, x1, x2 = flat = array("d", x.tolist())
-        for (a, b, c), (d, e, f), (g, h, i) in map(rot.tolist().__getitem__, pieces.tolist()):
-            x0, x1, x2 = 0.0 + a * x0 + b * x1 + c * x2, 0.0 + d * x0 + e * x1 + f * x2, 0.0 + g * x0 + h * x1 + i * x2
-            flat.extend((x0, x1, x2))
-        images, index = np.frombuffer(flat).reshape(steps + 1, 3), np.arange(steps + 1)
-        if (past := np.flatnonzero(np.abs(images).max(axis=1) > BLOCH_LIMIT)).size:
-            raise NoConvergence(f"step {past[0]} takes a Bloch component past {BLOCH_LIMIT!r}")
+    perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
+    elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
+    index = _prefix_products(table, gens[pieces])
+    images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
     actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
     class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
     word = class_gens[letters - 1]
@@ -416,6 +407,11 @@ def _cluster_keys(values, value_tol):
         keys[pos] = cluster
         prev = v
     return keys
+
+
+def counting_space(n):
+    """The counting measure on n points: every point mass is 1."""
+    return DiscreteSpace((1.0,) * n)
 
 
 def multiplication_operator(values, space: DiscreteSpace) -> np.ndarray:

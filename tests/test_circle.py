@@ -20,7 +20,7 @@ from invmasa import (
     return_closed_form,
     shift,
 )
-from invmasa.circle import ORBIT_CHUNK, _numerators, first_returns, orbit_arcs
+from invmasa.circle import ORBIT_CHUNK, _numerators, _sweep, first_returns
 from invmasa.errors import NoConvergence, NotInBaseInterval
 from oracles import fraction_witness, shift_array, stepped_first_returns, stepped_orbit
 
@@ -201,6 +201,17 @@ class TestFirstReturns:
                     first_returns(ts, cfg)
                 assert outcome(scalar_returns, ts, cfg) == outcome(stepped_first_returns, ts, cfg) == message
 
+    @pytest.mark.parametrize("a", (5e-324, 1e-310))
+    def test_an_angle_whose_reciprocal_overflows_has_no_bound(self, a):
+        # 1/a is inf, so the bound int(1/a) + 3 is not a number of steps
+        cfg = RotationConfig(a)
+        message = f"first returns at a = {a!r} have no step bound: 1/a overflows"
+        with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
+            first_return(0.0, cfg)
+        for ts in ([], [0.0]):
+            with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
+                first_returns(ts, cfg)
+
 
 class TestReturnWordsFeedTheAutomaton:
     @pytest.mark.parametrize("a", BATTERY)
@@ -292,14 +303,14 @@ class TestExactOrbit:
         cfg = RotationConfig(0.25 - 2.0**-55)
         x, rounded = exact_point(2.0**-54, cfg.a, 4)
         assert x == 1 - Fraction(1, 2**54) and rounded == 0.0
-        pts, arcs = orbit_arcs(2.0**-54, cfg, 5, (0.0, cfg.a, 4.0 * cfg.a))
+        pts, arcs = orbit(2.0**-54, cfg, 5), _sweep(2.0**-54, cfg, 0, 5, (0.0, cfg.a, 4.0 * cfg.a))
         # the point reads 0.0, but its arc is that of the exact value, the last
         assert pts[4] == 0.0 and arcs.tolist() == [0, 1, 1, 1, 2]
 
     def test_arc_numbers_are_one_byte_while_they_fit(self):
         cfg = RotationConfig(SQRT2_OVER_8)
-        assert orbit_arcs(0.0, cfg, 10, [k / 256 for k in range(256)])[1].dtype == np.uint8
-        arcs = orbit_arcs(0.0, cfg, 10, [k / 512 for k in range(512)])[1]
+        assert _sweep(0.0, cfg, 0, 10, [k / 256 for k in range(256)]).dtype == np.uint8
+        arcs = _sweep(0.0, cfg, 0, 10, [k / 512 for k in range(512)])
         assert arcs.dtype == np.uint16 and arcs.tolist() == [int(512 * exact_point(0.0, cfg.a, k)[0]) for k in range(10)]
 
 
@@ -357,3 +368,14 @@ class TestRationalWitness:
         assert RotationConfig(BATTERY[0]).warnings() == ()
         notes = RotationConfig(BATTERY[2]).warnings()
         assert len(notes) == 2
+
+    def test_non_finite_input_has_no_witness(self):
+        for x in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+            assert rational_witness(x) is None
+
+    @pytest.mark.parametrize("a", (5e-324, 1e-310, 2.2e-308))
+    def test_tiny_angle_warns_only_of_a(self, a):
+        # 4/a - 16 overflows to inf, which has no witness; a itself is close to 0/1
+        cfg = RotationConfig(a)
+        assert math.isinf(4.0 / cfg.a - 16.0)
+        assert cfg.warnings() == (f"angle a is close to 0/1 (quality {a:.2e}); orbit statistics degrade near rationals",)

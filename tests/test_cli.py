@@ -549,6 +549,29 @@ class TestCexCommands:
         assert capsys.readouterr().err == f"error: rotation angle must lie in (0, 0.25), got {float(a)!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("a", ("5e-324", "1e-310", "2.2e-308"))
+    @pytest.mark.parametrize("command", ("orbit", "defect", "propagate"))
+    def test_tiny_angle_exits_zero(self, tmp_path, capsys, command, a):
+        # 4/a - 16 overflows to inf, which has no rational witness: only a itself is
+        # flagged; diag(1, 0) under the standard twist still has max defect 2
+        cand = tmp_path / "cand.json"
+        write_json(cand, {"breakpoints": [0.0], "projections": [_matrix([[1.0, 0.0], [0.0, 0.0]])]})
+        extra = {"orbit": ["--stats"], "defect": ["--candidate", str(cand)], "propagate": ["--d", "0.3", "--e", "0.7"]}[command]
+        out = tmp_path / "out.json"
+        assert main_cex([command, "--a", a, "--output", str(out)] + extra) == 0
+        assert capsys.readouterr().err == ""
+        doc = read_json(out)
+        assert doc["warnings"] == [f"angle a is close to 0/1 (quality {float(a):.2e}); orbit statistics degrade near rationals"]
+        if command == "defect":
+            assert doc["residuals"]["max_defect"] == 2.0
+
+    @pytest.mark.parametrize("a", ("5e-324", "1e-310"))
+    def test_return_map_at_an_angle_whose_reciprocal_overflows_exits_four(self, tmp_path, capsys, a):
+        out = tmp_path / "rm.json"
+        assert main_cex(["return-map", "--a", a, "--samples", "3", "--output", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: first returns at a = {float(a)!r} have no step bound: 1/a overflows\n"
+        assert not out.exists()
+
     def test_orbit_start_below_zero_stays_in_unit_interval(self, tmp_path):
         out = tmp_path / "orbit.json"
         assert main_cex(["orbit", "--a", "0.1", "--t0=-1e-300", "--steps", "8", "--output", str(out)]) == 0

@@ -38,7 +38,7 @@ from invmasa.embedding import _certify, _eigen_clusters
 from invmasa.errors import BlockSizeMismatch, InconsistentSpec, NoConvergence, NotInvariant, NotUnitary
 from invmasa.generate import haar_unitary
 from invmasa.numerics import ROUNDOFF_FLOOR
-from oracles import FACTOR_SHAPES, algebra_basis, dense_closure, frame_projections, shaped_instance
+from oracles import FACTOR_SHAPES, algebra_basis, counting_space, dense_closure, frame_projections, shaped_instance
 
 
 def block_algebra(weights, blocks):
@@ -177,7 +177,7 @@ def conjugated_spectrum(phases, seed):
 
 class TestRadonNikodym:
     def test_counting_measure(self):
-        space = DiscreteSpace.counting(4)
+        space = counting_space(4)
         for phi in ([1, 2, 3, 0], [0, 1, 2, 3], [3, 2, 1, 0]):
             assert np.allclose(radon_nikodym_weights(space, phi), 1.0)
 

@@ -22,6 +22,7 @@ from oracles import (
     FACTOR_SHAPES,
     algebra_basis,
     bucket_match,
+    counting_space,
     frame_projections,
     member_masa_check,
     multiplication_operator,
@@ -54,27 +55,27 @@ class TestTypes:
 
 class TestMultiplicationOperator:
     def test_constant_function_is_identity(self):
-        space = DiscreteSpace.counting(3)
+        space = counting_space(3)
         assert np.array_equal(multiplication_operator([1, 1, 1], space), np.eye(3))
 
     def test_block_indicator(self):
-        space = DiscreteSpace.counting(3)
+        space = counting_space(3)
         m = multiplication_operator([1, 1, 0], space)
         assert np.array_equal(m, np.diag([1.0 + 0j, 1.0, 0.0]))
 
     def test_general_values(self):
-        space = DiscreteSpace.counting(3)
+        space = counting_space(3)
         m = multiplication_operator([2, 1j, 0], space)
         assert np.array_equal(m, np.diag([2.0 + 0j, 1j, 0.0]))
 
     def test_weights_do_not_change_the_matrix(self):
-        m1 = multiplication_operator([2, 3], DiscreteSpace.counting(2))
+        m1 = multiplication_operator([2, 3], counting_space(2))
         m2 = multiplication_operator([2, 3], DiscreteSpace((0.5, 7.0)))
         assert np.array_equal(m1, m2)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            multiplication_operator([1, 2], DiscreteSpace.counting(3))
+            multiplication_operator([1, 2], counting_space(3))
 
 
 class TestAlgebraBasis:
@@ -275,7 +276,7 @@ class TestMultiplicityMatch:
             assert all(gv[x] == fv[sigma[x]] for x in range(n))
             # the permutation matrix conjugates one multiplication operator
             # to the other on the unweighted space
-            space = DiscreteSpace.counting(n)
+            space = counting_space(n)
             p = np.eye(n)[list(sigma)].astype(complex)
             mf = multiplication_operator(fv, space)
             mg = multiplication_operator(gv, space)
