@@ -141,9 +141,10 @@ class FirstReturn:
 
 
 def _return_bound(a: float) -> int:
-    """The first-return step bound int(1/a) + 3; ``NoConvergence`` when 1/a overflows."""
-    if math.isinf(1.0 / a):
-        raise NoConvergence(f"first returns at a = {a!r} have no step bound: 1/a overflows")
+    """The first-return step bound int(1/a) + 3; ``NoConvergence`` when a < 2^-54 (every a whose
+    1/a overflows is): then fl(s + a) = s for every s in [1/2, 1), so no IEEE orbit reaches 1."""
+    if a < 2.0**-54:
+        raise NoConvergence(f"first returns at a = {a!r} have no step bound: below 2^-54 a float orbit stalls before 1")
     return int(1.0 / a) + 3
 
 
@@ -155,8 +156,8 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
     In floats the landing agrees up to accumulated ulps, but a start an ulp
     below a can round its third point up to 4a (word 1 2 2 3...), and at a
     dyadic a the wrap can round onto a itself, so the orbit steps on until
-    it raises ``NoConvergence`` past int(1/a) + 3 steps (at once if 1/a
-    overflows).
+    it raises ``NoConvergence`` past int(1/a) + 3 steps (at once if a is
+    below 2^-54, where every float orbit stalls before 1).
     """
     a, limit = config.a, _return_bound(config.a)
     if not (0.0 <= t < a):

@@ -21,7 +21,6 @@ proof (see the project README).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -32,7 +31,7 @@ import numpy as np
 from .circle import RotationConfig, _arc_counts, _numerators, _sweep, interval_indices
 from .errors import InvalidCandidate
 from .numerics import DEFAULT_TOL, DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL, as_matrix, max_norm
-from .signs import ALL_CLASSES, INTERVAL_ACTIONS, SignClass, canonicalize, sign_profile
+from .signs import ALL_CLASSES, SUBSTITUTION_MATRICES, SignClass, canonicalize, sign_profile
 
 __all__ = [
     "PiecewiseMatrixField",
@@ -59,8 +58,12 @@ BLOCH_LIMIT = float(np.finfo(float).max) / 2.0  # largest Bloch component: bloch
 
 # sigma_z, sigma_x, sigma_y: the basis in which x = (d, Re w, Im w).
 _PAULI = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
-# +e_0, -e_0, +e_1, -e_1, +e_2, -e_2: a signed permutation permutes these rows.
-_SIGNED_AXES = np.kron(np.eye(3), [[1.0], [-1.0]])
+# The 48 signed permutations of the Bloch axes, the identity first, and their product table:
+# [i, j] numbers _SIGNED[i] @ _SIGNED[j].  _CODES finds a matrix by its image of (1, 2, 3) in base 7.
+_SIGNED = np.array([np.diag(s)[list(p)] for s in itertools.product((1.0, -1.0), repeat=3) for p in itertools.permutations(range(3))])
+_CODES = np.zeros(7**3, dtype=np.uint8)
+_CODES[((49, 7, 1) @ _SIGNED @ (1, 2, 3)).astype(int) + 171] = range(48)
+_PRODUCTS = _CODES[((49, 7, 1) @ _SIGNED @ (_SIGNED @ (1, 2, 3)).T).astype(int) + 171]
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,22 +362,9 @@ class PropagationResult:
     final: np.ndarray
 
 
-@functools.cache
-def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
-    """Elements, product table ([i, j] numbers i after j) and generator numbers, as
-    tuples, of the group generated by permutations of range(m), numbered
-    breadth-first from the identity, 0."""
-    elements = [tuple(range(len(generators[0])))]
-    for e in elements:
-        elements += [h for h in dict.fromkeys(tuple(g[k] for k in e) for g in generators) if h not in elements]
-    perms, number = np.array(elements), {e: k for k, e in enumerate(elements)}
-    table = tuple(tuple(number[tuple(p)] for p in row) for row in perms[:, perms].tolist())
-    return tuple(elements), table, tuple(number[g] for g in generators)
-
-
 def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.ndarray:
     """out[k] = word[k-1] ... word[0] first for k = 0..len(word) (``first`` is by default 0, the
-    identity) over a numbered group of at most 256 elements, by gathers from its product table: a
+    identity) over a numbered group, such as the 48 of ``_PRODUCTS``, by gathers from its table: a
     blocked scan, O(len(word)) (Blelloch 1990), of products along blocks of ``SCAN_BLOCK``, a scan
     of the block totals (the same scan, down to one block) and one gather of the prefixes."""
     n, flat, size = len(table), table.ravel(), len(word) + 1
@@ -407,13 +397,14 @@ def propagate_constraint(
 ) -> PropagationResult:
     """Propagate the forced values of S forward along the orbit of t0.
 
-    Step k rotates the Bloch vector by R_V of the twist piece at t_k and
-    steps the predicted sign class by the automaton's table
-    (``signs.INTERVAL_ACTIONS``) of the interval at t_k, on the exact orbit.
-    The tables generate a small group, as do the rotations when every one is
-    a signed permutation (after :func:`bloch_rotations`' snap, as for both
-    CLI twists), so both recurrences are prefix products of group numbers;
-    a twist with any other piece raises ``ValueError`` naming the piece.
+    Step k rotates the Bloch vector by R_V of the twist piece at t_k, and
+    the predicted vector by the substitution M_j of the interval at t_k
+    (``signs.SUBSTITUTION_MATRICES``), on the exact orbit.  Both are numbered
+    in ``_SIGNED``, the fixed group of the 48 signed permutations, so both
+    recurrences are prefix products over its table ``_PRODUCTS``; a twist
+    piece whose snapped rotation is none of them raises ``ValueError`` naming
+    it.  A signed permutation keeps the size of each component, so it commutes
+    with the ``SIGN_ZERO_TOL`` dead zone, and both class lists read one table.
     The sign flips only on the diagonal boundary (e at most
     ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
     The work goes ``PROPAGATE_CHUNK`` steps at a time, carrying the two group
@@ -423,21 +414,18 @@ def propagate_constraint(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
-    if bad := [i for i, r in enumerate(rot) if not (np.array_equal(r, np.rint(r)) and np.array_equal(r @ r.T, np.eye(3)))]:
+    # each rotation's and each M_j's place in _SIGNED; the M_j are always found
+    found = np.all(np.concatenate([rot, [SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)]])[:, None] == _SIGNED, axis=(2, 3))
+    if bad := np.flatnonzero(~found.any(axis=1)).tolist():
         raise ValueError(f"twist piece {bad[0]} is not a signed permutation of the Bloch axes")
-    # rotation p sends signed axis b to signed axis perms[p, b]
-    perms = np.argmax(_SIGNED_AXES @ rot @ _SIGNED_AXES.T, axis=1)
-    elements, table, gens = map(np.uint8, _numbered_group(tuple(map(tuple, perms.tolist()))))
+    gens, substitutions = np.split(np.uint8(found.argmax(axis=1)), [len(rot)])
     # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
     places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
     # per element: its image of x (one +/-x_j and two zero products, summed from +0.0 as a
     # matrix product is), that image's class place and whether it is on the diagonal boundary
-    images = 0.0 + x @ _SIGNED_AXES[elements[:, ::2]]
+    images = 0.0 + _SIGNED @ x
     image_places = places[np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13]
     diagonal = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
-    actions = tuple(tuple(ALL_CLASSES.index(INTERVAL_ACTIONS[j][c]) for c in ALL_CLASSES) for j in (1, 2, 3))
-    class_elements, class_table, class_gens = map(np.uint8, _numbered_group(actions))
-    start_places = class_elements[:, ALL_CLASSES.index(sign_profile(*x, SIGN_ZERO_TOL))]
     observed, expected = np.empty((2, steps + 1), dtype=np.uint8)
     mismatches, boundary, step_type = [], [], np.min_scalar_type(steps)
     element, cls, negative = 0, 0, False
@@ -445,10 +433,10 @@ def propagate_constraint(
         hi = min(lo + PROPAGATE_CHUNK, steps + 1)
         # steps lo..hi-1 (one fewer in the last chunk) take the carried elements to step hi
         letters, pieces = _itinerary(t0, config, field, min(hi, steps) - lo, lo)
-        index = _prefix_products(table, gens[pieces], element)
-        classes = _prefix_products(class_table, class_gens[letters - 1], cls)
+        index = _prefix_products(_PRODUCTS, gens[pieces], element)
+        classes = _prefix_products(_PRODUCTS, substitutions[letters - 1], cls)
         element, cls, index = index[-1], classes[-1], index[: hi - lo]
-        expected[lo:hi] = start_places[classes[: hi - lo]]
+        expected[lo:hi] = image_places[classes[: hi - lo]]
         observed[lo:hi] = image_places[index]
         first = int(lo == 0)  # step 0 is never a boundary step
         on_boundary = np.flatnonzero(diagonal[index[first:]]) + first

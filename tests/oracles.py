@@ -12,8 +12,9 @@ that has not returned yet.  The defect references visit every orbit point, the s
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
 references take one numpy matrix-vector product per stepped orbit point,
-or run the chunked signed-permutation scan over the whole orbit at once and
-keep every step's vector.
+or run the signed-permutation scan over the whole orbit at once, in the
+groups that the twist's rotations and the automaton's class tables
+generate, and keep every step's vector.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
 by value in dictionaries; multiplication by a function is its diagonal
@@ -23,6 +24,7 @@ the command-line programs did before each call built only the one it runs.
 """
 
 import argparse
+import functools
 import itertools
 import math
 from array import array
@@ -48,15 +50,7 @@ from invmasa import (
 )
 from invmasa import cli
 from invmasa.circle import _orbit_start, _sweep, interval_indices, orbit_counts
-from invmasa.cocycle import (
-    _SIGNED_AXES,
-    DefectReport,
-    IntervalDefect,
-    _numbered_group,
-    _prefix_products,
-    bloch_rotations,
-    bloch_vectors,
-)
+from invmasa.cocycle import DefectReport, IntervalDefect, _prefix_products, bloch_rotations, bloch_vectors
 from invmasa.errors import (
     DimensionMismatch,
     InvalidCandidate,
@@ -329,6 +323,23 @@ def stepped_vectors(start, t0, config, field, steps):
     return np.array(out)
 
 
+# +e_0, -e_0, +e_1, -e_1, +e_2, -e_2: a signed permutation permutes these rows.
+_SIGNED_AXES = np.kron(np.eye(3), [[1.0], [-1.0]])
+
+
+@functools.cache
+def _numbered_group(generators: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
+    """Elements, product table ([i, j] numbers i after j) and generator numbers, as
+    tuples, of the group generated by permutations of range(m), numbered
+    breadth-first from the identity, 0."""
+    elements = [tuple(range(len(generators[0])))]
+    for e in elements:
+        elements += [h for h in dict.fromkeys(tuple(g[k] for k in e) for g in generators) if h not in elements]
+    perms, number = np.array(elements), {e: k for k, e in enumerate(elements)}
+    table = tuple(tuple(number[tuple(p)] for p in row) for row in perms[:, perms].tolist())
+    return tuple(elements), table, tuple(number[g] for g in generators)
+
+
 @dataclass(frozen=True, eq=False)
 class WholePropagation:
     """The fields of a ``PropagationResult`` with every step's forced Bloch
@@ -344,8 +355,10 @@ class WholePropagation:
 def whole_propagate(start, t0, config, field, steps):
     """``propagate_constraint`` over the whole orbit at once, for a twist of
     signed permutations: one itinerary of ``steps`` points from the exact
-    orbit's arcs, one prefix-product scan over every step, and one pass for
-    the sign flips."""
+    orbit's arcs, one prefix-product scan over every step in each of two
+    groups found by breadth-first closure (the rotations' group of the 6
+    signed axes, and the automaton's class tables' group of the 14 sign
+    classes), and one pass for the sign flips."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})

@@ -20,7 +20,7 @@ from invmasa import (
     return_closed_form,
     shift,
 )
-from invmasa.circle import ORBIT_CHUNK, _numerators, _sweep, first_returns
+from invmasa.circle import ORBIT_CHUNK, _numerators, _return_bound, _sweep, first_returns
 from invmasa.errors import NoConvergence, NotInBaseInterval
 from oracles import fraction_witness, shift_array, stepped_first_returns, stepped_orbit
 
@@ -201,16 +201,25 @@ class TestFirstReturns:
                     first_returns(ts, cfg)
                 assert outcome(scalar_returns, ts, cfg) == outcome(stepped_first_returns, ts, cfg) == message
 
-    @pytest.mark.parametrize("a", (5e-324, 1e-310))
+    @pytest.mark.parametrize("a", (5e-324, 1e-310, 1e-300, 2.0**-55))
     def test_an_angle_whose_reciprocal_overflows_has_no_bound(self, a):
-        # 1/a is inf, so the bound int(1/a) + 3 is not a number of steps
+        # below 2^-54 (and so wherever 1/a is inf) every float orbit stalls before 1,
+        # so no start returns and int(1/a) + 3 is no bound on the steps
         cfg = RotationConfig(a)
-        message = f"first returns at a = {a!r} have no step bound: 1/a overflows"
+        message = f"first returns at a = {a!r} have no step bound: below 2^-54 a float orbit stalls before 1"
         with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
             first_return(0.0, cfg)
         for ts in ([], [0.0]):
             with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
                 first_returns(ts, cfg)
+
+
+    def test_the_bound_holds_from_two_to_the_minus_54(self):
+        # fl(s + a) = s on [1/2, 1) just below 2^-54, and not at it; the walk itself is not run
+        s = np.random.default_rng(5).uniform(0.5, 1.0, size=1000)
+        assert np.array_equal(s + np.nextafter(2.0**-54, 0.0), s) and not np.array_equal(s + 2.0**-54, s)
+        bound = _return_bound(2.0**-54)
+        assert type(bound) is int and bound == 2**54 + 3
 
 
 class TestReturnWordsFeedTheAutomaton:

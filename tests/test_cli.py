@@ -565,11 +565,13 @@ class TestCexCommands:
         if command == "defect":
             assert doc["residuals"]["max_defect"] == 2.0
 
-    @pytest.mark.parametrize("a", ("5e-324", "1e-310"))
+    @pytest.mark.parametrize("a", ("5e-324", "1e-310", "1e-300", repr(2.0**-55)))
     def test_return_map_at_an_angle_whose_reciprocal_overflows_exits_four(self, tmp_path, capsys, a):
+        # below 2^-54 every float orbit stalls before 1: exit 4 at once, not after ~1/a steps
         out = tmp_path / "rm.json"
         assert main_cex(["return-map", "--a", a, "--samples", "3", "--output", str(out)]) == 4
-        assert capsys.readouterr().err == f"error: first returns at a = {float(a)!r} have no step bound: 1/a overflows\n"
+        message = f"first returns at a = {float(a)!r} have no step bound: below 2^-54 a float orbit stalls before 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_orbit_start_below_zero_stays_in_unit_interval(self, tmp_path):

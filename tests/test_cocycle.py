@@ -36,9 +36,11 @@ from invmasa import (
 from invmasa.circle import interval_indices
 from invmasa.cocycle import bloch_rotations, bloch_vectors
 from invmasa.errors import InvalidCandidate
-from invmasa.numerics import DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR
-from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, SUBSTITUTION_MATRICES
+from invmasa.numerics import DIAGONALIZER_ZERO_TOL, PROJECTION_TOL, ROUNDOFF_FLOOR, SIGN_ZERO_TOL
+from invmasa.signs import ALL_CLASSES, INTERVAL_ACTIONS, SUBSTITUTION_MATRICES, sign_profile
 from oracles import (
+    _SIGNED_AXES,
+    _numbered_group,
     fraction_cut_defect,
     fraction_defect,
     piecewise_validate,
@@ -672,9 +674,9 @@ class TestPropagationOracle:
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
         whole = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
         assert whole.mismatches.size == 0
-        one, two = INTERVAL_ACTIONS[1], INTERVAL_ACTIONS[2]
-        monkeypatch.setitem(INTERVAL_ACTIONS, 1, two)
-        monkeypatch.setitem(INTERVAL_ACTIONS, 2, one)
+        one, two = SUBSTITUTION_MATRICES[1], SUBSTITUTION_MATRICES[2]
+        monkeypatch.setitem(SUBSTITUTION_MATRICES, 1, two)
+        monkeypatch.setitem(SUBSTITUTION_MATRICES, 2, one)
         swapped = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
         assert np.array_equal(swapped.observed, whole.observed)
         assert swapped.mismatches.size > 0
@@ -715,18 +717,17 @@ class TestPropagationOracle:
         assert result.mismatches.size == 0
 
 
-def numbered_groups(monkeypatch):
-    """Record the point count m of every group of permutations of range(m)
-    that propagate_constraint numbers: 6 signed axes for the rotations, 14
-    sign classes for the automaton."""
+def scanned_tables(monkeypatch):
+    """Record the element count of the product table of every prefix-product
+    scan that propagate_constraint runs (the scan's own recursion included)."""
     seen = []
-    numbered = cocycle._numbered_group
+    scan = cocycle._prefix_products
 
-    def spy(generators):
-        seen.append(len(generators[0]))
-        return numbered(generators)
+    def spy(table, word, first=0):
+        seen.append(len(table))
+        return scan(table, word, first)
 
-    monkeypatch.setattr(cocycle, "_numbered_group", spy)
+    monkeypatch.setattr(cocycle, "_prefix_products", spy)
     return seen
 
 
@@ -772,7 +773,28 @@ class TestGroupScan:
     def class_group(self):
         classes = sorted(INTERVAL_ACTIONS[1])
         actions = tuple(tuple(classes.index(INTERVAL_ACTIONS[j][c]) for c in classes) for j in (1, 2, 3))
-        return tuple(map(np.array, cocycle._numbered_group(actions)))
+        return tuple(map(np.array, _numbered_group(actions)))
+
+    def test_the_signed_permutations_are_numbered_with_their_products(self):
+        signed, products = cocycle._SIGNED, cocycle._PRODUCTS
+        assert signed.shape == (48, 3, 3) and np.array_equal(signed[0], np.eye(3))
+        assert len({m.tobytes() for m in (signed + 0.0)}) == 48
+        assert np.array_equal(np.abs(signed).sum(axis=1), np.ones((48, 3)))
+        assert np.array_equal(np.abs(signed).sum(axis=2), np.ones((48, 3)))
+        assert products.dtype == np.uint8 and products.shape == (48, 48)
+        assert np.array_equal(signed[products], signed[:, None] @ signed[None, :])
+
+    @pytest.mark.parametrize("a", (A, 1.0 / (4.0 + math.sqrt(3.0))))
+    def test_substitutions_and_cli_rotations_are_in_the_group(self, a):
+        found = [
+            np.all(m[None] == cocycle._SIGNED, axis=(1, 2)).sum()
+            for m in (
+                *(np.array(SUBSTITUTION_MATRICES[j]) for j in (1, 2, 3)),
+                *bloch_rotations(standard(RotationConfig(a))),
+                *bloch_rotations(identity_twist()),
+            )
+        ]
+        assert found == [1] * 7
 
     def test_groups_are_numbered_with_their_products(self):
         elements, table, gens = self.class_group()
@@ -783,9 +805,9 @@ class TestGroupScan:
                 assert np.array_equal(elements[table[i, j]], elements[i][elements[j]])
         assert not np.array_equal(table, table.T)
         field = standard(RotationConfig(A))
-        axes = cocycle._SIGNED_AXES
+        axes = _SIGNED_AXES
         perms = np.argmax(axes @ bloch_rotations(field) @ axes.T, axis=1)
-        elements, table, gens = map(np.array, cocycle._numbered_group(tuple(map(tuple, perms.tolist()))))
+        elements, table, gens = map(np.array, _numbered_group(tuple(map(tuple, perms.tolist()))))
         images = axes[elements[:, ::2]].transpose(0, 2, 1)
         # conjugations by SU(2) are proper rotations: the 24 of the cube
         assert len(elements) == 24 and np.array_equal(np.rint(np.linalg.det(images)), np.ones(24))
@@ -834,10 +856,11 @@ class TestGroupScan:
 
     @pytest.mark.parametrize("twist", sorted(TWISTS))
     def test_signed_permutation_twists_take_the_scan(self, monkeypatch, twist):
-        seen = numbered_groups(monkeypatch)
+        seen = scanned_tables(monkeypatch)
         cfg = RotationConfig(A)
         propagate_constraint(ReflectionParams(0.3, 0.7, 1j), 0.1, cfg, TWISTS[twist](cfg), 100)
-        assert sorted(seen) == [6, 14]
+        # both scans, the rotations' and the automaton's, over the one table of 48
+        assert len(seen) >= 2 and set(seen) == {48}
 
     def test_rotation_past_the_snap_is_refused(self, monkeypatch):
         cfg = RotationConfig(A)
@@ -846,16 +869,16 @@ class TestGroupScan:
         rot = bloch_rotations(near)
         assert ROUNDOFF_FLOOR < np.max(np.abs(rot[0] - SUBSTITUTION_MATRICES[1])) < 1e-8
         assert np.array_equal(rot[1:], [SUBSTITUTION_MATRICES[2], SUBSTITUTION_MATRICES[3]])
-        seen = numbered_groups(monkeypatch)
+        seen = scanned_tables(monkeypatch)
         for field in (near, *map(random_twist, range(4))):
             with pytest.raises(ValueError, match="^twist piece 0 is not a signed permutation of the Bloch axes$"):
                 propagate_constraint(start, 0.02, cfg, field, 2000)
-        # refused before any group is numbered or any step array is built
+        # refused before any scan is run or any step array is built
         assert seen == []
         # a twist within the snap of a signed permutation propagates as that permutation does
         snapped = propagate_constraint(start, 0.02, cfg, near_permutation_twist(cfg, 0.1 * ROUNDOFF_FLOOR), 2000)
         exact = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
-        assert sorted(seen) == [6, 6, 14, 14]
+        assert len(seen) >= 4 and set(seen) == {48}
         for name in ("observed", "expected", "mismatches", "boundary_steps", "final"):
             got, want = getattr(snapped, name), getattr(exact, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -907,6 +930,37 @@ class TestChunkEdges:
             negated += int(np.signbit(want.vectors[:, 0]).sum())
         if twist != "identity":
             assert negated > 0
+
+    @pytest.mark.parametrize("scale", (0.5, 1.0, 2.0))
+    @pytest.mark.parametrize("twist", ("standard", "identity"))
+    def test_dead_zone_starts_match_the_oracles(self, twist, scale):
+        # a Bloch component inside, at the edge of or past SIGN_ZERO_TOL: a signed permutation
+        # keeps its size, so the predicted class reads it as the observed class does.  The
+        # loop's 2x2 products round it, so at the edge its observed classes may drift and the
+        # exact stepped products' classes are the reference
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        small = scale * SIGN_ZERO_TOL
+        starts = (
+            ReflectionParams(small, 0.7, complex(math.cos(0.4), math.sin(0.4))),
+            ReflectionParams(-0.3, small, 1.0 + 0j),
+            ReflectionParams(0.3, small, -1j),
+            ReflectionParams(-small, small, 1j),
+        )
+        for start in starts:
+            assert small in np.abs(bloch_vectors(start.matrix()))
+            for t0 in (0.0, 0.03):
+                got = propagate_constraint(start, t0, cfg, field, 300)
+                assert_same_propagation(got, whole_propagate(start, t0, cfg, field, 300), 300)
+                _, classes, expected, mismatches, boundary = loop_propagate(start, t0, cfg, field, 300)
+                assert class_names(got.expected) == expected
+                stepped = stepped_vectors(start, t0, cfg, field, 300)
+                assert class_names(got.observed) == tuple(sign_profile(*v, SIGN_ZERO_TOL) for v in stepped)
+                if scale != 1.0:
+                    assert class_names(got.observed) == classes and tuple(got.mismatches.tolist()) == mismatches
+                    assert tuple(got.boundary_steps.tolist()) == boundary
+                if twist == "standard":
+                    assert got.mismatches.size == 0
 
 
 def pool_candidate(index):
