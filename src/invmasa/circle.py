@@ -177,8 +177,8 @@ def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, n
     step counts, and whether each itinerary was 1 2 2 2 3...3.  Before its wrap an orbit
     s_n = fl(s_(n-1) + a) grows with n and with its start, so all step in place until the
     smallest start wraps; each returns at its first s_n >= 1 to s_n - 1, and its word is right
-    exactly when s_3 < 4a <= s_4.  A landing at a itself (a rounding tie at a dyadic a) or a
-    start still unwrapped past the bound takes the scalar map, and its ``NoConvergence``."""
+    exactly when s_3 < 4a <= s_4.  A start unwrapped past the bound, or landing on a (a tie from
+    within an ulp of 1 at a dyadic a, whose next lap ends past it), raises ``first_return``'s error."""
     a, start, limit = config.a, np.asarray(ts, dtype=float), _return_bound(config.a)
     if not np.all((0.0 <= start) & (start < a)):
         raise NotInBaseInterval(f"a start is not in [0, {a!r})")
@@ -197,9 +197,8 @@ def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, n
             np.less(cur, 1.0, out=stepping)
             n += 1
     cur -= 1.0
-    for i in np.flatnonzero(~((0.0 <= cur) & (cur < a))).tolist():
-        ret = first_return(float(start[i]), config)
-        cur[i], steps[i], words_ok[i] = ret.t_return, ret.steps, ret.word[:4] == (1, 2, 2, 2) and set(ret.word[4:]) <= {3}
+    if (bad := np.flatnonzero(~((0.0 <= cur) & (cur < a)))).size:
+        raise NoConvergence(f"first return from t = {float(start[bad[0]])!r} exceeded its bound of {limit} steps")
     return cur, steps, words_ok
 
 

@@ -64,6 +64,9 @@ _SIGNED = np.array([np.diag(s)[list(p)] for s in itertools.product((1.0, -1.0), 
 _CODES = np.zeros(7**3, dtype=np.uint8)
 _CODES[((49, 7, 1) @ _SIGNED @ (1, 2, 3)).astype(int) + 171] = range(48)
 _PRODUCTS = _CODES[((49, 7, 1) @ _SIGNED @ (_SIGNED @ (1, 2, 3)).T).astype(int) + 171]
+# The places of M_1, M_2 and M_3, and the class of each sign triple at 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
+_SUBSTITUTIONS = _CODES[np.array([SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)]) @ (1, 2, 3) @ (49, 7, 1) + 171]
+_CLASS_PLACES = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,17 +224,19 @@ def bloch_vectors(m) -> np.ndarray:
     return 0.5 * np.einsum("ijk,...kj->...i", _PAULI, np.asarray(m, dtype=complex)).real
 
 
+def _places(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place in ``_SIGNED`` of the element with each rotation's rounded code (the one within ``ROUNDOFF_FLOOR``, if any is), and whether it is."""
+    places = _CODES[np.fmin(np.fmax(rot @ (1, 2, 3) @ (49, 7, 1) + 171.5, 0.0), 342.0).astype(int)]
+    return places, np.abs(rot - _SIGNED[places]).max(axis=(1, 2)) <= ROUNDOFF_FLOOR
+
+
 def bloch_rotations(field: PiecewiseMatrixField) -> np.ndarray:
     """Rotation R_V of each piece V of a unitary twist, shape (pieces, 3, 3):
     V* S V has Bloch vector R_V x when S has x.  A rotation within
-    ``ROUNDOFF_FLOOR`` of a signed permutation is snapped to it."""
+    ``ROUNDOFF_FLOOR`` of a signed permutation is snapped to it, in ``_SIGNED``."""
     v = field.values
-    rot = 0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real
-    for r in rot:
-        snapped = np.rint(r)
-        if np.array_equal(snapped @ snapped.T, np.eye(3)) and np.max(np.abs(r - snapped)) <= ROUNDOFF_FLOOR:
-            r[...] = snapped
-    return rot
+    places, near = _places(rot := 0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real)
+    return np.where(near[:, None, None], _SIGNED[places], rot)
 
 
 def conjugate_step(params: ReflectionParams, t: float, config: RotationConfig, field: PiecewiseMatrixField) -> np.ndarray:
@@ -380,12 +385,11 @@ def _prefix_products(table: np.ndarray, word: np.ndarray, first: int = 0) -> np.
     return out[:size]
 
 
-def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, steps: int, lo: int = 0):
-    """The interval and twist piece of t_lo..t_(lo+steps-1) on the exact orbit, from their arcs."""
+def _itinerary(t0: float, config: RotationConfig, field: PiecewiseMatrixField, gens: np.ndarray, steps: int, lo: int = 0):
+    """The words of t_lo..t_(lo+steps-1) on the exact orbit as places in ``_SIGNED``, read off their arcs: M_j, and R_V numbered ``gens``."""
     cuts = sorted({0.0, config.a, 4.0 * config.a, *field.breakpoints})
     arcs = _sweep(t0, config, lo, lo + steps, cuts)
-    tables = (interval_indices(cuts, config), field.piece_index(cuts))
-    return tuple(table.astype(arcs.dtype).take(arcs) for table in tables)
+    return _SUBSTITUTIONS[interval_indices(cuts, config) - 1].take(arcs), gens[field.piece_index(cuts)].take(arcs)
 
 
 PROPAGATE_CHUNK = 1 << 16  # steps per chunk of propagate_constraint: a few MB of temporaries
@@ -401,10 +405,11 @@ def propagate_constraint(
     the predicted vector by the substitution M_j of the interval at t_k
     (``signs.SUBSTITUTION_MATRICES``), on the exact orbit.  Both are numbered
     in ``_SIGNED``, the fixed group of the 48 signed permutations, so both
-    recurrences are prefix products over its table ``_PRODUCTS``; a twist
-    piece whose snapped rotation is none of them raises ``ValueError`` naming
-    it.  A signed permutation keeps the size of each component, so it commutes
-    with the ``SIGN_ZERO_TOL`` dead zone, and both class lists read one table.
+    recurrences are prefix products over its table ``_PRODUCTS``; only the
+    twist's rotations are numbered per call, and a piece whose rotation is
+    none of them raises ``ValueError`` naming it.  A signed permutation keeps
+    each component's size, so it commutes with the ``SIGN_ZERO_TOL`` dead
+    zone, and both class lists read one table, ``_CLASS_PLACES``.
     The sign flips only on the diagonal boundary (e at most
     ``ROUNDOFF_FLOOR``), to make d nonnegative; such steps are logged.
     The work goes ``PROPAGATE_CHUNK`` steps at a time, carrying the two group
@@ -413,18 +418,13 @@ def propagate_constraint(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rot, x = bloch_rotations(field), bloch_vectors(start.matrix())
-    # each rotation's and each M_j's place in _SIGNED; the M_j are always found
-    found = np.all(np.concatenate([rot, [SUBSTITUTION_MATRICES[j] for j in (1, 2, 3)]])[:, None] == _SIGNED, axis=(2, 3))
-    if bad := np.flatnonzero(~found.any(axis=1)).tolist():
+    gens, found = _places(bloch_rotations(field))
+    if bad := np.flatnonzero(~found).tolist():
         raise ValueError(f"twist piece {bad[0]} is not a signed permutation of the Bloch axes")
-    gens, substitutions = np.split(np.uint8(found.argmax(axis=1)), [len(rot)])
-    # the class of each sign triple, at its place 9 p + 3 q + r + 13 in product((-1, 0, 1), repeat=3)
-    places = np.uint8([ALL_CLASSES.index(canonicalize(t)) for t in itertools.product((-1, 0, 1), repeat=3)])
     # per element: its image of x (one +/-x_j and two zero products, summed from +0.0 as a
     # matrix product is), that image's class place and whether it is on the diagonal boundary
-    images = 0.0 + _SIGNED @ x
-    image_places = places[np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13]
+    images = 0.0 + _SIGNED @ bloch_vectors(start.matrix())
+    image_places = _CLASS_PLACES[np.where(np.abs(images) <= SIGN_ZERO_TOL, 0, np.where(images > 0.0, 1, -1)) @ (9, 3, 1) + 13]
     diagonal = np.hypot(images[:, 1], images[:, 2]) <= ROUNDOFF_FLOOR
     observed, expected = np.empty((2, steps + 1), dtype=np.uint8)
     mismatches, boundary, step_type = [], [], np.min_scalar_type(steps)
@@ -432,9 +432,9 @@ def propagate_constraint(
     for lo in range(0, steps + 1, PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, steps + 1)
         # steps lo..hi-1 (one fewer in the last chunk) take the carried elements to step hi
-        letters, pieces = _itinerary(t0, config, field, min(hi, steps) - lo, lo)
-        index = _prefix_products(_PRODUCTS, gens[pieces], element)
-        classes = _prefix_products(_PRODUCTS, substitutions[letters - 1], cls)
+        substitutions, rotations = _itinerary(t0, config, field, gens, min(hi, steps) - lo, lo)
+        index = _prefix_products(_PRODUCTS, rotations, element)
+        classes = _prefix_products(_PRODUCTS, substitutions, cls)
         element, cls, index = index[-1], classes[-1], index[: hi - lo]
         expected[lo:hi] = image_places[classes[: hi - lo]]
         observed[lo:hi] = image_places[index]

@@ -22,10 +22,10 @@ Floats are written in their shortest round-trip form, so re-parsing an
 emitted document always reproduces the exact values.  With ``indent`` set
 the stdlib encodes in pure Python, so :func:`canonical_json` renders a
 non-empty list of plain ``int``/``float`` values, or of equal-width
-non-empty lists of them (matrix rows; a :class:`Gathered` list formats
-each row of its table once), from one ``%``-format template, and leaves
-everything else (strings, bools, None, NaN and infinities, float
-subclasses, other keys) to the ``json`` module.  A 1-D numpy integer array
+non-empty lists of them (matrix rows), from one ``%``-format template, and
+leaves everything else (strings, bools, None, NaN and infinities, float
+subclasses, other keys) to the ``json`` module.  The rows of a
+:class:`Gathered` list's table are encoded once each, by the same encoder.  A 1-D numpy integer array
 is written as the list of its values.  The text comes in slices, ``REPORT_SLICE``
 rows of a ``Gathered`` list or an integer array at a time: :func:`write_json` writes
 each as it comes, so no report is held whole, and :func:`canonical_json` joins them.
@@ -300,12 +300,7 @@ def _encode(obj, nl: str):
             lead = "," + inner
         yield nl + "}"
     elif isinstance(obj, Gathered):
-        # No number's repr holds a NUL, so it splits the table's row texts apart.
-        rows = _number_rows(obj.table, inner, "\0")
-        if rows is None:  # a table the template cannot render
-            yield from _encode(list(map(obj.table.__getitem__, obj.index.tolist())), nl)
-            return
-        texts = np.array(rows.split("\0"), dtype=object)
+        texts = np.array(["".join(_encode(row, inner)) for row in obj.table], dtype=object)
         yield from _slices(obj.index, lambda part: ("," + inner).join(texts[part].tolist()), nl)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
         yield from _slices(obj, lambda part: _number_rows(part.tolist(), inner, "," + inner), nl)

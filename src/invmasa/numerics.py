@@ -149,8 +149,10 @@ def _flatten_family(vectors) -> np.ndarray:
 
 
 def _rank(sing: np.ndarray, tol: TolerancePolicy) -> int:
-    """Number of singular values sigma with sigma^2 > eps_rank * sigma_max^2."""
-    return int(np.sum(sing * sing > tol.eps_rank * sing.max(initial=0.0) ** 2))
+    """Number of singular values sigma with sigma^2 > eps_rank * sigma_max^2, squared after
+    scaling by the power of two that puts sigma_max in [1/2, 1), so that no square overflows."""
+    sq = np.ldexp(sing, -np.frexp(sing.max(initial=0.0))[1]) ** 2
+    return int(np.sum(sq > tol.eps_rank * sq.max(initial=0.0)))
 
 
 def numerical_rank(vectors, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -200,8 +202,9 @@ COMMUTANT_SYSTEM_BUDGET = 2**27
 
 
 def _zero_cutoff(top_sq: float, gens: np.ndarray, tol: TolerancePolicy) -> float:
-    """Squared size at or below which a commutant singular value is zero."""
-    return max(tol.eps_rank * top_sq, (ROUNDOFF_FLOOR * max_norm(gens)) ** 2)
+    """Squared size at or below which a commutant singular value is zero, in sizes scaled (before
+    squaring) by the power of two 2^-e that puts the family's max norm 2^e m at m in [1/2, 1)."""
+    return max(tol.eps_rank * top_sq, (ROUNDOFF_FLOOR * np.frexp(max_norm(gens))[0]) ** 2)
 
 
 def commutant_basis(
@@ -229,7 +232,8 @@ def commutant_basis(
     eye = np.eye(n)
     system = np.vstack([np.kron(g.T, eye) - np.kron(eye, g) for g in gens])
     _, sing, vh = np.linalg.svd(system, full_matrices=False)
-    rank = int(np.sum(sing * sing > _zero_cutoff(float(sing.max(initial=0.0)) ** 2, gens, tol)))
+    sq = np.ldexp(sing, -np.frexp(max_norm(gens))[1]) ** 2
+    rank = int(np.sum(sq > _zero_cutoff(float(sq.max(initial=0.0)), gens, tol)))
     null = vh[rank:]
     return [vec.reshape(n, n, order="F") for vec in null.conj()]
 
@@ -260,8 +264,6 @@ def commutant_dimension(
     counted through :func:`commutant_basis`.
     """
     stack = _square_family(generators, n)
-    if len(stack) == 0:
-        return n * n
     rng = np.random.default_rng(_GENERIC_SEED)
     coeffs = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
     m = np.tensordot(coeffs, stack, axes=1)
@@ -270,5 +272,5 @@ def commutant_dimension(
     if max_norm(rotated[:, ~np.eye(n, dtype=bool)]) > tol.eps_eq * max_norm(stack):
         return len(commutant_basis(stack, n, tol))
     values = np.diagonal(rotated, axis1=1, axis2=2)
-    gaps = np.sum(np.abs(values[:, :, None] - values[:, None, :]) ** 2, axis=0)
-    return int(np.sum(gaps <= _zero_cutoff(float(gaps.max()), stack, tol)))
+    gaps = np.sum(np.ldexp(np.abs(values[:, :, None] - values[:, None, :]), -np.frexp(max_norm(stack))[1]) ** 2, axis=0)
+    return int(np.sum(gaps <= _zero_cutoff(float(gaps.max(initial=0.0)), stack, tol)))

@@ -15,6 +15,8 @@ references take one numpy matrix-vector product per stepped orbit point,
 or run the signed-permutation scan over the whole orbit at once, in the
 groups that the twist's rotations and the automaton's class tables
 generate, and keep every step's vector.
+The signed-permutation snap rounds each rotation entry by entry and
+tests the rounding for orthogonality, one piece at a time.
 The rational-witness reference measures each convergent's error as a
 ``Fraction``.  The multiplicity-match reference buckets point positions
 by value in dictionaries; multiplication by a function is its diagonal
@@ -50,7 +52,7 @@ from invmasa import (
 )
 from invmasa import cli
 from invmasa.circle import _orbit_start, _sweep, interval_indices, orbit_counts
-from invmasa.cocycle import DefectReport, IntervalDefect, _prefix_products, bloch_rotations, bloch_vectors
+from invmasa.cocycle import _PAULI, DefectReport, IntervalDefect, _prefix_products, bloch_rotations, bloch_vectors
 from invmasa.errors import (
     DimensionMismatch,
     InvalidCandidate,
@@ -321,6 +323,25 @@ def stepped_vectors(start, t0, config, field, steps):
             sign = float(np.sign(y[0]))
         out.append(sign * y)
     return np.array(out)
+
+
+def rint_snap(rot):
+    """The signed-permutation snap that ``bloch_rotations`` made before it looked rotations up
+    in ``_SIGNED``: a copy of a (k, 3, 3) stack in which each matrix whose entrywise ``rint`` is
+    orthogonal and within ``ROUNDOFF_FLOOR`` of it is that ``rint`` (zeros signed as it signs
+    them), tested one matrix at a time."""
+    out = np.array(rot, dtype=float)
+    for r in out:
+        snapped = np.rint(r)
+        if np.array_equal(snapped @ snapped.T, np.eye(3)) and np.max(np.abs(r - snapped)) <= ROUNDOFF_FLOOR:
+            r[...] = snapped
+    return out
+
+
+def rint_rotations(field):
+    """``bloch_rotations`` with :func:`rint_snap` for its snap."""
+    v = field.values
+    return rint_snap(0.5 * np.einsum("iab,pcb,jcd,pda->pij", _PAULI, v.conj(), _PAULI, v).real)
 
 
 # +e_0, -e_0, +e_1, -e_1, +e_2, -e_2: a signed permutation permutes these rows.

@@ -201,6 +201,22 @@ class TestFirstReturns:
                     first_returns(ts, cfg)
                 assert outcome(scalar_returns, ts, cfg) == outcome(stepped_first_returns, ts, cfg) == message
 
+    def test_tie_starts_raise_the_scalar_message(self):
+        # every dyadic angle down to 2^-10 and random multiples of 2^-51: from t = (1 - 2^-53)
+        # mod a the exact orbit steps onto 1 - 2^-53 in floats too, and the tie fl(1 - 2^-53 + a)
+        # rounds to the even 1 + a, so the wrap lands on a itself
+        angles = {k / 2**m for m in range(3, 11) for k in range(1, 2 ** (m - 2), 2)}
+        angles |= set((np.random.default_rng(8).integers(2**42, 2**49, size=200) * 2.0**-51).tolist())
+        below = 1.0 - 2.0**-53
+        for a in sorted(angles):
+            cfg = RotationConfig(a)
+            t = float(Fraction(below) % Fraction(a))
+            assert Fraction(t) == Fraction(below) % Fraction(a) and shift(below, cfg) == a
+            message = f"first return from t = {t!r} exceeded its bound of {int(1.0 / a) + 3} steps"
+            assert outcome(scalar_returns, [t], cfg) == message
+            for ts in ([t], [0.0, t], [t, a / 2, t], [a / 3, np.nextafter(a, 0.0), t]):
+                assert outcome(first_returns, ts, cfg) == message
+
     @pytest.mark.parametrize("a", (5e-324, 1e-310, 1e-300, 2.0**-55))
     def test_an_angle_whose_reciprocal_overflows_has_no_bound(self, a):
         # below 2^-54 (and so wherever 1/a is inf) every float orbit stalls before 1,

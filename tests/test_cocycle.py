@@ -44,6 +44,8 @@ from oracles import (
     fraction_cut_defect,
     fraction_defect,
     piecewise_validate,
+    rint_rotations,
+    rint_snap,
     sampled_defect,
     stepped_orbit,
     stepped_vectors,
@@ -600,6 +602,40 @@ class TestBlochRepresentation:
         assert not np.array_equal(kept, np.eye(3))
         assert np.max(np.abs(kept - np.eye(3))) <= 1e3 * ROUNDOFF_FLOOR
 
+    def test_snap_matches_the_rint_oracle(self):
+        # every signed permutation moved by 0.5, 1 and 2 times the floor, on its zero entries
+        # alone (where the move is exact) or on all of them, and random rotations
+        rng = np.random.default_rng(13)
+        signed = cocycle._SIGNED
+        moved = {}
+        for scale in (0.5, 1.0, 2.0):
+            signs = rng.choice((-1.0, 1.0), size=(4, 48, 3, 3))
+            signs[:2] *= signed == 0.0
+            moved[scale] = (signed + scale * ROUNDOFF_FLOOR * signs).reshape(-1, 3, 3)
+        q = np.linalg.qr(rng.standard_normal((500, 3, 3)))[0]
+        rot = np.concatenate([*moved.values(), q, signed + 1e-3 * rng.standard_normal((48, 3, 3))])
+        places, near = cocycle._places(rot)
+        assert np.array_equal(np.where(near[:, None, None], signed[places], rot), rint_snap(rot))
+        assert cocycle._places(moved[0.5])[1].all() and not cocycle._places(moved[2.0])[1].any()
+        assert cocycle._places(moved[1.0])[1][: 2 * 48].all()
+
+    def test_rotations_match_the_rint_oracle(self):
+        # random SU(2) twists, the CLI twists and the standard twist turned near the snap
+        cfg = RotationConfig(A)
+        fields = [random_twist(seed) for seed in range(20)] + [standard(cfg), identity_twist()]
+        fields += [near_permutation_twist(cfg, k * ROUNDOFF_FLOOR) for k in (0.1, 0.5, 1.0, 2.0, 100.0)]
+        for field in fields:
+            assert np.array_equal(bloch_rotations(field), rint_rotations(field))
+
+    @pytest.mark.parametrize("twist", sorted(TWISTS))
+    def test_defect_reports_match_the_rint_oracle_bit_for_bit(self, monkeypatch, twist):
+        cfg = RotationConfig(A)
+        field = TWISTS[twist](cfg)
+        candidates = [random_projection_field(seed) for seed in range(20)] + [constant_projection_field(E11)]
+        got = [repr(invariance_defect(c, cfg, field, 0.37, 100_000)) for c in candidates]
+        monkeypatch.setattr(cocycle, "bloch_rotations", rint_rotations)
+        assert got == [repr(invariance_defect(c, cfg, field, 0.37, 100_000)) for c in candidates]
+
     def test_reflection_params_round_trip_through_bloch(self):
         p = ReflectionParams(d=-0.2, e=0.9, theta=complex(math.cos(2.0), math.sin(2.0)))
         back = ReflectionParams.from_bloch(param_bloch(p))
@@ -674,9 +710,7 @@ class TestPropagationOracle:
         start = ReflectionParams(d=0.3, e=0.7, theta=complex(math.cos(0.4), math.sin(0.4)))
         whole = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
         assert whole.mismatches.size == 0
-        one, two = SUBSTITUTION_MATRICES[1], SUBSTITUTION_MATRICES[2]
-        monkeypatch.setitem(SUBSTITUTION_MATRICES, 1, two)
-        monkeypatch.setitem(SUBSTITUTION_MATRICES, 2, one)
+        monkeypatch.setattr(cocycle, "_SUBSTITUTIONS", cocycle._SUBSTITUTIONS[[1, 0, 2]])
         swapped = propagate_constraint(start, 0.02, cfg, standard(cfg), 2000)
         assert np.array_equal(swapped.observed, whole.observed)
         assert swapped.mismatches.size > 0
@@ -759,14 +793,18 @@ class TestItinerary:
         cfg = RotationConfig(a)
         # an integer mark k puts a breakpoint on the float of the k-th orbit point
         bps = sorted({0.0, *(m if isinstance(m, float) else exact_point(t0, a, m)[1] for m in marks)})
-        field = PiecewiseMatrixField(bps, (np.eye(2),) * len(bps))
-        letters, pieces = cocycle._itinerary(t0, cfg, field, steps)
-        assert letters.shape == pieces.shape == (steps,) and letters.dtype == pieces.dtype == np.uint8
+        # the pieces take the standard twist's three values in turn, so neighbours rotate apart
+        field = PiecewiseMatrixField(bps, standard(cfg).values[np.arange(len(bps)) % 3])
+        rot = bloch_rotations(field)
+        gens = np.uint8([np.flatnonzero(np.all(r == cocycle._SIGNED, axis=(1, 2)))[0] for r in rot])
+        substitutions, rotations = cocycle._itinerary(t0, cfg, field, gens, steps)
+        assert substitutions.shape == rotations.shape == (steps,)
+        assert substitutions.dtype == rotations.dtype == np.uint8
         fa, twist = Fraction(a), [Fraction(b) for b in bps]
         for k in range(steps):
             x = exact_point(t0, a, k)[0]
-            assert letters[k] == (1 if x < fa else 2 if x < 4 * fa else 3)
-            assert pieces[k] == bisect_right(twist, x) - 1
+            assert np.array_equal(cocycle._SIGNED[substitutions[k]], SUBSTITUTION_MATRICES[1 if x < fa else 2 if x < 4 * fa else 3])
+            assert np.array_equal(cocycle._SIGNED[rotations[k]], rot[bisect_right(twist, x) - 1])
 
 
 class TestGroupScan:
