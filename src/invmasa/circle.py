@@ -4,7 +4,7 @@
 Points live in [0,1) as plain floats.  Orbits are exact: the k-th point is
 the integer (T + kA) mod 2^E over the common power of two of t0, a and the
 interval ends, rounded once, and its interval is read from the integer.
-The first-return map steps the IEEE map :func:`shift` instead.
+The first-return map steps the IEEE addition s + a in place instead.
 
 The first-return map to the base interval [0,a) subtracts b = 1 - 4a
 modulo a: a returning orbit segment always crosses the middle interval in
@@ -23,7 +23,6 @@ from .errors import NoConvergence, NotInBaseInterval
 __all__ = [
     "RotationConfig",
     "RationalWitness",
-    "shift",
     "interval_index",
     "interval_indices",
     "FirstReturn",
@@ -117,15 +116,9 @@ class RotationConfig:
         return tuple(f"{name} is close to {w.p}/{w.q} (quality {w.quality:.2e}); {effect}" for name, w, effect in found if w)
 
 
-def shift(t: float, config: RotationConfig) -> float:
-    """One rotation step (t + a) mod 1, via conditional subtraction."""
-    s = t + config.a
-    return s - 1.0 if s >= 1.0 else s
-
-
 def interval_index(t: float, config: RotationConfig) -> int:
-    """Index of the half-open interval containing t: 1, 2 or 3."""
-    return 1 if t < config.a else 2 if t < 4.0 * config.a else 3
+    """Index of the half-open interval containing t: 1, 2 or 3 (:func:`interval_indices` of one point)."""
+    return int(interval_indices(t, config))
 
 
 def interval_indices(points, config: RotationConfig) -> np.ndarray:
@@ -149,41 +142,28 @@ def _return_bound(a: float) -> int:
 
 
 def first_return(t: float, config: RotationConfig) -> FirstReturn:
-    """Iterate the rotation from t in [0,a) until it re-enters [0,a).
-
-    In exact arithmetic the itinerary (interval index before each step) is
-    1 2 2 2 and then 3s, and the landing point is ``return_closed_form``.
-    In floats the landing agrees up to accumulated ulps, but a start an ulp
-    below a can round its third point up to 4a (word 1 2 2 3...), and at a
-    dyadic a the wrap can round onto a itself, so the orbit steps on until
-    it raises ``NoConvergence`` past int(1/a) + 3 steps (at once if a is
-    below 2^-54, where every float orbit stalls before 1).
-    """
-    a, limit = config.a, _return_bound(config.a)
-    if not (0.0 <= t < a):
-        raise NotInBaseInterval(f"t = {t!r} is not in [0, {a!r})")
-    word, cur, steps = [], t, 0
-    while True:
-        word.append(interval_index(cur, config))
-        cur, steps = shift(cur, config), steps + 1
-        if cur < a:
-            return FirstReturn(t_return=cur, steps=steps, word=tuple(word))
-        if steps > limit:
-            raise NoConvergence(f"first return from t = {t!r} exceeded its bound of {limit} steps")
+    """:func:`first_returns` of one start t in [0,a), with its itinerary (the interval index
+    before each step), 1 2 2 2 3...3 in exact arithmetic.  In floats a <= s_1 <= 2a, s_2 < 4a
+    and s_4 >= 4a (from t = 0, ((a + a) + a) + a rounds to 4a, and fl is monotone), so the word
+    is 1 2 2 3...3 when s_3 reaches 4a, as it can an ulp below a, else 1 2 2 2 3...3."""
+    (t_return,), (steps,), _ = first_returns([t], config)
+    m, steps = 2 + (t + config.a + config.a + config.a < 4.0 * config.a), int(steps)
+    return FirstReturn(float(t_return), steps, (1,) + (2,) * m + (3,) * (steps - 1 - m))
 
 
 def first_returns(ts, config: RotationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`first_return` of a 1-D array of starts in [0,a), bit for bit: landing points,
-    step counts, and whether each itinerary was 1 2 2 2 3...3.  Before its wrap an orbit
+    """IEEE first returns to [0,a) of a 1-D array of starts in [0,a): landing points, step
+    counts, and whether each itinerary was 1 2 2 2 3...3.  Before its wrap an orbit
     s_n = fl(s_(n-1) + a) grows with n and with its start, so all step in place until the
     smallest start wraps; each returns at its first s_n >= 1 to s_n - 1, and its word is right
-    exactly when s_3 < 4a <= s_4.  A start unwrapped past the bound, or landing on a (a tie from
-    within an ulp of 1 at a dyadic a, whose next lap ends past it), raises ``first_return``'s error."""
+    exactly when s_3 < 4a (see :func:`first_return`).  A start outside [0,a) raises
+    ``NotInBaseInterval``, and one unwrapped past the bound int(1/a) + 3 or landing on a (a tie
+    from within an ulp of 1 at a dyadic a, whose next lap ends past it) ``NoConvergence``."""
     a, start, limit = config.a, np.asarray(ts, dtype=float), _return_bound(config.a)
-    if not np.all((0.0 <= start) & (start < a)):
-        raise NotInBaseInterval(f"a start is not in [0, {a!r})")
+    if (bad := np.flatnonzero(~((0.0 <= start) & (start < a)))).size:
+        raise NotInBaseInterval(f"t = {float(start[bad[0]])!r} is not in [0, {a!r})")
     s3, n = start + a + a + a, 0
-    cur, steps, words_ok = start.copy(), np.zeros(start.shape, dtype=int), (s3 < 4.0 * a) & (s3 + a >= 4.0 * a)
+    cur, steps, words_ok = start.copy(), np.zeros(start.shape, dtype=int), s3 < 4.0 * a
     if start.size:
         first, last = start.argmax(), start.argmin()  # the first start to wrap, and the last
         while cur[first] < 1.0 and n <= limit:

@@ -249,8 +249,8 @@ def factor_unitary(
     coefficient of U* P_j U, which must then lie within ``eps_eq`` of P_c
     in max norm; a *-automorphism of the block algebra permutes those
     projections exactly, so anything further is an input error.  The point
-    bijection maps each block onto its image in ascending index order; any
-    other choice would only change V.
+    bijection phi maps each block onto its image in ascending index order;
+    any other choice would only change V = U W*, the column gather U[:, phi].
     """
     u = as_matrix(u)
     report, diag, off, table = _block_conjugates(algebra, u, tol)
@@ -269,18 +269,17 @@ def factor_unitary(
             )
     if sorted(pi) != list(range(len(blocks))):
         raise NotInvariant("conjugation does not permute the blocks bijectively")
-    w = WeightedCompositionOperator(_block_bijection(blocks, pi))
-    wm = w.matrix()
-    v = u @ wm.conj().T
+    phi = _block_bijection(blocks, pi)
+    v = u[:, phi]
     block_residual = max_norm(v[labels[:, None] != labels[None, :]])
     if block_residual > tol.eps_eq:
         raise NotInvariant(
             f"recovered V is not block diagonal (residual {block_residual:.3e})"
         )
-    factor_residual = max_norm(u - v @ wm)
+    factor_residual = max_norm(u - v[:, np.argsort(phi)])
     return UnitaryFactorization(
         v=v,
-        w=w,
+        w=WeightedCompositionOperator(phi),
         pi=tuple(pi),
         cycles=cycle_decomposition(pi),
         block_residual=block_residual,

@@ -2,11 +2,11 @@
 
 Instances are built in reverse: pick a block structure and a label
 permutation whose cycles pair equal-size blocks, draw a Haar-random block
-diagonal unitary V0, form the coordinate permutation W from the ascending
-within-block bijection, and emit U = V0 W.  By construction, conjugation
-by U maps the block algebra onto itself, and the factorisation routine
-recovers both the permutation and V0 exactly: both build W with
-``embedding._block_bijection``.
+diagonal unitary V0, and emit U = V0 W, with W the coordinate permutation
+of the ascending within-block bijection phi: column phi[x] of U is column
+x of V0.  Conjugation by U maps the block algebra onto itself, and the
+factorisation routine recovers both the permutation and V0 exactly: both
+build phi with ``embedding._block_bijection``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .documents import Instance
-from .embedding import WeightedCompositionOperator, _block_bijection
+from .embedding import _block_bijection
 from .errors import InconsistentSpec
 from .spaces import BlockPartition, DiscreteSpace
 
@@ -84,7 +84,7 @@ def build_instance(
     for block in partition.blocks:
         idx = list(block)
         v0[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
-    u = v0 @ WeightedCompositionOperator(_block_bijection(partition.blocks, pi)).matrix()
+    u = v0[:, np.argsort(_block_bijection(partition.blocks, pi))]
     instance = Instance(space=space, partition=partition, unitary=u)
     return GeneratedInstance(instance=instance, pi=pi, seed=seed)
 

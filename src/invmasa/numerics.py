@@ -259,11 +259,14 @@ def commutant_dimension(
     the same cutoff on squared singular values counts the pairs with
     d_ij^2 <= eps_rank * max d^2 in O(k n^3) time and O(k n^2) memory.
     Both paths also count sizes up to ``ROUNDOFF_FLOOR`` times the family's
-    max norm as zero.  A family that Q does not diagonalise within
-    ``eps_eq`` times its max norm (a non-normal or non-commuting one) is
-    counted through :func:`commutant_basis`.
+    max norm as zero.  The family is first scaled by the power of two that puts
+    its max norm in [1/2, 1), so neither m + m* nor a squared gap overflows.
+    A family that Q does not diagonalise within ``eps_eq`` times its max norm
+    (a non-normal or non-commuting one) is counted through :func:`commutant_basis`.
     """
     stack = _square_family(generators, n)
+    e = np.frexp(max_norm(stack))[1]
+    stack = np.ldexp(np.ascontiguousarray(stack).view(float), -e).view(complex)  # real and imaginary parts
     rng = np.random.default_rng(_GENERIC_SEED)
     coeffs = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
     m = np.tensordot(coeffs, stack, axes=1)
@@ -272,5 +275,5 @@ def commutant_dimension(
     if max_norm(rotated[:, ~np.eye(n, dtype=bool)]) > tol.eps_eq * max_norm(stack):
         return len(commutant_basis(stack, n, tol))
     values = np.diagonal(rotated, axis1=1, axis2=2)
-    gaps = np.sum(np.ldexp(np.abs(values[:, :, None] - values[:, None, :]), -np.frexp(max_norm(stack))[1]) ** 2, axis=0)
+    gaps = np.sum(np.abs(values[:, :, None] - values[:, None, :]) ** 2, axis=0)
     return int(np.sum(gaps <= _zero_cutoff(float(gaps.max(initial=0.0)), stack, tol)))

@@ -6,9 +6,10 @@ The algebra references build the n x n block projections explicitly and
 work on spans of flattened matrices one member at a time, so they cost up
 to O(k^2 n^4) and serve only as differential oracles for small and medium
 n.  The stepped orbit takes one float addition and conditional
-subtraction per point, as :func:`invmasa.shift` does, and drifts off the
-exact one; the stepped first returns take the same step for every start
-that has not returned yet.  The defect references visit every orbit point, the stepped
+subtraction per point, as :func:`shift` does, and drifts off the
+exact one; the stepped first return takes the same step from one start,
+reading each point's interval as it goes, and the stepped first returns
+take it for every start that has not returned yet.  The defect references visit every orbit point, the stepped
 float orbit in chunks or the exact one as fractions, or cut the circle into
 arcs at ``Fraction`` points.  The propagation
 references take one numpy matrix-vector product per stepped orbit point,
@@ -51,7 +52,7 @@ from invmasa import (
     validate_projection_field,
 )
 from invmasa import cli
-from invmasa.circle import _orbit_start, _sweep, interval_indices, orbit_counts
+from invmasa.circle import FirstReturn, _orbit_start, _sweep, interval_indices, orbit_counts
 from invmasa.cocycle import _PAULI, DefectReport, IntervalDefect, _prefix_products, bloch_rotations, bloch_vectors
 from invmasa.errors import (
     DimensionMismatch,
@@ -177,8 +178,34 @@ def member_masa_check(basis, n, tol):
     )
 
 
+def shift(t, config):
+    """One rotation step (t + a) mod 1, via conditional subtraction."""
+    s = t + config.a
+    return s - 1.0 if s >= 1.0 else s
+
+
+def stepped_first_return(t, config):
+    """``circle.first_return`` by stepping :func:`shift` from t in [0,a) until the orbit
+    re-enters [0,a), appending the interval index of each point before its step; past
+    int(1/a) + 3 steps (at once below a = 2^-54) it raises ``NoConvergence``."""
+    a = config.a
+    if a < 2.0**-54:
+        raise NoConvergence(f"first returns at a = {a!r} have no step bound: below 2^-54 a float orbit stalls before 1")
+    limit = int(1.0 / a) + 3
+    if not (0.0 <= t < a):
+        raise NotInBaseInterval(f"t = {t!r} is not in [0, {a!r})")
+    word, cur, steps = [], t, 0
+    while True:
+        word.append(1 if cur < a else 2 if cur < 4.0 * a else 3)
+        cur, steps = shift(cur, config), steps + 1
+        if cur < a:
+            return FirstReturn(t_return=cur, steps=steps, word=tuple(word))
+        if steps > limit:
+            raise NoConvergence(f"first return from t = {t!r} exceeded its bound of {limit} steps")
+
+
 def shift_array(ts, config):
-    """:func:`invmasa.shift` of every entry of an array, by the same IEEE operations."""
+    """:func:`shift` of every entry of an array, by the same IEEE operations."""
     s = np.asarray(ts, dtype=float) + config.a
     return np.where(s >= 1.0, s - 1.0, s)
 
@@ -204,7 +231,7 @@ def stepped_first_returns(ts, config):
 
 
 def stepped_orbit(t0, config, steps):
-    """The orbit of the reduced start stepped as :func:`invmasa.shift` steps
+    """The orbit of the reduced start stepped as :func:`shift` steps
     it: each point is the float sum of the previous one and a, less 1 when
     that reaches 1.  Each step rounds, so the points drift from the exact
     orbit (up to ~5e-12 after 10^6 steps at a = sqrt(2)/8)."""

@@ -5,10 +5,13 @@ its exit code, its stderr text, and the sha256 of the report it writes with
 the ``timestamp`` line removed (null when it writes none).
 ``tests/test_reports.py`` runs every command in-process and compares.
 
-This slice covers ``cex``: the reports come from exact integers, signed
+The ``cex`` slice: its reports come from exact integers, signed
 permutations and scalar IEEE steps.  ``cex defect`` appears only with the
-exact diag(1, 0) control.  Regenerate the file, after a change that is meant
-to alter an output, with
+exact diag(1, 0) control.  The first ``masa`` slice: ``masa factor`` on
+instances whose entries are exact, whose V is a column gather of U (copied
+bits) and whose mass ratios are single IEEE divisions, and ``masa match``,
+which only pairs values.  Every input file is written inline from ``FILES``.
+Regenerate the file, after a change that is meant to alter an output, with
 
     PYTHONPATH=src python tests/regenerate_reports.py
 
@@ -30,6 +33,44 @@ CORPUS = Path(__file__).parent / "golden" / "reports.json"
 
 # The constant rank-one candidate diag(1, 0): its defect is exactly 2 under the standard twist.
 DIAG_CANDIDATE = '{"breakpoints": [0.0], "projections": [{"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]}\n'
+
+
+def _instance(weights, blocks, re, im):
+    return json.dumps({"dimension": len(weights), "weights": weights, "blocks": blocks, "unitary": {"re": re, "im": im}}) + "\n"
+
+
+def _values(re, im):
+    return json.dumps({"re": re, "im": im}) + "\n"
+
+
+_Z4 = [[0.0] * 4 for _ in range(4)]
+FILES = {
+    "diag.json": DIAG_CANDIDATE,
+    # two 2-point blocks swapped by U = V0 W, V0 = diag((1 + i) H / 2, [[0, 1], [i, 0]])
+    # with H the 2 x 2 sign matrix: every entry a multiple of 1/2
+    "clean4.json": _instance(
+        [1.0, 2.0, 0.5, 3.0],
+        [[0, 1], [2, 3]],
+        [[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.5, -0.5], [0.0, 0.0, -0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+    ),
+    # the same swap with V0 = I, but a -0.0 inside block 0 of V0: V keeps its sign
+    "negzero4.json": _instance(
+        [1.0, 1.0, 1.0, 1.0],
+        [[0, 1], [2, 3]],
+        [[0.0, 0.0, 1.0, -0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+        _Z4,
+    ),
+    # masses whose ratios over- and underflow: factor exits 4
+    "extreme2.json": _instance([5e-324, 1.7e308], [[0], [1]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    # a repeated value pairs in ascending point order; unequal multiplicities; 1e-12 apart
+    "f_perm.json": _values([1.0, 2.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]),
+    "g_perm.json": _values([2.0, 0.0, 1.0, 2.0], [0.0, 3.0, 0.0, 0.0]),
+    "f_mult.json": _values([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]),
+    "g_mult.json": _values([1.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    "f_tol.json": _values([1.0, 2.0], [0.0, 0.0]),
+    "g_tol.json": _values([1.000000000001, 2.0], [0.0, 0.0]),
+}
 
 _BASE = ["propagate", "--a", "0.17677669529663687", "--d", "0.3", "--e", "0.7"]
 _PROPAGATE = [
@@ -65,6 +106,9 @@ COMMANDS = (
     + [("cex", ["return-map", "--a", a, "--samples", "3"]) for a in ("5e-324", "1e-310")]
     # below 2^-54 every float orbit stalls before 1, so these exit 4 at once
     + [("cex", ["return-map", "--a", a, "--samples", "3"]) for a in ("1e-300", "5.5e-17")]
+    + [("masa", ["factor", "--input", f"{{dir}}/{name}.json"]) for name in ("clean4", "negzero4", "extreme2")]
+    + [("masa", ["match", "--f", f"{{dir}}/f_{case}.json", "--g", f"{{dir}}/g_{case}.json"]) for case in ("perm", "mult")]
+    + [("masa", ["match", "--f", "{dir}/f_tol.json", "--g", "{dir}/g_tol.json", "--value-tol", "1e-9"])]
 )
 
 
@@ -72,7 +116,8 @@ def run(prog, argv, directory):
     """The corpus entry of one command, run in-process in ``directory``, where
     ``{dir}`` in ``argv`` names that directory."""
     directory = Path(directory)
-    (directory / "diag.json").write_text(DIAG_CANDIDATE, encoding="utf-8")
+    for name, text in FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
     out = directory / "report.json"
     out.unlink(missing_ok=True)
     err = io.StringIO()

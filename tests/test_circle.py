@@ -18,11 +18,10 @@ from invmasa import (
     orbit_anchor,
     rational_witness,
     return_closed_form,
-    shift,
 )
 from invmasa.circle import ORBIT_CHUNK, _numerators, _return_bound, _sweep, first_returns
 from invmasa.errors import NoConvergence, NotInBaseInterval
-from oracles import fraction_witness, shift_array, stepped_first_returns, stepped_orbit
+from oracles import fraction_witness, shift, shift_array, stepped_first_return, stepped_first_returns, stepped_orbit
 
 SQRT2_OVER_8 = math.sqrt(2.0) / 8.0
 BATTERY = (SQRT2_OVER_8, 1.0 / (4.0 + math.sqrt(3.0)), 0.2012012012012012)
@@ -126,9 +125,51 @@ class TestFirstReturn:
             assert abs(cur - expected) <= 1e-11
 
 
+def scalar_outcome(first, t, cfg):
+    """``first(t, cfg)`` as its landing bits, step count and word, or its error's type and text."""
+    try:
+        ret = first(t, cfg)
+    except (NoConvergence, NotInBaseInterval) as exc:
+        return type(exc).__name__, str(exc)
+    assert type(ret.t_return) is float and type(ret.steps) is int
+    return ret.t_return.hex(), ret.steps, ret.word
+
+
+class TestFirstReturnOracle:
+    @pytest.mark.parametrize("a", BATTERY + (0.1, 0.125, 0.2, 0.24, 0.0625, 0.1875, 1e-3, 2.0**-55, 1e-310))
+    def test_equals_the_stepped_oracle(self, a):
+        # random starts, the ends of [0, a) (an ulp below a the word can be 1 2 2 3...3),
+        # the dyadic tie starts (NoConvergence) and starts outside [0, a) (NotInBaseInterval)
+        cfg = RotationConfig(a)
+        ends = [0.0, -0.0, 5e-324, float(np.nextafter(a, 0.0)), *(t for b, t in DYADIC_TIES if b == a)]
+        draws = np.random.default_rng(9).uniform(0.0, a, size=300 if a > 0.01 else 20).tolist()
+        outside = [a, 1.0, 0.5, -1e-300, -5e-324, math.nan, math.inf, -math.inf]
+        for t in ends + draws + outside:
+            assert scalar_outcome(first_return, t, cfg) == scalar_outcome(stepped_first_return, t, cfg), t
+
+    def test_fourth_point_from_zero_reaches_four_a(self):
+        # the itinerary is read from s_3 alone because s_4 >= 4a for every start: from t = 0,
+        # ((a + a) + a) + a rounds to 4a itself (3a rounds by at most half an ulp of 4a, and
+        # where that is a tie, 4a is the even neighbour), and fl is monotone in the start
+        rng = np.random.default_rng(11)
+        mantissas = [1.0, 4.0 / 3.0, 2.0, 1.5, 1.25, 1.75]
+        edges = [np.nextafter(m, d) for m in mantissas for d in (0.0, 4.0)] + mantissas
+        angles = np.concatenate([
+            rng.uniform(0.0, 0.25, 200_000),
+            np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-1074, -2, 100_000)),
+            np.ldexp(np.array(edges)[:, None], np.arange(-1074, -2)).ravel(),
+            rng.integers(1, 2**52, 1000) * 2.0**-1074,
+        ])
+        angles = angles[(angles > 0.0) & (angles < 0.25)]
+        assert angles.size > 300_000
+        assert np.array_equal(angles + angles + angles + angles, 4.0 * angles)
+        starts = angles * rng.uniform(0.0, 1.0, angles.size)
+        assert np.all(starts + angles + angles + angles + angles >= 4.0 * angles)
+
+
 def scalar_returns(ts, cfg):
-    """:func:`first_return` of each start, as the three arrays ``first_returns`` gives."""
-    scalar = [first_return(float(t), cfg) for t in ts]
+    """The stepped oracle's first return of each start, as the three arrays ``first_returns`` gives."""
+    scalar = [stepped_first_return(float(t), cfg) for t in ts]
     words = [r.word[:4] == (1, 2, 2, 2) and set(r.word[4:]) <= {3} for r in scalar]
     return np.array([r.t_return for r in scalar]), np.array([r.steps for r in scalar], dtype=int), np.array(words, dtype=bool)
 
@@ -184,7 +225,7 @@ class TestFirstReturns:
         for a in (0.2012012012012012, 0.1, 0.24, 0.125, 0.2):
             cfg = RotationConfig(a)
             start = float(np.nextafter(a, 0.0))
-            assert first_return(start, cfg).word[:4] == (1, 2, 2, 3)
+            assert stepped_first_return(start, cfg).word[:4] == (1, 2, 2, 3)
             assert not first_returns([start, start], cfg)[2].any()
             assert first_returns([0.0, start], cfg)[2].tolist() == [True, False]
 

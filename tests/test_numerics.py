@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra layer."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,17 @@ class TestCommutantDimension:
         assert commutant_dimension(family, 2) == expected
         assert len(commutant_basis(family, 2)) == expected
         assert len(kronecker_calls) == 1
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-320, 1e-310, *(10.0**k for k in range(-300, 301, 20)), 1e307, 1e308])
+    def test_block_projections_at_any_scale(self, scale, kronecker_calls):
+        # the family is scaled to max norm in [1/2, 1) before its generic element m + m*
+        # is formed: at 1e308 that element overflowed and as_matrix refused it
+        family = np.stack([np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]).astype(complex) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerical_rank(family) == 2
+            assert commutant_dimension(family, 4) == 8
+        assert not kronecker_calls
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
