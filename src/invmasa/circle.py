@@ -146,8 +146,8 @@ def first_return(t: float, config: RotationConfig) -> FirstReturn:
     before each step), 1 2 2 2 3...3 in exact arithmetic.  In floats a <= s_1 <= 2a, s_2 < 4a
     and s_4 >= 4a (from t = 0, ((a + a) + a) + a rounds to 4a, and fl is monotone), so the word
     is 1 2 2 3...3 when s_3 reaches 4a, as it can an ulp below a, else 1 2 2 2 3...3."""
-    (t_return,), (steps,), _ = first_returns([t], config)
-    m, steps = 2 + (t + config.a + config.a + config.a < 4.0 * config.a), int(steps)
+    (t_return,), (steps,), (word_ok,) = first_returns([t], config)
+    m, steps = 2 + int(word_ok), int(steps)  # the number of 2s: 3 exactly when s_3 < 4a
     return FirstReturn(float(t_return), steps, (1,) + (2,) * m + (3,) * (steps - 1 - m))
 
 

@@ -43,7 +43,6 @@ def _values(re, im):
     return json.dumps({"re": re, "im": im}) + "\n"
 
 
-_Z4 = [[0.0] * 4 for _ in range(4)]
 FILES = {
     "diag.json": DIAG_CANDIDATE,
     # two 2-point blocks swapped by U = V0 W, V0 = diag((1 + i) H / 2, [[0, 1], [i, 0]])
@@ -59,7 +58,7 @@ FILES = {
         [1.0, 1.0, 1.0, 1.0],
         [[0, 1], [2, 3]],
         [[0.0, 0.0, 1.0, -0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-        _Z4,
+        [[0.0] * 4] * 4,
     ),
     # masses whose ratios over- and underflow: factor exits 4
     "extreme2.json": _instance([5e-324, 1.7e308], [[0], [1]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
