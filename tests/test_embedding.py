@@ -355,9 +355,11 @@ class TestFactorUnitary:
         assert max_norm(fact.v - v0) == 0.0
 
     @pytest.mark.parametrize("source", ("random", "factor_shapes"))
-    def test_gathers_equal_the_permutation_products_byte_for_byte(self, source):
-        # V = U W* and U = V0 W are column gathers: on generated instances, whose zeros
-        # are all +0.0, they equal the products with the dense permutation bit for bit
+    def test_gathers_equal_the_permutation_products(self, source):
+        # V = U W* and U = V0 W are column gathers, equal to the products with the dense
+        # permutation: bit for bit but for the sign of zero entries, which a GEMM sums from
+        # signed zero products as its BLAS kernel goes (u @ W* of `masa gen --blocks 1,1,1
+        # --cycles 0,1,2 --seed 7` held -0.0 where U holds +0.0)
         if source == "random":
             gens = [random_instance(seed) for seed in range(40)]
         else:
@@ -366,20 +368,18 @@ class TestFactorUnitary:
             u = gen.instance.unitary
             fact = factor_unitary(gen.instance.algebra, u)
             w = fact.w.matrix()
-            assert fact.v.tobytes() == (u @ w.conj().T).tobytes()
-            assert u.tobytes() == (fact.v @ w).tobytes()
+            assert np.array_equal(fact.v, u @ w.conj().T) and np.array_equal(u, fact.v @ w)
             assert fact.factor_residual == 0.0
 
     def test_negative_zero_keeps_its_sign(self):
         # the two 2-point blocks swapped, with a -0.0 inside block 0 of V: the gather
-        # copies it, where the product with W would add +0.0 terms and make it +0.0
+        # copies it, where the product with W added +0.0 terms and made it +0.0
         u = np.zeros((4, 4), dtype=complex)
         u[[2, 3, 0, 1], [0, 1, 2, 3]] = 1.0
         u[0, 3] = complex(-0.0, 0.0)
         fact = factor_unitary(block_algebra([1.0] * 4, [[0, 1], [2, 3]]), u)
         assert fact.pi == (1, 0) and fact.w.bijection == (2, 3, 0, 1)
         assert np.signbit(fact.v[0, 1].real) and np.array_equal(fact.v, np.eye(4))
-        assert not np.signbit((u @ fact.w.matrix().conj().T)[0, 1].real)
 
     def test_not_invariant_raises(self):
         s = 1 / np.sqrt(2)
